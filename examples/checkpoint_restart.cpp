@@ -120,6 +120,10 @@ int main() {
 
   // Recovery continues where the campaign left off: hit the restored engine
   // with a fresh burst of transient faults and watch it re-stabilize.
+  // RunOutcome::rounds and the run_until cap are absolute round indices
+  // (the restored engine carries the campaign's): count the recovery from
+  // the stamp taken at the fault burst.
+  const std::uint64_t fault_round = engine->round_index_now();
   util::Rng fault_rng(23);
   for (int i = 0; i < 5; ++i) {
     engine->inject_state(
@@ -130,10 +134,10 @@ int main() {
       [&](const core::Configuration& c) {
         return unison::graph_good(alg.turns(), engine->graph(), c);
       },
-      20000);
+      fault_round + 20000);
   CHECK(outcome.reached);
   std::printf("recovery: re-stabilized %llu rounds after restart faults\n",
-              static_cast<unsigned long long>(outcome.rounds));
+              static_cast<unsigned long long>(outcome.rounds - fault_round));
 
   std::remove(checkpoint_path.c_str());
   std::remove((checkpoint_path + ".prev").c_str());

@@ -87,10 +87,14 @@ int main(int argc, char** argv) {
   impostor.r = alg.decode(engine.state_of(boss)).r;
   impostor.leader = false;
   impostor.slot = 0;
+  // RunOutcome::rounds and the run_until cap are absolute round indices:
+  // count the recovery from the stamp taken at the fault.
+  const std::uint64_t fault_round = engine.round_index_now();
   engine.inject_state(boss, alg.encode(impostor));
 
-  outcome = engine.run_until(legit, 300000);
-  std::cout << "  re-elected after " << outcome.rounds << " further rounds\n";
+  outcome = engine.run_until(legit, fault_round + 300000);
+  std::cout << "  re-elected after " << outcome.rounds - fault_round
+            << " further rounds\n";
   show_roles(alg, engine);
 
   // ---- Act 2: asynchronous composition (Cor 1.2) ----------------------------

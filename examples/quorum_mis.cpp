@@ -76,6 +76,9 @@ int main(int argc, char** argv) {
   // Transient fault: a toxin wipes a 3x3 patch — states scrambled to IN
   // (conflicting precursors) and orphaned OUTs.
   std::cout << "\ntoxin burst scrambles the top-left 3x3 patch:\n";
+  // RunOutcome::rounds and the run_until cap are absolute round indices:
+  // count the recovery from the stamp taken at the burst.
+  const std::uint64_t burst_round = engine.round_index_now();
   util::Rng rng(seed ^ 0xBEEF);
   for (core::NodeId r = 0; r < std::min<core::NodeId>(3, rows); ++r) {
     for (core::NodeId c = 0; c < std::min<core::NodeId>(3, cols); ++c) {
@@ -85,9 +88,9 @@ int main(int argc, char** argv) {
   render(alg, engine, rows, cols);
 
   // Watch detection, Restart, re-selection.
-  const auto recover = engine.run_until(legit, 100000);
-  std::cout << "\nre-selection complete after " << recover.rounds
-            << " further rounds:\n";
+  const auto recover = engine.run_until(legit, burst_round + 100000);
+  std::cout << "\nre-selection complete after "
+            << recover.rounds - burst_round << " further rounds:\n";
   render(alg, engine, rows, cols);
 
   std::cout << "\nindependence + maximality verified: "

@@ -146,7 +146,12 @@ Engine::Engine(const graph::Graph& g, const Automaton& alg,
     if (shardable && (full_activation_ || sparse_eligible_)) {
       sync_shards_ = make_shards(graph_, threads);
       pool_ = std::make_unique<ParallelEngine>(sync_shards_);
-      shard_ws_.resize(pool_->shard_count());
+    } else if (full_activation_) {
+      // Serial synchronous engines run the shared shard body on one shard.
+      sync_shards_.push_back({0, graph_.num_nodes()});
+    }
+    if (!sync_shards_.empty()) {
+      shard_ws_.resize(sync_shards_.size());
       for (std::size_t i = 0; i < shard_ws_.size(); ++i) {
         ShardWorkspace& ws = shard_ws_[i];
         ws.scratch.reserve(graph_.max_degree() + 1);
@@ -230,19 +235,8 @@ Engine::Engine(graph::Graph& g, const Automaton& alg, sched::Scheduler& sched,
   mutable_graph_ = &g;
 }
 
-Engine::~Engine() {
-  // In-flight tasks reference engine members (shard_ws_ is declared after
-  // pool_, so it dies first); drain them before any member is destroyed. A
-  // task exception at this point has no caller to surface to.
-  try {
-    flush_overlap();
-  } catch (...) {  // NOLINT(bugprone-empty-catch)
-  }
-}
-
 graph::TopologyDelta Engine::apply_topology_delta(
     const graph::TopologyDelta& delta) {
-  flush_overlap();
   if (mutable_graph_ == nullptr) {
     throw std::logic_error(
         "apply_topology_delta: engine was constructed over a const graph "
@@ -285,7 +279,8 @@ graph::TopologyDelta Engine::apply_topology_delta(
     ws.scratch.reserve(graph_.max_degree() + 1);
   }
   // Degree weights shifted: the synchronous kernel re-balances its node
-  // partition lazily at the next parallel step; the sparse-activation kernel
+  // partition lazily at the next parallel step (a serial engine's single
+  // [0, n) shard has nothing to re-balance); the sparse-activation kernel
   // re-weighs its activation-list partition every step anyway.
   sync_shards_dirty_ = pool_ != nullptr;
 
@@ -327,7 +322,6 @@ graph::TopologyDelta Engine::translate_delta_to_user(
 }
 
 Signal Engine::signal_of(NodeId v) const {
-  ensure_flushed();
   const NodeId i = graph_.to_internal(v);
   std::vector<StateId> sensed;
   sensed.reserve(graph_.degree(i) + 1);
@@ -388,106 +382,24 @@ void Engine::step() {
   }
 }
 
-// Batched synchronous kernel: A_t = V, so the next configuration is computed
-// into the double buffer in one pass (no update list, no pending-bitmap
-// churn) and every step closes exactly one round.
-void Engine::step_synchronous() {
-  if (pool_) {
-    if (overlap_eligible()) {
-      enqueue_overlapped_step();
-    } else {
-      step_parallel_synchronous();
-    }
-    return;
-  }
-  if (store_.narrow()) {
-    step_synchronous_serial(store_.bytes_data(), next_store_.bytes_data());
-  } else {
-    step_synchronous_serial(store_.wide_data(), next_store_.wide_data());
-  }
-  store_.swap(next_store_);
-  // Both buffers were written through raw pointers (and the swap moves any
-  // cached view with its buffer): re-materialize lazily on the next read.
-  store_.invalidate_view();
-  next_store_.invalidate_view();
-  ++time_;
-  ++rounds_;
-  last_boundary_time_ = time_;
-  maybe_promote_acts();
-  // pending_ stays all-true / pending_count_ stays n: the round that opened
-  // at this step's start closed at its end.
-}
-
-template <typename T>
-void Engine::step_synchronous_serial(const T* cur, T* next) {
-  const NodeId n = graph_.num_nodes();
-  // The synchronous kernel never *senses* through the signal field, but a
-  // live forced-on field must stay consistent across the step, so
-  // transitions patch it inline (deltas against the pre-step configuration
-  // commute, and nothing reads the field until the step is over). A stale
-  // field (post-injection) stays stale: no sync path will ever read it, so
-  // the rebuild is deferred to a future field sense that may never come —
-  // signal_field_stale() tells observability readers.
-  const bool patch_field = field_live();
-  const unsigned pf = options_.prefetch_distance;
-  if (mask_kernel_ && !listener_) {
-    if (dense_table_ != nullptr && !patch_field) {
-      // Vectorized table application: the SIMD mask gather feeds one
-      // devirtualized table load per node — no virtual δ dispatch, no rng
-      // derivation (dense tables exist only for deterministic automata).
-      const std::uint8_t* table = dense_table_;
-      const StateId shift = dense_shift_;
-      for (NodeId v = 0; v < n; ++v) {
-        const std::uint64_t mask = neighborhood_mask(graph_, cur, v, pf);
-        next[v] = static_cast<T>(
-            table[(static_cast<std::size_t>(cur[v]) << shift) | mask]);
-        bump_act(v, act_saturated_);
-      }
-      return;
-    }
-    // Bitmask kernel: |Q| <= 64, so sensing collapses to OR-ing neighborhood
-    // bits and δ to one step_mask call (a table probe or native bit-ops).
-    const Automaton& kernel = *stepper_;
-    for (NodeId v = 0; v < n; ++v) {
-      const StateId curq = cur[v];
-      const StateId nextq = kernel.step_mask(
-          curq, neighborhood_mask(graph_, cur, v, pf), step_rng(v));
-      if (patch_field && nextq != curq) {
-        field_->apply_transition(v, curq, nextq);
-      }
-      next[v] = static_cast<T>(nextq);
-      bump_act(v, act_saturated_);
-    }
-  } else {
-    for (NodeId v = 0; v < n; ++v) {
-      const SignalView sig = scratch_.sense(graph_, cur, v, pf);
-      const StateId curq = cur[v];
-      const StateId nextq = stepper_->step_fast(curq, sig, step_rng(v));
-      if (nextq != curq) {
-        if (listener_) emit_listener(v, curq, nextq, sig);
-        if (patch_field) field_->apply_transition(v, curq, nextq);
-      }
-      next[v] = static_cast<T>(nextq);
-      bump_act(v, act_saturated_);
-    }
-  }
-}
-
-// Phase 1 of one shard, shared by the synchronous and sparse-activation
-// parallel kernels — one definition so the two loop bodies cannot drift out
-// of lockstep (bit-identity depends on them staying identical).
+// Phase 1 of one shard, shared by the synchronous kernel (serial and
+// sharded) and the sparse-activation kernel — one definition so the loop
+// bodies cannot drift out of lockstep (bit-identity depends on them staying
+// identical).
 template <typename T, typename NodeOf, typename Emit>
 void Engine::shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
-                          std::vector<TransitionRec>& log,
                           const bool log_transitions, const NodeOf& node_of,
                           const Emit& emit) {
+  std::vector<TransitionRec>& log = ws.transitions;
   log.clear();
   const Automaton& kernel = *ws.stepper;
   const unsigned pf = options_.prefetch_distance;
   if (mask_kernel_) {
     if (dense_table_ != nullptr && !log_transitions) {
-      // Devirtualized table application (see step_synchronous_serial); the
-      // eager table is immutable, so every shard probes the shared copy.
+      // Vectorized table application: the SIMD mask gather feeds one
+      // devirtualized table load per node — no virtual δ dispatch, no rng
+      // derivation (dense tables exist only for deterministic automata).
+      // The eager table is immutable, so every shard probes the shared copy.
       const std::uint8_t* table = dense_table_;
       const StateId shift = dense_shift_;
       for (NodeId i = shard.begin; i < shard.end; ++i) {
@@ -522,14 +434,81 @@ void Engine::shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
   }
 }
 
-// Sharded synchronous kernel: each worker computes its contiguous node range
-// of the double buffer against per-shard workspaces; the epoch barrier in
-// ParallelEngine::run makes all writes visible before the buffer swap. With a
-// listener attached, workers log transitions and the engine replays them in
-// node order afterwards (shards are contiguous and ascending, so shard-order
-// concatenation IS node order) — the observed stream is bit-identical to the
-// serial kernel's.
-void Engine::refresh_sync_shards() {
+// Synchronous kernel: A_t = V, so the next configuration is computed into
+// the double buffer in one pass (no update list, no pending-bitmap churn)
+// and every step closes exactly one round. Phase 1 runs the shared shard
+// body over sync_shards_: on the pool when the engine has one (each worker
+// computes its contiguous node range against its own workspace, and the
+// barrier in ParallelEngine::run makes every write visible before the
+// tail), inline on the single [0, n) shard otherwise. Serial and sharded
+// steps then share one serial tail: listener replay and field patches from
+// the per-shard logs (shards are contiguous and ascending, so shard-order
+// concatenation IS node order — the observed stream matches the legacy
+// oracle's), the buffer swap, and the round close.
+void Engine::step_synchronous() {
+  // The synchronous kernel never *senses* through the signal field, but a
+  // live forced-on field must stay consistent across the step. Shards
+  // cannot patch shared counter rows concurrently (a node's neighbors
+  // straddle shards), so phase 1 logs transitions and the tail patches from
+  // the logs — deltas against the pre-step configuration commute, and
+  // nothing reads the field mid-step. A stale field (post-injection) stays
+  // stale: no synchronous step will ever read it, so the rebuild is
+  // deferred to a future field sense that may never come —
+  // signal_field_stale() tells observability readers.
+  const bool patch_field = field_live();
+  const bool log_transitions = static_cast<bool>(listener_) || patch_field;
+  if (store_.narrow()) {
+    sync_phase1(store_.bytes_data(), next_store_.bytes_data(), log_transitions);
+  } else {
+    sync_phase1(store_.wide_data(), next_store_.wide_data(), log_transitions);
+  }
+  if (listener_) {
+    // Signals materialize from the pre-step configuration, still in store_.
+    for (const ShardWorkspace& ws : shard_ws_) {
+      for (const TransitionRec& tr : ws.transitions) {
+        const SignalView sig = sense_current(scratch_, tr.v);
+        emit_listener(tr.v, tr.from, tr.to, sig);
+      }
+    }
+  }
+  // Serial engines never read the clock (see apply_phase_ns()).
+  const bool timed = pool_ != nullptr;
+  const auto apply_from = timed ? std::chrono::steady_clock::now()
+                                : std::chrono::steady_clock::time_point{};
+  if (patch_field) {
+    for (const ShardWorkspace& ws : shard_ws_) {
+      field_->apply_transitions(ws.transitions.data(), ws.transitions.size());
+    }
+  }
+  store_.swap(next_store_);
+  // Both buffers were written through raw pointers (and the swap moves any
+  // cached view with its buffer): re-materialize lazily on the next read.
+  store_.invalidate_view();
+  next_store_.invalidate_view();
+  ++time_;
+  ++rounds_;
+  last_boundary_time_ = time_;
+  if (timed) apply_phase_ns_ += elapsed_ns(apply_from);
+  maybe_promote_acts();
+  // pending_ stays all-true / pending_count_ stays n: the round that opened
+  // at this step's start closed at its end.
+}
+
+template <typename T>
+void Engine::sync_phase1(const T* cur, T* next, const bool log_transitions) {
+  const auto body = [&](const Shard& shard, unsigned shard_index) {
+    ShardWorkspace& ws = shard_ws_[shard_index];
+    shard_phase1(
+        shard, ws, cur, log_transitions, [](NodeId i) { return i; },
+        [&](NodeId, NodeId v, StateId nextq) {
+          next[v] = static_cast<T>(nextq);
+          bump_act(v, ws.act_saturated);
+        });
+  };
+  if (!pool_) {
+    body(sync_shards_.front(), 0);
+    return;
+  }
   if (sync_shards_dirty_) {
     // Topology churn shifted the degree weights: re-balance the node
     // partition before fanning out (same shard count — the runtime's
@@ -538,177 +517,8 @@ void Engine::refresh_sync_shards() {
         sync_shards_, graph_.num_nodes(), pool_->shard_count(),
         [&](NodeId v) { return static_cast<std::uint64_t>(graph_.degree(v)) + 1; });
     sync_shards_dirty_ = false;
-    sync_frontiers_.clear();
   }
-  if (sync_frontiers_.empty()) {
-    compute_shard_frontiers_into(sync_frontiers_, graph_, sync_shards_);
-  }
-}
-
-template <typename T>
-void Engine::run_parallel_sync(const T* cur, T* next,
-                               const bool log_transitions) {
-  pool_->run(sync_shards_, [&](const Shard& shard, unsigned shard_index) {
-    ShardWorkspace& ws = shard_ws_[shard_index];
-    shard_phase1(
-        shard, ws, cur, ws.transitions[0], log_transitions,
-        [](NodeId i) { return i; },
-        [&](NodeId, NodeId v, StateId nextq) {
-          next[v] = static_cast<T>(nextq);
-          bump_act(v, ws.act_saturated);
-        });
-  });
-}
-
-void Engine::step_parallel_synchronous() {
-  refresh_sync_shards();
-  // A live signal field also needs the transition logs: workers cannot
-  // patch shared counter rows concurrently (a node's neighbors straddle
-  // shards), so the engine patches from the concatenated logs after the
-  // barrier — deltas commute, and nothing senses the field mid-step.
-  const bool patch_field = field_live();
-  const bool log_transitions = static_cast<bool>(listener_) || patch_field;
-  if (store_.narrow()) {
-    run_parallel_sync(store_.bytes_data(), next_store_.bytes_data(),
-                      log_transitions);
-  } else {
-    run_parallel_sync(store_.wide_data(), next_store_.wide_data(),
-                      log_transitions);
-  }
-  if (listener_) {
-    for (const ShardWorkspace& ws : shard_ws_) {
-      for (const TransitionRec& tr : ws.transitions[0]) {
-        const SignalView sig = sense_current(scratch_, tr.v);
-        emit_listener(tr.v, tr.from, tr.to, sig);
-      }
-    }
-  }
-  const auto apply_from = std::chrono::steady_clock::now();
-  if (patch_field) {
-    for (const ShardWorkspace& ws : shard_ws_) {
-      field_->apply_transitions(ws.transitions[0].data(),
-                                ws.transitions[0].size());
-    }
-  }
-  store_.swap(next_store_);
-  store_.invalidate_view();
-  next_store_.invalidate_view();
-  ++time_;
-  ++rounds_;
-  last_boundary_time_ = time_;
-  apply_phase_ns_ += elapsed_ns(apply_from);
-  maybe_promote_acts();
-}
-
-// --- overlapped synchronous pipeline ----------------------------------------
-// One enqueued step = one phase-1 task per shard (deps: the previous step's
-// phase 1 over the shard's read frontier — see ShardFrontier for why that
-// interval covers both double-buffer hazards at any pipeline depth) plus,
-// when the field is live, one merge task (deps: all of this step's phase-1
-// tasks and the previous merge) draining the per-shard logs in shard-index
-// order. seq carries the pipeline position; its parity addresses the double
-// buffer (read store_ on even, next_store_ on odd) and the transition-log
-// pair. time_/rounds_ move only at flush: each synchronous step closes
-// exactly one round, so the flush adds the drained depth to both.
-
-template <typename T>
-void Engine::overlap_phase1_impl(const Shard& shard, unsigned shard_index,
-                                 std::uint64_t seq, const T* read, T* write) {
-  ShardWorkspace& ws = shard_ws_[shard_index];
-  shard_phase1(
-      shard, ws, read, ws.transitions[seq & 1], overlap_logging_,
-      [](NodeId i) { return i; },
-      [&](NodeId, NodeId v, StateId next) {
-        write[v] = static_cast<T>(next);
-        bump_act(v, ws.act_saturated);
-      });
-}
-
-void Engine::overlap_phase1_task(void* ctx, const Shard& shard,
-                                 unsigned shard_index, std::uint64_t seq) {
-  Engine& e = *static_cast<Engine*>(ctx);
-  const bool odd = (seq & 1) != 0;
-  ConfigStore& read = odd ? e.next_store_ : e.store_;
-  ConfigStore& write = odd ? e.store_ : e.next_store_;
-  if (read.narrow()) {
-    e.overlap_phase1_impl(shard, shard_index, seq, read.bytes_data(),
-                          write.bytes_data());
-  } else {
-    e.overlap_phase1_impl(shard, shard_index, seq, read.wide_data(),
-                          write.wide_data());
-  }
-}
-
-void Engine::overlap_merge_task(void* ctx, const Shard&, unsigned,
-                                std::uint64_t seq) {
-  Engine& e = *static_cast<Engine*>(ctx);
-  const auto apply_from = std::chrono::steady_clock::now();
-  for (const ShardWorkspace& ws : e.shard_ws_) {
-    e.field_->apply_transitions(ws.transitions[seq & 1].data(),
-                                ws.transitions[seq & 1].size());
-  }
-  e.apply_phase_ns_ += elapsed_ns(apply_from);
-}
-
-void Engine::enqueue_overlapped_step() {
-  const unsigned shards = pool_->shard_count();
-  if (overlap_depth_ == 0) {
-    refresh_sync_shards();
-    // The field's liveness cannot change while the window is open (only
-    // step() runs between flushes), so one flag serves every task of it.
-    overlap_logging_ = field_live();
-    prev_phase1_.assign(shards, ParallelEngine::kNoTask);
-    prev_merge_ = ParallelEngine::kNoTask;
-    prev2_merge_ = ParallelEngine::kNoTask;
-  }
-  const std::uint64_t seq = overlap_depth_;
-  cur_phase1_.clear();
-  merge_deps_.clear();
-  for (unsigned s = 0; s < shards; ++s) {
-    // Frontier deps on the previous step, plus merge(t-2) when logging:
-    // this step reuses the parity log that merge(t-2) reads.
-    merge_deps_.clear();
-    const ShardFrontier& fr = sync_frontiers_[s];
-    for (unsigned d = fr.lo; d <= fr.hi; ++d) {
-      merge_deps_.push_back(prev_phase1_[d]);
-    }
-    if (overlap_logging_) merge_deps_.push_back(prev2_merge_);
-    cur_phase1_.push_back(pool_->add_task(
-        {&Engine::overlap_phase1_task, this}, sync_shards_[s], s, seq,
-        merge_deps_.data(), merge_deps_.size()));
-  }
-  if (overlap_logging_) {
-    merge_deps_ = cur_phase1_;
-    merge_deps_.push_back(prev_merge_);
-    prev2_merge_ = prev_merge_;
-    prev_merge_ =
-        pool_->add_task({&Engine::overlap_merge_task, this}, Shard{}, 0, seq,
-                        merge_deps_.data(), merge_deps_.size());
-  }
-  prev_phase1_.swap(cur_phase1_);
-  ++overlap_depth_;
-  // Bound the runtime's task arena (and the drift between enqueued and
-  // settled bookkeeping): settle periodically. The pipeline bubble
-  // amortizes to nothing over the window.
-  constexpr unsigned kOverlapWindow = 64;
-  if (overlap_depth_ >= kOverlapWindow) flush_overlap();
-}
-
-void Engine::flush_overlap() {
-  if (overlap_depth_ == 0) return;
-  const unsigned depth = overlap_depth_;
-  overlap_depth_ = 0;  // cleared first: a task exception must not wedge the
-                       // engine into re-flushing a drained runtime forever
-  pool_->wait_all();
-  time_ += depth;
-  rounds_ += depth;  // every synchronous step closes exactly one round
-  last_boundary_time_ = time_;
-  if ((depth & 1) != 0) store_.swap(next_store_);
-  store_.invalidate_view();
-  next_store_.invalidate_view();
-  maybe_promote_acts();
-  // pending_ stays all-true / pending_count_ stays n, as in every
-  // synchronous step: each drained step opened and closed one round.
+  pool_->run(sync_shards_, body);
 }
 
 void Engine::step_async() {
@@ -842,7 +652,7 @@ void Engine::sparse_phase1_impl(const Shard& shard, unsigned shard_index,
                                 const T* cfg) {
   ShardWorkspace& ws = shard_ws_[shard_index];
   shard_phase1(
-      shard, ws, cfg, ws.transitions[0], sparse_log_,
+      shard, ws, cfg, sparse_log_,
       [&](NodeId i) { return active_[i]; },
       [&](NodeId i, NodeId v, StateId next) { updates_.set(i, v, next); });
 }
@@ -879,7 +689,7 @@ void Engine::sparse_listener_phase1(const T* cfg) {
   pool_->run(sparse_shards_, [&](const Shard& shard, unsigned shard_index) {
     ShardWorkspace& ws = shard_ws_[shard_index];
     shard_phase1(
-        shard, ws, cfg, ws.transitions[0], true,
+        shard, ws, cfg, true,
         [&](NodeId i) { return active_[i]; },
         [&](NodeId i, NodeId v, StateId next) { updates_.set(i, v, next); });
   });
@@ -914,7 +724,7 @@ void Engine::step_sparse_parallel() {
       sparse_listener_phase1(store_.wide_data());
     }
     for (std::size_t s = 0; s < sparse_shards_.size(); ++s) {
-      for (const TransitionRec& tr : shard_ws_[s].transitions[0]) {
+      for (const TransitionRec& tr : shard_ws_[s].transitions) {
         const SignalView sig = sense_current(scratch_, tr.v);
         emit_listener(tr.v, tr.from, tr.to, sig);
       }
@@ -946,9 +756,8 @@ void Engine::step_sparse_parallel() {
   for (unsigned s = 0; s < shards; ++s) {
     const ShardWorkspace& ws = shard_ws_[s];
     if (sparse_log_) {
-      field_->apply_transitions(ws.transitions[0].data(),
-                                ws.transitions[0].size());
-      field_patches_ += ws.transitions[0].size();
+      field_->apply_transitions(ws.transitions.data(), ws.transitions.size());
+      field_patches_ += ws.transitions.size();
     }
     newly_done += ws.newly_done;
   }
@@ -1029,7 +838,7 @@ RunOutcome Engine::run_until(
     const std::function<bool(const Configuration&)>& pred,
     std::uint64_t max_rounds) {
   RunOutcome out;
-  // config() flushes and hands the predicate user-id order, as documented.
+  // config() hands the predicate user-id order, as documented.
   if (pred(config())) {
     out.reached = true;
     out.time = time_;
@@ -1038,9 +847,6 @@ RunOutcome Engine::run_until(
   }
   while (rounds_ < max_rounds) {
     step();
-    // The predicate reads the configuration and the loop reads rounds_, so
-    // the overlapped kernel cannot keep a pipeline open across run_until
-    // steps.
     if (pred(config())) {
       out.reached = true;
       out.time = time_;
@@ -1054,20 +860,11 @@ RunOutcome Engine::run_until(
 }
 
 void Engine::run_rounds(std::uint64_t rounds) {
-  if (full_activation_) {
-    // Every synchronous step closes exactly one round, so a fixed step count
-    // reaches the target without reading rounds_ between steps — which keeps
-    // the overlapped kernel's pipeline open across the whole run instead of
-    // flushing it at every rounds_ read.
-    for (std::uint64_t i = 0; i < rounds; ++i) step();
-    return;
-  }
   const std::uint64_t target = rounds_ + rounds;
   while (rounds_ < target) step();
 }
 
 void Engine::inject_configuration(Configuration config) {
-  flush_overlap();
   if (config.size() != graph_.num_nodes()) {
     throw std::invalid_argument("injected configuration size mismatch");
   }
@@ -1094,7 +891,6 @@ void Engine::inject_configuration(Configuration config) {
 }
 
 void Engine::inject_state(NodeId v, StateId q) {
-  flush_overlap();
   if (v >= graph_.num_nodes() || q >= automaton_.state_count()) {
     throw std::invalid_argument("inject_state out of range");
   }
@@ -1109,7 +905,6 @@ void Engine::inject_state(NodeId v, StateId q) {
 }
 
 std::size_t Engine::dynamic_memory_usage() const {
-  ensure_flushed();
   std::size_t total =
       store_.dynamic_memory_usage() + next_store_.dynamic_memory_usage() +
       updates_.dynamic_memory_usage() + scratch_.dynamic_memory_usage() +
@@ -1118,8 +913,7 @@ std::size_t Engine::dynamic_memory_usage() const {
       util::DynamicUsage(sense_buffer_) + util::DynamicUsage(field_scratch_) +
       util::DynamicUsage(user_view_) +
       util::DynamicUsage(sync_shards_) + util::DynamicUsage(sparse_shards_) +
-      util::DynamicUsage(sync_frontiers_) + util::DynamicUsage(prev_phase1_) +
-      util::DynamicUsage(cur_phase1_) + util::DynamicUsage(merge_deps_);
+      util::DynamicUsage(cur_phase1_);
   if (compiled_) {
     total += sizeof(CompiledAutomaton) + compiled_->dynamic_memory_usage();
   }
@@ -1127,8 +921,7 @@ std::size_t Engine::dynamic_memory_usage() const {
   if (pool_) total += sizeof(ParallelEngine) + pool_->dynamic_memory_usage();
   total += shard_ws_.capacity() * sizeof(ShardWorkspace);
   for (const ShardWorkspace& ws : shard_ws_) {
-    total += util::DynamicUsage(ws.transitions[0]) +
-             util::DynamicUsage(ws.transitions[1]) +
+    total += util::DynamicUsage(ws.transitions) +
              ws.scratch.dynamic_memory_usage();
     if (ws.compiled) {
       total += sizeof(CompiledAutomaton) + ws.compiled->dynamic_memory_usage();
@@ -1138,7 +931,6 @@ std::size_t Engine::dynamic_memory_usage() const {
 }
 
 void Engine::save_state(util::BinaryWriter& w) const {
-  ensure_flushed();
   const NodeId n = graph_.num_nodes();
   w.u64(seed_);
   w.u64(time_);
@@ -1178,7 +970,6 @@ void Engine::save_state(util::BinaryWriter& w) const {
 }
 
 void Engine::load_state(util::BinaryReader& r, std::uint32_t version) {
-  flush_overlap();
   const NodeId n = graph_.num_nodes();
   seed_ = r.u64();
   time_ = r.u64();

@@ -35,13 +35,12 @@
 //     max_activation_hint(), the graph's degree profile, and |Q| (see
 //     EngineOptions::signal_field); kOn forces maintenance on every fast
 //     path; kOff (and the legacy oracle) never touches it;
-//   * the sharded kernels keep the field consistent without sensing through
+//   * the shard kernels keep the field consistent without sensing through
 //     it: the sparse-activation kernel patches it during its serial phase 2,
-//     the sharded synchronous kernel patches it from the per-shard
-//     transition logs after the barrier, and configuration injections
-//     invalidate it for a lazy rebuild at the next field sense — so the
-//     field-sensed trajectory is bit-identical to the rescan-sensed one at
-//     every thread count.
+//     the synchronous kernel patches it from the per-shard transition logs
+//     after phase 1, and configuration injections invalidate it for a lazy
+//     rebuild at the next field sense — so the field-sensed trajectory is
+//     bit-identical to the rescan-sensed one at every thread count.
 // The legacy interpreted path (fast_path = false) builds an owning Signal via
 // Signal::from_states per activation and dispatches Automaton::step; it is
 // kept as the differential-testing oracle.
@@ -54,22 +53,12 @@
 //   * under a full-activation scheduler the double-buffered synchronous step
 //     is sharded over contiguous degree-weighted node ranges (core/shard.hpp);
 //     every node reads the previous buffer and writes only its own slot, so
-//     shards never contend. With EngineOptions::overlap_steps (the default),
-//     consecutive synchronous steps PIPELINE: phase 1 of step t+1 on shard s
-//     starts as soon as step t has completed every shard in s's read
-//     frontier (core/shard.hpp, ShardFrontier — the interval hull of s's
-//     neighbor shards, which by adjacency symmetry covers both the
-//     read-after-write and write-after-read hazards of the parity-addressed
-//     double buffer), instead of after a global barrier. Steps are enqueued
-//     without bumping time_/rounds_; every observable accessor flushes the
-//     pipeline first, so the externally visible state is always exact. A
-//     live signal field adds one merge task per step (dependent on all of
-//     that step's shards and the previous merge) that drains the per-shard
-//     transition logs in shard-index order — the deterministic merge that
-//     keeps the field bit-identical to serial maintenance. Engines with a
-//     transition listener run the barriered kernel instead (the listener
-//     contract materializes signals from the pre-step configuration, which
-//     pipelining overwrites);
+//     shards never contend. Each step is one barriered generation of
+//     per-shard phase-1 tasks followed by one serial tail: listener replay
+//     from the per-shard transition logs, field patch, buffer swap, round
+//     close. A serial synchronous engine runs the same shard body on a
+//     single [0, n) shard without a pool, so serial and sharded synchronous
+//     steps share one loop body and one tail;
 //   * under an asynchronous daemon whose activation sets can get large
 //     (Scheduler::max_activation_hint() at or above
 //     EngineOptions::sparse_activation_threshold), any step with
@@ -147,7 +136,10 @@ class BinaryWriter;
 namespace ssau::core {
 
 /// Result of run_until_*: whether the predicate was reached, at what time,
-/// and the smallest round index i with R(i) >= that time.
+/// and the smallest round index i with R(i) >= that time. Both `time` and
+/// `rounds` are ABSOLUTE — counted from the engine's t = 0, not from the
+/// start of the run_until call. To report how many rounds a recovery took,
+/// subtract the round_index_now() stamp taken before the fault.
 struct RunOutcome {
   bool reached = false;
   Time time = 0;
@@ -254,15 +246,6 @@ struct EngineOptions {
   /// SignalFieldMode. Purely a performance knob: trajectories are
   /// bit-identical in every mode.
   SignalFieldMode signal_field = SignalFieldMode::kAuto;
-  /// Pipeline consecutive synchronous steps on the sharded kernel: phase 1
-  /// of step t+1 overlaps phase 2 of step t wherever a shard's read
-  /// frontier is already applied (see the header comment's legality
-  /// argument). Only the sharded synchronous kernel reads this; engines
-  /// with a transition listener, serial engines, and asynchronous daemons
-  /// ignore it. Purely a performance knob: every observable accessor
-  /// flushes the pipeline, so trajectories and visible state are
-  /// bit-identical either way.
-  bool overlap_steps = true;
   /// Cache-locality node reordering — see ReorderMode. Only the
   /// churn-capable constructor acts on it; const-graph engines ignore it.
   ReorderMode reorder = ReorderMode::kAuto;
@@ -496,52 +479,40 @@ class Engine {
   Engine(graph::Graph& g, const Automaton& alg, sched::Scheduler& sched,
          Configuration initial, std::uint64_t seed, EngineOptions options = {});
 
-  /// Flushes any open step pipeline before the members (including the pool
-  /// the in-flight tasks run on) are destroyed.
-  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Executes one step (one scheduler activation set). On the overlapped
-  /// synchronous kernel this may only ENQUEUE the step; reading any
-  /// observable accessor (config(), time(), ...) flushes the pipeline and
-  /// always sees the exact post-step state.
+  /// Executes one step (one scheduler activation set).
   void step();
 
   /// Runs until pred(config) holds (checked after every step and on the
-  /// initial configuration) or until `max_rounds` rounds complete.
+  /// initial configuration) or until rounds_completed() reaches
+  /// `max_rounds`. The cap is ABSOLUTE, not relative to the call: a second
+  /// run_until after a fault burst must pass the pre-burst stamp plus its
+  /// budget, or it inherits whatever budget the first call left.
   RunOutcome run_until(const std::function<bool(const Configuration&)>& pred,
                        std::uint64_t max_rounds);
 
-  /// Runs until `rounds` rounds have completed.
+  /// Runs until `rounds` more rounds have completed.
   void run_rounds(std::uint64_t rounds);
 
   /// The current configuration, indexed by USER node ids (on a reordered
   /// graph this materializes a translated copy; the span stays valid until
   /// the next engine call).
   [[nodiscard]] const Configuration& config() const {
-    ensure_flushed();
     return graph_.reordered() ? user_view() : store_.view();
   }
   [[nodiscard]] StateId state_of(NodeId v) const {
-    ensure_flushed();
     return store_.get(graph_.to_internal(v));
   }
-  [[nodiscard]] Time time() const {
-    ensure_flushed();
-    return time_;
-  }
-  [[nodiscard]] std::uint64_t rounds_completed() const {
-    ensure_flushed();
-    return rounds_;
-  }
+  [[nodiscard]] Time time() const { return time_; }
+  [[nodiscard]] std::uint64_t rounds_completed() const { return rounds_; }
 
   /// Smallest i such that R(i) >= current time (the paper-style round stamp
   /// of "now"). At a round boundary — time_ == R(rounds_), which includes
   /// t = 0 = R(0) — this is exactly rounds_; strictly inside a round it is
   /// rounds_ + 1, the index of the round that will close next.
   [[nodiscard]] std::uint64_t round_index_now() const {
-    ensure_flushed();
     return time_ == last_boundary_time_ ? rounds_ : rounds_ + 1;
   }
 
@@ -551,7 +522,6 @@ class Engine {
 
   /// Number of activations applied to node v so far (fairness auditing).
   [[nodiscard]] std::uint64_t activation_count(NodeId v) const {
-    ensure_flushed();
     const NodeId i = graph_.to_internal(v);
     return act_wide_ ? act64_[i] : act32_[i];
   }
@@ -564,14 +534,12 @@ class Engine {
   /// round/pending bookkeeping, activation counters, kernels, workspaces,
   /// the signal field, and the task runtime (see util/memusage.hpp). The
   /// borrowed graph/automaton/scheduler are NOT included; Graph has its own
-  /// dynamic_memory_usage(). Flushes the pipeline.
+  /// dynamic_memory_usage().
   [[nodiscard]] std::size_t dynamic_memory_usage() const;
 
-  /// Listener replay needs the pre-step configuration, so attaching (or
-  /// detaching) one flushes the pipeline and routes subsequent synchronous
-  /// steps through the barriered kernel.
+  /// Attaches (or, with an empty function, detaches) the transition
+  /// listener; it observes every transition from the next step on.
   void set_transition_listener(TransitionListener listener) {
-    flush_overlap();
     listener_ = std::move(listener);
   }
 
@@ -591,12 +559,8 @@ class Engine {
   [[nodiscard]] bool signal_field_active() const { return field_ != nullptr; }
   /// The field itself, or nullptr when routing disabled it (observability
   /// for tests and benches). Check signal_field_stale() before reading
-  /// counters out of it. Flushes the pipeline — overlapped merge tasks
-  /// patch the field in flight.
-  [[nodiscard]] const SignalField* signal_field() const {
-    ensure_flushed();
-    return field_.get();
-  }
+  /// counters out of it.
+  [[nodiscard]] const SignalField* signal_field() const { return field_.get(); }
   /// True when an injection invalidated the field and no field sense has
   /// rebuilt it yet. Serial asynchronous engines refresh on their next
   /// sense; a full-activation engine never senses through the field, so a
@@ -618,16 +582,16 @@ class Engine {
   /// engines. The bench's thread-sweep rows report this per cell; the PR 2
   /// epoch pool spent every serial phase-2 tail here.
   [[nodiscard]] std::uint64_t barrier_wait_ns() const {
-    ensure_flushed();
     return pool_ ? pool_->barrier_wait_ns() : 0;
   }
-  /// Nanoseconds spent in phase-2 apply/merge work — the serial
-  /// apply-and-close-rounds path, the sparse kernel's post-barrier merge,
-  /// and the overlapped kernel's field-merge tasks. Flushes the pipeline.
-  [[nodiscard]] std::uint64_t apply_phase_ns() const {
-    ensure_flushed();
-    return apply_phase_ns_;
-  }
+  /// Nanoseconds spent in the serial tail after a sharded step's barrier:
+  /// the sparse kernel's shard-order merge, and the sharded synchronous
+  /// kernel's field patch, buffer swap and round close. Serial steps (the
+  /// serial synchronous step and the serial apply path, which also runs the
+  /// sparse kernel's listener fallback) never read the clock — one read per
+  /// ~100 ns single-activation step would tax the loop — so an engine
+  /// without a pool always reports 0.
+  [[nodiscard]] std::uint64_t apply_phase_ns() const { return apply_phase_ns_; }
 
   /// Overwrites the configuration (models a burst of transient faults /
   /// adversarial re-initialization mid-run). Round tracking continues.
@@ -708,42 +672,15 @@ class Engine {
   using TransitionRec = Transition;  // core/signal_field.hpp
 
   void step_synchronous();
-  void step_parallel_synchronous();
   void step_async();
   void step_sparse_parallel();
   void step_legacy();
   void apply_updates_and_close_rounds();
 
-  // --- overlapped synchronous pipeline (see the header comment) -------------
-  /// True when step() may enqueue pipelined synchronous steps right now.
-  [[nodiscard]] bool overlap_eligible() const {
-    return pool_ != nullptr && full_activation_ && options_.overlap_steps &&
-           !listener_;
-  }
-  /// Enqueues one synchronous step as frontier-dependent phase-1 tasks (plus
-  /// a field-merge task when the field is live) without waiting for it.
-  void enqueue_overlapped_step();
-  /// Drains the pipeline and settles time/round bookkeeping and buffer
-  /// parity. No-op when nothing is enqueued.
-  void flush_overlap();
-  /// Observable accessors call this first: the externally visible state is
-  /// always the fully applied one. The const_cast is sound — the Engine is
-  /// externally synchronized (single-owner), and flushing mutates no
-  /// observable value, it only completes steps that were already taken.
-  void ensure_flushed() const {
-    if (overlap_depth_ != 0) const_cast<Engine*>(this)->flush_overlap();
-  }
-  static void overlap_phase1_task(void* ctx, const Shard& shard,
-                                  unsigned shard_index, std::uint64_t seq);
-  static void overlap_merge_task(void* ctx, const Shard& shard,
-                                 unsigned shard_index, std::uint64_t seq);
   static void sparse_phase1_task(void* ctx, const Shard& shard,
                                  unsigned shard_index, std::uint64_t seq);
   static void sparse_apply_task(void* ctx, const Shard& shard,
                                 unsigned shard_index, std::uint64_t seq);
-  /// Re-balances the synchronous node partition and its frontiers after
-  /// topology churn (and computes the frontiers on first use).
-  void refresh_sync_shards();
 
   /// Rebuilds the signal field from the current configuration if an
   /// injection invalidated it — called before every field sense.
@@ -767,28 +704,26 @@ class Engine {
     listener_(graph_.to_user(v), from, to, listener_scratch_, time_);
   }
 
-  /// Phase 1 of one shard, shared by both parallel kernels (their loop
-  /// bodies must stay in lockstep or bit-identity silently breaks):
-  /// computes the next state of every index in [shard.begin, shard.end)
-  /// against the raw read buffer `cfg` (the current store, or the parity-
-  /// selected buffer in the overlapped kernel; templated on the element type
-  /// so the byte-compact and wide storage modes share one body), mapping
-  /// indices to nodes via `node_of` (identity for the synchronous kernel,
-  /// the activation list for the sparse kernel) and handing results to
-  /// `emit(i, v, next)` (double-buffer slot vs update-list slot). Logs
-  /// transitions into `log` when `log_transitions`.
+  /// Phase 1 of one shard, shared by the synchronous kernel (serial and
+  /// sharded) and the sparse-activation kernel — their loop bodies must stay
+  /// in lockstep or bit-identity silently breaks: computes the next state
+  /// of every index in [shard.begin, shard.end) against the raw current
+  /// store `cfg` (templated on the element type so the byte-compact and
+  /// wide storage modes share one body), mapping indices to nodes via
+  /// `node_of` (identity for the synchronous kernel, the activation list
+  /// for the sparse kernel) and handing results to `emit(i, v, next)`
+  /// (double-buffer slot vs update-list slot). Logs transitions into
+  /// ws.transitions when `log_transitions`.
   template <typename T, typename NodeOf, typename Emit>
   void shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
-                    std::vector<TransitionRec>& log, bool log_transitions,
-                    const NodeOf& node_of, const Emit& emit);
+                    bool log_transitions, const NodeOf& node_of,
+                    const Emit& emit);
 
+  /// The synchronous kernel's phase 1: every shard of sync_shards_ computes
+  /// its node range of `next` from `cur` — fanned out over the pool when
+  /// the engine has one, run inline on the single [0, n) shard otherwise.
   template <typename T>
-  void step_synchronous_serial(const T* cur, T* next);
-  template <typename T>
-  void run_parallel_sync(const T* cur, T* next, bool log_transitions);
-  template <typename T>
-  void overlap_phase1_impl(const Shard& shard, unsigned shard_index,
-                           std::uint64_t seq, const T* read, T* write);
+  void sync_phase1(const T* cur, T* next, bool log_transitions);
   template <typename T>
   void sparse_phase1_impl(const Shard& shard, unsigned shard_index,
                           const T* cfg);
@@ -807,9 +742,11 @@ class Engine {
     return act_wide_ ? act64_[v] : act32_[v];
   }
 
-  /// 32-bit counters promote to 64-bit once any node crosses this (256 below
-  /// the ceiling: the overlap window can add up to kOverlapWindow increments
-  /// between the serial points where promotion runs).
+  /// 32-bit counters promote to 64-bit once any node reaches this. Promotion
+  /// runs at the end of every step that requested it, and one step bumps a
+  /// node at most once (activation sets hold distinct ids), so a single
+  /// count of headroom below 2^32 would do; the 256 is slack that keeps
+  /// that argument from having to be exact.
   static constexpr std::uint32_t kActPromote = 0xFFFFFF00U;
 
   /// Bumps node v's activation count, requesting promotion via `saturated`
@@ -907,15 +844,14 @@ class Engine {
   bool randomized_ = false;
   util::Rng draw_rng_{0};
 
-  // Sharded kernel state (null / empty when running serial).
+  // Shard kernel state: one workspace per shard — a single one for a serial
+  // synchronous engine, none for a serial asynchronous one — and the pool
+  // (null when running serial).
   struct ShardWorkspace {
     SignalScratch scratch;
-    // Two logs, addressed by step parity: the overlapped kernel lets
-    // phase 1 of step t+1 start (and clear its log) while the merge task of
-    // step t still drains step t's — one log per parity keeps them apart
-    // (phase 1 of step t+2 depends on merge(t), so depth never exceeds the
-    // two buffers). Non-overlapped paths use index 0 only.
-    std::vector<TransitionRec> transitions[2];
+    // This step's transitions of the shard, in iteration order (filled only
+    // when the step logs: listener replay or field patching).
+    std::vector<TransitionRec> transitions;
     // Lazy-memo compiled kernels are single-threaded; each shard gets its own
     // instance (dense tables are immutable after construction and shared).
     // Safe under work stealing too: tasks touching one shard's workspace are
@@ -939,39 +875,25 @@ class Engine {
   // still checked every step.
   bool sparse_eligible_ = false;
   std::vector<Shard> sparse_shards_;  // per-step index partition of active_
-  // The synchronous kernel's degree-weighted node partition. Topology churn
-  // shifts the weights, so apply_topology_delta marks it dirty and the next
-  // parallel synchronous step re-balances it (lazy: serial steps and the
-  // sparse kernel never read it).
+  // The synchronous kernel's node partition: degree-weighted over the
+  // pool's shards, or the single [0, n) shard of a serial engine. Topology
+  // churn shifts the weights, so apply_topology_delta marks a pooled
+  // partition dirty and the next synchronous step re-balances it (lazy: the
+  // sparse kernel never reads it).
   std::vector<Shard> sync_shards_;
   bool sync_shards_dirty_ = false;
-  // Read frontiers of sync_shards_ (computed lazily with the partition):
-  // the dependency edges of the overlapped kernel.
-  std::vector<ShardFrontier> sync_frontiers_;
 
-  // Overlapped-pipeline state. `overlap_depth_` counts enqueued-but-
-  // unflushed synchronous steps; while nonzero, time_/rounds_/store_ lag
-  // the enqueued trajectory and every observable accessor flushes first.
-  // Buffer parity: the step at pipeline position d reads store_ when d is
-  // even and next_store_ when odd (no per-step swap — the flush swaps once
-  // if the depth was odd).
-  unsigned overlap_depth_ = 0;
-  bool overlap_logging_ = false;      // field live this window: merge tasks run
-  std::vector<ParallelEngine::TaskId> prev_phase1_;  // last step, per shard
-  std::vector<ParallelEngine::TaskId> cur_phase1_;   // scratch for this step
-  std::vector<ParallelEngine::TaskId> merge_deps_;   // scratch: dep lists
-  ParallelEngine::TaskId prev_merge_ = ParallelEngine::kNoTask;
-  ParallelEngine::TaskId prev2_merge_ = ParallelEngine::kNoTask;
-  // Sparse-kernel task context (set per sharded async step; read by tasks).
+  // Sparse-kernel task state: the phase-1 task ids the apply tasks depend
+  // on, and whether this step's phase-1 tasks log transitions.
+  std::vector<ParallelEngine::TaskId> cur_phase1_;
   bool sparse_log_ = false;
-  // Phase-2 apply/merge time, accumulated on whichever thread runs the
-  // merge (overlap merge tasks are chained, and every reader flushes, so
-  // the counter is race-free).
+  // Post-barrier tail time of sharded steps (see apply_phase_ns()); only
+  // the stepping thread touches it.
   std::uint64_t apply_phase_ns_ = 0;
 
   // Delta-maintained signal field (null when routing disabled it). The
   // field is patched wherever updates are applied serially, patched from
-  // the per-shard logs after a sharded synchronous barrier, and marked
+  // the per-shard logs after a synchronous step's phase 1, and marked
   // stale (for a lazy rebuild at the next field sense) by injections.
   std::unique_ptr<SignalField> field_;
   bool field_stale_ = false;

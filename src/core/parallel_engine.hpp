@@ -65,7 +65,7 @@ class ParallelEngine {
   /// opaque context. Replaces the old std::function ShardFn so the engine's
   /// per-step dispatch carries no allocation or type-erasure cost. `seq` is
   /// the caller-chosen sequence tag of the task (epoch counter for the
-  /// run() entry points; the engine's step index for overlapped steps).
+  /// run() entry points; whatever the caller passes to add_task()).
   struct ShardFnRef {
     using Fn = void (*)(void* ctx, const Shard& shard, unsigned shard_index,
                         std::uint64_t seq);
@@ -107,8 +107,8 @@ class ParallelEngine {
   /// `shards` must be non-empty.
   explicit ParallelEngine(std::vector<Shard> shards);
   /// Joins the workers. Any tasks still unfinished are abandoned unexecuted
-  /// — callers that add tasks must wait_all() before destruction (the
-  /// Engine flushes its overlap window in its own destructor).
+  /// — callers that add tasks must wait_all() before destruction (every
+  /// Engine kernel drains its tasks before the step returns).
   ~ParallelEngine();
 
   ParallelEngine(const ParallelEngine&) = delete;

@@ -12,9 +12,10 @@
 // balanced by a caller-supplied weight (deg(v) + 1 in both kernels): on
 // skewed graphs an equal-count split would leave the hub shard the straggler
 // of every barrier. The synchronous kernel partitions the node range [0, n)
-// once at engine construction; the sparse-activation kernel re-partitions the
-// index range [0, |A_t|) of the activation list every step (two O(|A_t|)
-// passes into a reused buffer).
+// once at engine construction (a serial engine uses the whole range as its
+// one shard); the sparse-activation kernel re-partitions the index range
+// [0, |A_t|) of the activation list every step (two O(|A_t|) passes into a
+// reused buffer).
 #pragma once
 
 #include <algorithm>
@@ -107,56 +108,6 @@ inline constexpr std::uint64_t kMinShardFootprintBytes = std::uint64_t{1}
       std::max<std::uint64_t>(1, footprint / kMinShardFootprintBytes);
   return static_cast<unsigned>(
       std::min<std::uint64_t>(thread_budget, affordable));
-}
-
-/// A shard's read frontier: the inclusive range [lo, hi] of shard indices
-/// whose node ranges its nodes sense — the dependency edges of the
-/// overlapped synchronous kernel. Shards are contiguous and ascending, so
-/// the set of shards containing neighbors of shard s is over-approximated by
-/// the interval hull of s's minimum and maximum neighbor ids; the shard
-/// itself is always included (a node senses its own state, and consecutive
-/// steps of one shard share its workspace and per-node rng streams, which
-/// must stay dependency-ordered).
-///
-/// Because adjacency is symmetric, the hull covers both data hazards of
-/// running phase 1 of step t+1 against a double buffer still being written
-/// by step t: shard s READS the step-t outputs of exactly its neighbor
-/// shards (all inside hull(s)), and the step-(t+1) slots s WRITES are read
-/// at step t+1 only by shards s' with an edge into s — and an edge s'–s
-/// puts s' inside hull(s) too. Depending on phase1(t, s') for every
-/// s' in hull(s) therefore makes phase1(t+1, s) safe at any pipeline depth.
-struct ShardFrontier {
-  unsigned lo = 0;
-  unsigned hi = 0;  // inclusive
-};
-
-/// Computes every shard's frontier over `shards` (a contiguous ascending
-/// partition of [0, g.num_nodes()) as produced by make_shards). One
-/// O(n + m) pass; recompute whenever the partition is rebuilt.
-inline void compute_shard_frontiers_into(std::vector<ShardFrontier>& out,
-                                         const graph::Graph& g,
-                                         const std::vector<Shard>& shards) {
-  out.clear();
-  out.reserve(shards.size());
-  const auto shard_of = [&](NodeId v) {
-    // shards are sorted by begin and cover [0, n): the owning shard is the
-    // last one with begin <= v.
-    auto it = std::upper_bound(
-        shards.begin(), shards.end(), v,
-        [](NodeId id, const Shard& s) { return id < s.begin; });
-    return static_cast<unsigned>((it - shards.begin()) - 1);
-  };
-  for (unsigned s = 0; s < shards.size(); ++s) {
-    NodeId lo_id = shards[s].begin;
-    NodeId hi_id = shards[s].end - 1;
-    for (NodeId v = shards[s].begin; v < shards[s].end; ++v) {
-      for (const NodeId u : g.neighbors(v)) {
-        lo_id = std::min(lo_id, u);
-        hi_id = std::max(hi_id, u);
-      }
-    }
-    out.push_back({shard_of(lo_id), shard_of(hi_id)});
-  }
 }
 
 }  // namespace ssau::core

@@ -134,8 +134,10 @@ TEST(FastPathDifferential, SmallDeterministicAutomataCompileToTables) {
 }
 
 TEST(FastPathDifferential, ListenerSeesIdenticalTransitions) {
-  // Attaching a listener switches the fast engine off the mask-only loop;
-  // the observed transition streams must match the legacy engine's exactly.
+  // Attaching a listener switches the fast engine off the mask-only loop
+  // (rotating-single) or onto the logged-and-replayed synchronous kernel
+  // (synchronous, serial engine: one [0, n) shard); the observed transition
+  // streams must match the legacy engine's exactly.
   const unison::AlgAu alg(1);
   util::Rng rng(29);
   const graph::Graph g = graph::cycle(8);
@@ -147,26 +149,28 @@ TEST(FastPathDifferential, ListenerSeesIdenticalTransitions) {
     core::Time t;
     bool operator==(const Event&) const = default;
   };
-  auto run = [&](bool fast_path) {
-    auto sched = sched::make_scheduler("rotating-single", g);
-    core::Engine engine(g, alg, *sched, c0, 131,
-                        core::EngineOptions{.fast_path = fast_path});
-    std::vector<Event> events;
-    std::vector<core::Signal> signals;
-    engine.set_transition_listener(
-        [&](core::NodeId v, core::StateId from, core::StateId to,
-            const core::Signal& sig, core::Time t) {
-          events.push_back({v, from, to, t});
-          signals.push_back(sig);
-        });
-    for (int s = 0; s < 200; ++s) engine.step();
-    return std::make_pair(events, signals);
-  };
-  const auto [fast_events, fast_signals] = run(true);
-  const auto [legacy_events, legacy_signals] = run(false);
-  EXPECT_EQ(fast_events, legacy_events);
-  EXPECT_EQ(fast_signals, legacy_signals);
-  EXPECT_FALSE(fast_events.empty());
+  for (const char* sched_name : {"rotating-single", "synchronous"}) {
+    auto run = [&](bool fast_path) {
+      auto sched = sched::make_scheduler(sched_name, g);
+      core::Engine engine(g, alg, *sched, c0, 131,
+                          core::EngineOptions{.fast_path = fast_path});
+      std::vector<Event> events;
+      std::vector<core::Signal> signals;
+      engine.set_transition_listener(
+          [&](core::NodeId v, core::StateId from, core::StateId to,
+              const core::Signal& sig, core::Time t) {
+            events.push_back({v, from, to, t});
+            signals.push_back(sig);
+          });
+      for (int s = 0; s < 200; ++s) engine.step();
+      return std::make_pair(events, signals);
+    };
+    const auto [fast_events, fast_signals] = run(true);
+    const auto [legacy_events, legacy_signals] = run(false);
+    EXPECT_EQ(fast_events, legacy_events) << sched_name;
+    EXPECT_EQ(fast_signals, legacy_signals) << sched_name;
+    EXPECT_FALSE(fast_events.empty()) << sched_name;
+  }
 }
 
 TEST(FastPathDifferential, ShardedKernelMatchesLegacyOracle) {

@@ -556,6 +556,34 @@ TEST(ParallelEngine, ListenerStreamBitIdentical) {
   EXPECT_EQ(legacy_signals, serial_signals);
 }
 
+TEST(ParallelEngine, RuntimeCountersReadZeroOnSerialEngines) {
+  // barrier_wait_ns() and apply_phase_ns() feed the bench's runtime
+  // metrics. Serial engines never read the clock, so both stay 0 however
+  // long they run; a sharded synchronous engine times its post-barrier tail
+  // on every step.
+  const unison::AlgAu alg(2);
+  util::Rng rng(71);
+  const graph::Graph g = graph::random_connected(200, 0.05, rng);
+  const core::Configuration c0 =
+      unison::au_adversarial_configuration("random", alg, g, rng);
+
+  for (const char* sched_name : {"synchronous", "uniform-single"}) {
+    auto sched = sched::make_scheduler(sched_name, g);
+    core::Engine serial(g, alg, *sched, c0, 3,
+                        EngineOptions{.thread_count = 1});
+    for (int s = 0; s < 50; ++s) serial.step();
+    EXPECT_EQ(serial.barrier_wait_ns(), 0u) << sched_name;
+    EXPECT_EQ(serial.apply_phase_ns(), 0u) << sched_name;
+  }
+
+  sched::SynchronousScheduler sync_sched(g.num_nodes());
+  core::Engine sharded(g, alg, sync_sched, c0, 3,
+                       EngineOptions{.thread_count = 4});
+  ASSERT_EQ(sharded.shard_count(), 4u);
+  for (int s = 0; s < 10; ++s) sharded.step();
+  EXPECT_GT(sharded.apply_phase_ns(), 0u);
+}
+
 TEST(ParallelEngine, ShardCountReflectsRouting) {
   const unison::AlgAu alg(2);
   util::Rng rng(67);

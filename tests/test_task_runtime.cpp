@@ -1,4 +1,4 @@
-// Task-graph runtime and overlapped-step pipeline.
+// Task-graph runtime and the sharded synchronous kernel.
 //
 // Three layers of pinning:
 //   * the ParallelEngine task graph itself — dependency ordering under a
@@ -6,13 +6,14 @@
 //     hungry), arena reuse across generations, and the thread-count
 //     resolution contracts (0 = auto never reaches engine arithmetic as 0;
 //     recommended_threads divides the hardware budget across sessions);
-//   * the overlapped synchronous kernel — AU + MIS + LE under every
-//     scheduler at threads {1, 2, 4, 8} with overlap_steps forced ON must
-//     stay bit-identical to the serial engine (the overlap differential);
-//   * the overlap window under torture — inject_state, inject_configuration,
-//     topology churn, and save/load fired BETWEEN overlapped steps must each
-//     flush the pipeline and observe/mutate exactly the settled state the
-//     serial reference holds.
+//   * the sharded synchronous kernel — AU + MIS + LE under every scheduler
+//     at threads {1, 2, 4, 8} must stay bit-identical to the serial engine,
+//     stepped one at a time and driven through run_rounds(k) (the
+//     sharded-synchronous differential);
+//   * the sharded kernel under torture — inject_state, inject_configuration,
+//     topology churn, and save/load fired between sharded steps must each
+//     observe and mutate exactly the state the serial reference holds, and
+//     a listener attached mid-run must see the serial transition stream.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -168,8 +169,8 @@ TEST(TaskRuntime, CompletedAndNoTaskDependenciesAreSkipped) {
         ++static_cast<Ctx*>(c)->ran;  // single-threaded here: 2 shards, deps
       },
       &ctx};
-  // kNoTask entries (the overlapped kernel's "no previous step" markers)
-  // must be ignored, not counted as unmet dependencies.
+  // kNoTask entries (a caller's "no predecessor" markers) must be ignored,
+  // not counted as unmet dependencies.
   const ParallelEngine::TaskId none = ParallelEngine::kNoTask;
   pool.add_task(fn, Shard{0, 1}, 0, 0, &none, 1);
   pool.wait_all();
@@ -204,53 +205,54 @@ TEST(TaskRuntime, RecommendedThreadsDividesHardwareAcrossSessions) {
   }
 }
 
-// --- overlapped synchronous kernel: differential -----------------------------
+// --- sharded synchronous kernel: differential --------------------------------
 
-core::EngineOptions overlapped_options(unsigned threads) {
-  core::EngineOptions options;
-  options.thread_count = threads;
-  options.overlap_steps = true;
-  return options;
+core::EngineOptions threaded(unsigned threads) {
+  return core::EngineOptions{.thread_count = threads};
 }
 
-/// Serial reference vs overlapped engine, lockstep per-step comparison (each
-/// observable read flushes the pipeline, so this exercises a depth-1 window
-/// every step) PLUS a free-running segment (the pipeline reaches its full
-/// window depth before the single flush at the end).
-void expect_overlap_matches_serial(const graph::Graph& g,
+/// Serial reference vs an engine at `threads`, lockstep per-step comparison,
+/// then run_rounds(`rounds`) on both: the sharded engine must advance
+/// rounds by exactly `rounds` (and time too, under the synchronous daemon,
+/// where every step closes one round) and land on the serial state.
+void expect_sharded_matches_serial(const graph::Graph& g,
                                    const core::Automaton& alg,
                                    const core::Configuration& c0,
                                    const std::string& sched_name,
                                    std::uint64_t seed, unsigned threads,
-                                   int lockstep_steps, int free_steps) {
+                                   int lockstep_steps, std::uint64_t rounds) {
   auto sched_a = sched::make_scheduler(sched_name, g);
   auto sched_b = sched::make_scheduler(sched_name, g);
-  core::Engine serial(g, alg, *sched_a, c0, seed, overlapped_options(1));
-  core::Engine overlapped(g, alg, *sched_b, c0, seed,
-                          overlapped_options(threads));
+  core::Engine serial(g, alg, *sched_a, c0, seed, threaded(1));
+  core::Engine sharded(g, alg, *sched_b, c0, seed, threaded(threads));
   for (int s = 0; s < lockstep_steps; ++s) {
     serial.step();
-    overlapped.step();
-    ASSERT_EQ(overlapped.config(), serial.config())
+    sharded.step();
+    ASSERT_EQ(sharded.config(), serial.config())
         << sched_name << " x" << threads << " diverged at step " << s;
-    ASSERT_EQ(overlapped.time(), serial.time());
-    ASSERT_EQ(overlapped.rounds_completed(), serial.rounds_completed());
-    ASSERT_EQ(overlapped.round_index_now(), serial.round_index_now());
+    ASSERT_EQ(sharded.time(), serial.time());
+    ASSERT_EQ(sharded.rounds_completed(), serial.rounds_completed());
+    ASSERT_EQ(sharded.round_index_now(), serial.round_index_now());
   }
-  for (int s = 0; s < free_steps; ++s) {
-    serial.step();
-    overlapped.step();  // no observable read: the pipeline stays open
+  const core::Time time_before = sharded.time();
+  const std::uint64_t rounds_before = sharded.rounds_completed();
+  serial.run_rounds(rounds);
+  sharded.run_rounds(rounds);
+  ASSERT_EQ(sharded.rounds_completed(), rounds_before + rounds)
+      << sched_name << " x" << threads;
+  if (sched_name == "synchronous") {
+    ASSERT_EQ(sharded.time(), time_before + rounds) << "x" << threads;
   }
-  ASSERT_EQ(overlapped.config(), serial.config())
-      << sched_name << " x" << threads << " diverged in the free-running window";
-  ASSERT_EQ(overlapped.time(), serial.time());
-  ASSERT_EQ(overlapped.rounds_completed(), serial.rounds_completed());
+  ASSERT_EQ(sharded.config(), serial.config())
+      << sched_name << " x" << threads << " diverged in run_rounds";
+  ASSERT_EQ(sharded.time(), serial.time());
+  ASSERT_EQ(sharded.rounds_completed(), serial.rounds_completed());
   for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
-    ASSERT_EQ(overlapped.activation_count(v), serial.activation_count(v));
+    ASSERT_EQ(sharded.activation_count(v), serial.activation_count(v));
   }
 }
 
-TEST(OverlapDifferential, AlgAuEverySchedulerEveryThreadCount) {
+TEST(ShardedSyncDifferential, AlgAuEverySchedulerEveryThreadCount) {
   const unison::AlgAu alg(2);
   util::Rng rng(23);
   const graph::Graph g = graph::random_bounded_diameter(40, 2, rng);
@@ -258,15 +260,15 @@ TEST(OverlapDifferential, AlgAuEverySchedulerEveryThreadCount) {
       unison::au_adversarial_configuration("random", alg, g, rng);
   for (const std::string& sched_name : all_scheduler_names()) {
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-      expect_overlap_matches_serial(g, alg, c0, sched_name, 211, threads, 60,
-                                    150);
+      expect_sharded_matches_serial(g, alg, c0, sched_name, 211, threads, 60,
+                                    20);
     }
   }
 }
 
-TEST(OverlapDifferential, AlgMisEverySchedulerEveryThreadCount) {
-  // Randomized: additionally pins the per-node rng draw sequences across the
-  // pipelined frontier (any draw reordering diverges within a few steps).
+TEST(ShardedSyncDifferential, AlgMisEverySchedulerEveryThreadCount) {
+  // Randomized: additionally pins the per-node rng draw sequences across
+  // shard boundaries (any draw reordering diverges within a few steps).
   const mis::AlgMis alg({.diameter_bound = 2});
   util::Rng rng(29);
   const graph::Graph g = graph::random_bounded_diameter(36, 2, rng);
@@ -274,13 +276,13 @@ TEST(OverlapDifferential, AlgMisEverySchedulerEveryThreadCount) {
       mis::mis_adversarial_configuration("random", alg, g, rng);
   for (const std::string& sched_name : all_scheduler_names()) {
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-      expect_overlap_matches_serial(g, alg, c0, sched_name, 223, threads, 60,
-                                    150);
+      expect_sharded_matches_serial(g, alg, c0, sched_name, 223, threads, 60,
+                                    20);
     }
   }
 }
 
-TEST(OverlapDifferential, AlgLeEverySchedulerEveryThreadCount) {
+TEST(ShardedSyncDifferential, AlgLeEverySchedulerEveryThreadCount) {
   const le::AlgLe alg({.diameter_bound = 2});
   util::Rng rng(31);
   const graph::Graph g = graph::random_bounded_diameter(32, 2, rng);
@@ -288,16 +290,17 @@ TEST(OverlapDifferential, AlgLeEverySchedulerEveryThreadCount) {
       le::le_adversarial_configuration("random", alg, g, rng);
   for (const std::string& sched_name : all_scheduler_names()) {
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-      expect_overlap_matches_serial(g, alg, c0, sched_name, 227, threads, 60,
-                                    150);
+      expect_sharded_matches_serial(g, alg, c0, sched_name, 227, threads, 60,
+                                    20);
     }
   }
 }
 
-TEST(OverlapDifferential, SignalFieldMergeStaysBitIdentical) {
-  // Forced-on field under the synchronous kernel: the overlapped pipeline
-  // runs its chained per-step merge tasks; the field's counters must end
-  // exactly where serial inline patching puts them.
+TEST(ShardedSyncDifferential, SignalFieldPatchStaysBitIdentical) {
+  // Forced-on field under the synchronous kernel: the sharded engine
+  // patches it from the per-shard transition logs after each step's
+  // barrier; the field's counters must end exactly where the serial
+  // engine's patches put them.
   const unison::AlgAu alg(2);
   util::Rng rng(37);
   const graph::Graph g = graph::random_bounded_diameter(40, 2, rng);
@@ -305,19 +308,19 @@ TEST(OverlapDifferential, SignalFieldMergeStaysBitIdentical) {
       unison::au_adversarial_configuration("random", alg, g, rng);
   auto sched_a = sched::make_scheduler("synchronous", g);
   auto sched_b = sched::make_scheduler("synchronous", g);
-  core::EngineOptions serial_opts = overlapped_options(1);
+  core::EngineOptions serial_opts = threaded(1);
   serial_opts.signal_field = core::SignalFieldMode::kOn;
-  core::EngineOptions par_opts = overlapped_options(4);
+  core::EngineOptions par_opts = threaded(4);
   par_opts.signal_field = core::SignalFieldMode::kOn;
   core::Engine serial(g, alg, *sched_a, c0, 241, serial_opts);
-  core::Engine overlapped(g, alg, *sched_b, c0, 241, par_opts);
+  core::Engine sharded(g, alg, *sched_b, c0, 241, par_opts);
   for (int s = 0; s < 200; ++s) {
     serial.step();
-    overlapped.step();
+    sharded.step();
   }
-  ASSERT_EQ(overlapped.config(), serial.config());
-  ASSERT_TRUE(overlapped.signal_field_active());
-  const core::SignalField* fa = overlapped.signal_field();
+  ASSERT_EQ(sharded.config(), serial.config());
+  ASSERT_TRUE(sharded.signal_field_active());
+  const core::SignalField* fa = sharded.signal_field();
   const core::SignalField* fb = serial.signal_field();
   ASSERT_NE(fa, nullptr);
   ASSERT_NE(fb, nullptr);
@@ -329,13 +332,14 @@ TEST(OverlapDifferential, SignalFieldMergeStaysBitIdentical) {
   }
 }
 
-// --- overlap window torture: flush on every observable seam ------------------
+// --- sharded synchronous kernel: torture ------------------------------------
 
-TEST(OverlapTorture, InjectionsAndChurnBetweenOverlappedStepsFlush) {
-  // Drive an overlapped engine and a serial reference through the same
-  // interleaving of steps, targeted faults, configuration overwrites, and
-  // topology churn — each mutation lands mid-window on the overlapped side
-  // and must see (and produce) exactly the serial state.
+TEST(ShardedSyncTorture, InjectionsChurnAndSnapshotsBetweenSteps) {
+  // Drive a 4-thread engine and a serial reference through the same
+  // interleaving of step bursts, targeted faults, configuration overwrites,
+  // topology churn (which re-balances the sharded engine's partition), and
+  // snapshot round trips — every mutation must see (and produce) exactly
+  // the serial state.
   const unison::AlgAu alg(2);
   util::Rng rng(41);
   util::Rng mutation_rng(43);
@@ -345,9 +349,8 @@ TEST(OverlapTorture, InjectionsAndChurnBetweenOverlappedStepsFlush) {
       unison::au_adversarial_configuration("random", alg, g_par, rng);
   auto sched_a = sched::make_scheduler("synchronous", g_ser);
   auto sched_b = sched::make_scheduler("synchronous", g_par);
-  core::Engine serial(g_ser, alg, *sched_a, c0, 251, overlapped_options(1));
-  core::Engine overlapped(g_par, alg, *sched_b, c0, 251,
-                          overlapped_options(4));
+  core::Engine serial(g_ser, alg, *sched_a, c0, 251, threaded(1));
+  core::Engine sharded(g_par, alg, *sched_b, c0, 251, threaded(4));
 
   const auto random_delta = [&](const graph::Graph& g) {
     graph::TopologyDelta delta;
@@ -366,80 +369,58 @@ TEST(OverlapTorture, InjectionsAndChurnBetweenOverlappedStepsFlush) {
   };
 
   for (int cycle = 0; cycle < 30; ++cycle) {
-    // A burst of steps: the overlapped side holds a multi-step pipeline.
     const int burst = 1 + static_cast<int>(mutation_rng.below(9));
     for (int s = 0; s < burst; ++s) {
       serial.step();
-      overlapped.step();
+      sharded.step();
     }
     switch (cycle % 4) {
-      case 0: {  // targeted fault mid-window
+      case 0: {  // targeted fault
         const core::NodeId v = mutation_rng.below(g_par.num_nodes());
         const core::StateId q =
             static_cast<core::StateId>(mutation_rng.below(alg.state_count()));
         serial.inject_state(v, q);
-        overlapped.inject_state(v, q);
+        sharded.inject_state(v, q);
         break;
       }
-      case 1: {  // configuration overwrite mid-window
+      case 1: {  // configuration overwrite
         core::Configuration fresh(g_par.num_nodes());
         for (auto& q : fresh) {
           q = static_cast<core::StateId>(mutation_rng.below(alg.state_count()));
         }
         serial.inject_configuration(fresh);
-        overlapped.inject_configuration(fresh);
+        sharded.inject_configuration(fresh);
         break;
       }
-      case 2: {  // topology churn mid-window (shards re-balance + frontiers)
+      case 2: {  // topology churn (the shard partition re-balances)
         const graph::TopologyDelta delta = random_delta(g_par);
         const graph::TopologyDelta applied_s = serial.apply_topology_delta(delta);
-        const graph::TopologyDelta applied_p =
-            overlapped.apply_topology_delta(delta);
+        const graph::TopologyDelta applied_p = sharded.apply_topology_delta(delta);
         ASSERT_EQ(applied_s.add, applied_p.add);
         ASSERT_EQ(applied_s.remove, applied_p.remove);
         break;
       }
-      case 3: {  // snapshot round trip mid-window
+      case 3: {  // snapshot round trip
         util::BinaryWriter ws;
-        overlapped.save_state(ws);
+        sharded.save_state(ws);
         util::BinaryWriter ws_ref;
         serial.save_state(ws_ref);
         ASSERT_EQ(ws.buffer().size(), ws_ref.buffer().size());
         util::BinaryReader rd(ws.buffer());
-        overlapped.load_state(rd);  // restore into the same engine
+        sharded.load_state(rd);  // restore into the same engine
         break;
       }
     }
-    ASSERT_EQ(overlapped.config(), serial.config())
+    ASSERT_EQ(sharded.config(), serial.config())
         << "diverged after mutation cycle " << cycle;
-    ASSERT_EQ(overlapped.time(), serial.time());
-    ASSERT_EQ(overlapped.rounds_completed(), serial.rounds_completed());
+    ASSERT_EQ(sharded.time(), serial.time());
+    ASSERT_EQ(sharded.rounds_completed(), serial.rounds_completed());
   }
 }
 
-TEST(OverlapTorture, LongFreeRunCrossesWindowBoundaries) {
-  // 500 steps with no observable read: the pipeline must flush itself at
-  // every internal window boundary (bounding the task arena) and still land
-  // bit-identical.
-  const unison::AlgAu alg(2);
-  util::Rng rng(47);
-  const graph::Graph g = graph::random_bounded_diameter(40, 2, rng);
-  const core::Configuration c0 =
-      unison::au_adversarial_configuration("random", alg, g, rng);
-  auto sched_a = sched::make_scheduler("synchronous", g);
-  auto sched_b = sched::make_scheduler("synchronous", g);
-  core::Engine serial(g, alg, *sched_a, c0, 263, overlapped_options(1));
-  core::Engine overlapped(g, alg, *sched_b, c0, 263, overlapped_options(4));
-  for (int s = 0; s < 500; ++s) serial.step();
-  for (int s = 0; s < 500; ++s) overlapped.step();
-  ASSERT_EQ(overlapped.config(), serial.config());
-  ASSERT_EQ(overlapped.time(), serial.time());
-  ASSERT_EQ(overlapped.rounds_completed(), serial.rounds_completed());
-}
-
-TEST(OverlapTorture, ListenerDisablesOverlapButStaysExact) {
-  // Attaching a listener mid-run flushes the pipeline and re-routes through
-  // the barriered kernel; the observed transition stream must match the
+TEST(ShardedSyncTorture, ListenerAttachedMidRunStaysExact) {
+  // Attaching a listener mid-run turns on the per-shard transition logs and
+  // the post-barrier replay; the observed transition stream must match the
   // serial engine's exactly from that point on.
   const unison::AlgAu alg(2);
   util::Rng rng(53);
@@ -448,11 +429,11 @@ TEST(OverlapTorture, ListenerDisablesOverlapButStaysExact) {
       unison::au_adversarial_configuration("random", alg, g, rng);
   auto sched_a = sched::make_scheduler("synchronous", g);
   auto sched_b = sched::make_scheduler("synchronous", g);
-  core::Engine serial(g, alg, *sched_a, c0, 269, overlapped_options(1));
-  core::Engine overlapped(g, alg, *sched_b, c0, 269, overlapped_options(4));
-  for (int s = 0; s < 37; ++s) {  // open a pipeline first
+  core::Engine serial(g, alg, *sched_a, c0, 269, threaded(1));
+  core::Engine sharded(g, alg, *sched_b, c0, 269, threaded(4));
+  for (int s = 0; s < 37; ++s) {
     serial.step();
-    overlapped.step();
+    sharded.step();
   }
   struct Obs {
     core::NodeId v;
@@ -460,7 +441,7 @@ TEST(OverlapTorture, ListenerDisablesOverlapButStaysExact) {
     core::Time t;
     bool operator==(const Obs&) const = default;
   };
-  std::vector<Obs> seen_serial, seen_overlapped;
+  std::vector<Obs> seen_serial, seen_sharded;
   std::mutex obs_mu;  // listener runs on the stepping thread; mutex is belt
   serial.set_transition_listener([&](core::NodeId v, core::StateId from,
                                      core::StateId to, const core::Signal&,
@@ -468,18 +449,18 @@ TEST(OverlapTorture, ListenerDisablesOverlapButStaysExact) {
     const std::lock_guard<std::mutex> lock(obs_mu);
     seen_serial.push_back({v, from, to, t});
   });
-  overlapped.set_transition_listener([&](core::NodeId v, core::StateId from,
-                                         core::StateId to, const core::Signal&,
-                                         core::Time t) {
+  sharded.set_transition_listener([&](core::NodeId v, core::StateId from,
+                                      core::StateId to, const core::Signal&,
+                                      core::Time t) {
     const std::lock_guard<std::mutex> lock(obs_mu);
-    seen_overlapped.push_back({v, from, to, t});
+    seen_sharded.push_back({v, from, to, t});
   });
   for (int s = 0; s < 80; ++s) {
     serial.step();
-    overlapped.step();
+    sharded.step();
   }
-  EXPECT_EQ(seen_overlapped, seen_serial);
-  ASSERT_EQ(overlapped.config(), serial.config());
+  EXPECT_EQ(seen_sharded, seen_serial);
+  ASSERT_EQ(sharded.config(), serial.config());
 }
 
 }  // namespace
