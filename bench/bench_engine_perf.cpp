@@ -136,9 +136,9 @@ struct Measurement {
   std::uint64_t steps = 0;
   std::uint64_t activations = 0;
   double seconds = 0.0;
-  // Runtime-residency counters: time the stepping thread spent blocked on
-  // the task runtime with nothing runnable, and time spent in phase-2
-  // apply/merge work. Both are cumulative over the timed run.
+  // Runtime-residency counters: time the stepping thread spent blocked at
+  // the shard pool's join after every shard was claimed, and time spent in
+  // phase-2 apply/merge work. Both are cumulative over the timed run.
   std::uint64_t barrier_wait_ns = 0;
   std::uint64_t apply_phase_ns = 0;
 

@@ -33,16 +33,16 @@ backward compatibility. CI uses these on a multi-core runner to keep both
 sharded kernels' speedups real; without such a gate a parallel regression to
 below-serial throughput would pass every job.
 
-Sweep rows measured by a task-graph engine also carry `barrier_wait_ns`
-(nanoseconds the calling thread spent parked in wait_all with no runnable
-task — the residue of the old full-stop epoch barrier) and `seconds` (the
-row's wall clock). --max-barrier-frac ALGO[:SCHED]:THREADS:FRAC (same
-spec grammar as --min-scaling, scheduler defaulting to "synchronous")
-requires barrier_wait_ns / (seconds * 1e9) <= FRAC for that row: an
-in-run ceiling on how much of the wall clock the caller may spend idle at
-the join point. A scheduling regression that serializes the task graph
-(dependency edges too coarse, ready tasks landing on one deque) shows up
-as the caller waiting instead of working and trips this gate even when
+Sweep rows measured by a sharded engine also carry `barrier_wait_ns`
+(nanoseconds the calling thread spent parked at the shard pool's join after
+every shard was claimed — the residue of the old full-stop epoch barrier)
+and `seconds` (the row's wall clock). --max-barrier-frac
+ALGO[:SCHED]:THREADS:FRAC (same spec grammar as --min-scaling, scheduler
+defaulting to "synchronous") requires barrier_wait_ns / (seconds * 1e9) <=
+FRAC for that row: an in-run ceiling on how much of the wall clock the
+caller may spend idle at the join point. A scheduling regression that
+serializes the shards (one participant left holding most of the work) shows
+up as the caller waiting instead of working and trips this gate even when
 raw scaling still limps past its floor. Rows without the two fields fail
 the gate — an engine that stopped reporting barrier time must not pass by
 omission.
@@ -835,7 +835,7 @@ def self_check():
         "speedups": [],
         "thread_sweep": [
             # Synchronous rows (sharded double-buffered kernel). The
-            # task-graph engine reports wall clock + caller barrier wait:
+            # sharded engine reports wall clock + caller barrier wait:
             # 20 ms of a 1 s row = a 2% idle fraction.
             {"algorithm": "alg-au", "scheduler": "synchronous", "threads": 1,
              "activations_per_sec": 1e6, "scaling_vs_serial": 1.0,
@@ -1213,8 +1213,8 @@ def main():
         metavar="ALGO[:SCHED]:THREADS:FRAC",
         help="require the current run's thread_sweep entry for ALGO under "
         "SCHED (default: synchronous) at THREADS to have spent at most "
-        "FRAC of its wall clock with the calling thread parked in "
-        "wait_all (barrier_wait_ns / (seconds * 1e9); repeatable). Rows "
+        "FRAC of its wall clock with the calling thread parked at the "
+        "pool's join (barrier_wait_ns / (seconds * 1e9); repeatable). Rows "
         "missing the timing fields fail the gate.",
     )
     parser.add_argument(

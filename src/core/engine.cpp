@@ -59,9 +59,8 @@ graph::Graph& reorder_for_engine(graph::Graph& g, sched::Scheduler& sched,
 /// lane-parallel accumulation for byte stores, prefetched scalar otherwise).
 template <typename T>
 inline std::uint64_t neighborhood_mask(const graph::Graph& g, const T* c,
-                                       NodeId v, unsigned prefetch_distance) {
-  return simd::accumulate_mask(g.neighbors(v), c, std::uint64_t{1} << c[v],
-                               prefetch_distance);
+                                       NodeId v) {
+  return simd::accumulate_mask(g.neighbors(v), c, std::uint64_t{1} << c[v]);
 }
 
 inline std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point from) {
@@ -145,7 +144,8 @@ Engine::Engine(const graph::Graph& g, const Automaton& alg,
         scheduler_.max_activation_hint() >= options_.sparse_activation_threshold;
     if (shardable && (full_activation_ || sparse_eligible_)) {
       sync_shards_ = make_shards(graph_, threads);
-      pool_ = std::make_unique<ParallelEngine>(sync_shards_);
+      pool_ = std::make_unique<ParallelEngine>(
+          static_cast<unsigned>(sync_shards_.size()));
     } else if (full_activation_) {
       // Serial synchronous engines run the shared shard body on one shard.
       sync_shards_.push_back({0, graph_.num_nodes()});
@@ -156,10 +156,12 @@ Engine::Engine(const graph::Graph& g, const Automaton& alg,
         ShardWorkspace& ws = shard_ws_[i];
         ws.scratch.reserve(graph_.max_degree() + 1);
         if (compiled_ && !compiled_->dense() && i != 0) {
-          // Lazy-memo kernels are single-threaded; workers get their own
-          // instance. Shard 0 always executes on the caller thread, so it
-          // shares the engine-level memo — one warm cache for both the
-          // serial and sharded steps of a threshold-straddling run.
+          // Lazy-memo kernels are single-threaded; every shard but 0 gets
+          // its own instance. During a sharded step only shard 0's body
+          // uses the engine-level memo (whichever participant claims it),
+          // and serial steps run between run() calls — so shard 0 shares
+          // it: one warm cache for both the serial and sharded steps of a
+          // threshold-straddling run.
           ws.compiled = std::make_unique<CompiledAutomaton>(automaton_);
           ws.stepper = ws.compiled.get();
         } else {
@@ -344,16 +346,13 @@ const Configuration& Engine::user_view() const {
 }
 
 std::uint64_t Engine::mask_current(NodeId v) const {
-  const unsigned pf = options_.prefetch_distance;
-  return store_.narrow()
-             ? neighborhood_mask(graph_, store_.bytes_data(), v, pf)
-             : neighborhood_mask(graph_, store_.wide_data(), v, pf);
+  return store_.narrow() ? neighborhood_mask(graph_, store_.bytes_data(), v)
+                         : neighborhood_mask(graph_, store_.wide_data(), v);
 }
 
 SignalView Engine::sense_current(SignalScratch& s, NodeId v) {
-  const unsigned pf = options_.prefetch_distance;
-  return store_.narrow() ? s.sense(graph_, store_.bytes_data(), v, pf)
-                         : s.sense(graph_, store_.wide_data(), v, pf);
+  return store_.narrow() ? s.sense(graph_, store_.bytes_data(), v)
+                         : s.sense(graph_, store_.wide_data(), v);
 }
 
 void Engine::maybe_promote_acts() {
@@ -393,7 +392,6 @@ void Engine::shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
   std::vector<TransitionRec>& log = ws.transitions;
   log.clear();
   const Automaton& kernel = *ws.stepper;
-  const unsigned pf = options_.prefetch_distance;
   if (mask_kernel_) {
     if (dense_table_ != nullptr && !log_transitions) {
       // Vectorized table application: the SIMD mask gather feeds one
@@ -404,7 +402,7 @@ void Engine::shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
       const StateId shift = dense_shift_;
       for (NodeId i = shard.begin; i < shard.end; ++i) {
         const NodeId v = node_of(i);
-        const std::uint64_t mask = neighborhood_mask(graph_, cfg, v, pf);
+        const std::uint64_t mask = neighborhood_mask(graph_, cfg, v);
         emit(i, v,
              table[(static_cast<std::size_t>(cfg[v]) << shift) | mask]);
       }
@@ -414,7 +412,7 @@ void Engine::shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
       const NodeId v = node_of(i);
       const StateId cur = cfg[v];
       const StateId next = kernel.step_mask(
-          cur, neighborhood_mask(graph_, cfg, v, pf), shard_rng(ws, v));
+          cur, neighborhood_mask(graph_, cfg, v), shard_rng(ws, v));
       if (log_transitions && next != cur) {
         log.push_back({v, cur, next});
       }
@@ -423,7 +421,7 @@ void Engine::shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
   } else {
     for (NodeId i = shard.begin; i < shard.end; ++i) {
       const NodeId v = node_of(i);
-      const SignalView sig = ws.scratch.sense(graph_, cfg, v, pf);
+      const SignalView sig = ws.scratch.sense(graph_, cfg, v);
       const StateId cur = cfg[v];
       const StateId next = kernel.step_fast(cur, sig, shard_rng(ws, v));
       if (log_transitions && next != cur) {
@@ -437,10 +435,10 @@ void Engine::shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
 // Synchronous kernel: A_t = V, so the next configuration is computed into
 // the double buffer in one pass (no update list, no pending-bitmap churn)
 // and every step closes exactly one round. Phase 1 runs the shared shard
-// body over sync_shards_: on the pool when the engine has one (each worker
+// body over sync_shards_: on the pool when the engine has one (each shard
 // computes its contiguous node range against its own workspace, and the
-// barrier in ParallelEngine::run makes every write visible before the
-// tail), inline on the single [0, n) shard otherwise. Serial and sharded
+// join in ParallelEngine::run makes every write visible before the tail),
+// inline on the single [0, n) shard otherwise. Serial and sharded
 // steps then share one serial tail: listener replay and field patches from
 // the per-shard logs (shards are contiguous and ascending, so shard-order
 // concatenation IS node order — the observed stream matches the legacy
@@ -511,10 +509,10 @@ void Engine::sync_phase1(const T* cur, T* next, const bool log_transitions) {
   }
   if (sync_shards_dirty_) {
     // Topology churn shifted the degree weights: re-balance the node
-    // partition before fanning out (same shard count — the runtime's
+    // partition before fanning out (same shard count — the pool's
     // workers are fixed).
     make_weighted_shards_into(
-        sync_shards_, graph_.num_nodes(), pool_->shard_count(),
+        sync_shards_, graph_.num_nodes(), pool_->participants(),
         [&](NodeId v) { return static_cast<std::uint64_t>(graph_.degree(v)) + 1; });
     sync_shards_dirty_ = false;
   }
@@ -597,12 +595,11 @@ void Engine::async_phase1(const T* cfg) {
       }
     }
   } else if (mask_kernel_ && !listener_) {
-    const unsigned pf = options_.prefetch_distance;
     if (dense_table_ != nullptr) {
       const std::uint8_t* table = dense_table_;
       const StateId shift = dense_shift_;
       for (const NodeId v : active_) {
-        const std::uint64_t mask = neighborhood_mask(graph_, cfg, v, pf);
+        const std::uint64_t mask = neighborhood_mask(graph_, cfg, v);
         updates_.push(
             v, table[(static_cast<std::size_t>(cfg[v]) << shift) | mask]);
       }
@@ -611,14 +608,13 @@ void Engine::async_phase1(const T* cfg) {
       for (const NodeId v : active_) {
         const StateId cur = cfg[v];
         updates_.push(v, kernel.step_mask(
-                             cur, neighborhood_mask(graph_, cfg, v, pf),
+                             cur, neighborhood_mask(graph_, cfg, v),
                              step_rng(v)));
       }
     }
   } else {
-    const unsigned pf = options_.prefetch_distance;
     for (const NodeId v : active_) {
-      const SignalView sig = scratch_.sense(graph_, cfg, v, pf);
+      const SignalView sig = scratch_.sense(graph_, cfg, v);
       const StateId cur = cfg[v];
       const StateId next = stepper_->step_fast(cur, sig, step_rng(v));
       if (next != cur && listener_) emit_listener(v, cur, next, sig);
@@ -628,68 +624,30 @@ void Engine::async_phase1(const T* cfg) {
 }
 
 // Sparse-activation sharded kernel: BOTH phases of one asynchronous step
-// with a large A_t, fanned out over the task-graph runtime. The activation
-// list is re-partitioned every step into contiguous degree-weighted index
-// spans (activation sets differ step to step). Phase-1 tasks compute each
-// span's next states into that span's slots of the update list — disjoint
-// indices, so shards never contend — deriving randomized transitions from
-// the (seed, node, activation-count) streams (node v's draw depends only on
-// its own activation history, never on the shard that ran it). Per-shard
-// apply tasks — each dependent on EVERY phase-1 task, because phase 1 reads
-// arbitrary configuration slots — then drain their own span into the config
-// store, activation counters, and pending_ (disjoint elements: the
-// scheduler's distinct-ids contract, asserted below). The cross-shard
-// effects — signal-field patches from the per-shard logs, pending-count
-// accounting, and round-close detection — run in a serial merge in
-// shard-index order after the graph drains; spans are contiguous and
+// with a large A_t, as two consecutive run() calls on the shard pool. The
+// activation list is re-partitioned every step into contiguous
+// degree-weighted index spans (activation sets differ step to step). The
+// phase-1 run computes each span's next states into that span's slots of
+// the update list — disjoint indices, so shards never contend — deriving
+// randomized transitions from the (seed, node, activation-count) streams
+// (node v's draw depends only on its own activation history, never on the
+// shard that ran it). The apply run — a separate call, because phase 1
+// reads arbitrary configuration slots — then drains each shard's own span
+// into the config store, activation counters, and pending_ (disjoint
+// elements: the scheduler's distinct-ids contract, asserted below). The
+// cross-shard effects — signal-field patches from the per-shard logs,
+// pending-count accounting, and round-close detection — run in a serial
+// merge in shard-index order after the join; spans are contiguous and
 // ascending, so shard-order concatenation IS activation-list order and the
 // merge matches the serial apply loop record for record (field_patches_
 // included, which snapshots serialize). With a listener attached the replay
 // needs signals from the PRE-apply configuration, so that path keeps the
-// barriered phase-1 fan-out and the serial apply loop.
+// sharded phase 1 and the serial apply loop.
 template <typename T>
-void Engine::sparse_phase1_impl(const Shard& shard, unsigned shard_index,
-                                const T* cfg) {
-  ShardWorkspace& ws = shard_ws_[shard_index];
-  shard_phase1(
-      shard, ws, cfg, sparse_log_,
-      [&](NodeId i) { return active_[i]; },
-      [&](NodeId i, NodeId v, StateId next) { updates_.set(i, v, next); });
-}
-
-void Engine::sparse_phase1_task(void* ctx, const Shard& shard,
-                                unsigned shard_index, std::uint64_t) {
-  Engine& e = *static_cast<Engine*>(ctx);
-  if (e.store_.narrow()) {
-    e.sparse_phase1_impl(shard, shard_index, e.store_.bytes_data());
-  } else {
-    e.sparse_phase1_impl(shard, shard_index, e.store_.wide_data());
-  }
-}
-
-void Engine::sparse_apply_task(void* ctx, const Shard& shard,
-                               unsigned shard_index, std::uint64_t) {
-  Engine& e = *static_cast<Engine*>(ctx);
-  ShardWorkspace& ws = e.shard_ws_[shard_index];
-  std::uint64_t newly_done = 0;
-  for (NodeId i = shard.begin; i < shard.end; ++i) {
-    const auto [v, q] = e.updates_.get(i);
-    e.store_.set_raw(v, q);
-    e.bump_act(v, ws.act_saturated);
-    if (e.pending_[v] != 0) {
-      e.pending_[v] = 0;
-      ++newly_done;
-    }
-  }
-  ws.newly_done = newly_done;
-}
-
-template <typename T>
-void Engine::sparse_listener_phase1(const T* cfg) {
+void Engine::sparse_phase1(const T* cfg, const bool log_transitions) {
   pool_->run(sparse_shards_, [&](const Shard& shard, unsigned shard_index) {
-    ShardWorkspace& ws = shard_ws_[shard_index];
     shard_phase1(
-        shard, ws, cfg, true,
+        shard, shard_ws_[shard_index], cfg, log_transitions,
         [&](NodeId i) { return active_[i]; },
         [&](NodeId i, NodeId v, StateId next) { updates_.set(i, v, next); });
   });
@@ -699,7 +657,7 @@ void Engine::step_sparse_parallel() {
 #ifndef NDEBUG
   {
     // The distinct-node-ids contract of Scheduler::activations is what makes
-    // the concurrent per-node draws (and the apply tasks' config/pending
+    // the concurrent per-node draws (and the apply phase's config/pending
     // element writes) race-free; a scheduler that violates it must fail
     // loudly here, not corrupt state under TSan's radar in release builds.
     std::vector<bool> seen(graph_.num_nodes(), false);
@@ -712,17 +670,21 @@ void Engine::step_sparse_parallel() {
   const auto count = static_cast<NodeId>(active_.size());
   updates_.resize(count);
   make_weighted_shards_into(
-      sparse_shards_, count, pool_->shard_count(), [&](NodeId i) {
+      sparse_shards_, count, pool_->participants(), [&](NodeId i) {
         return static_cast<std::uint64_t>(graph_.degree(active_[i])) + 1;
       });
 
+  const bool patch_field = field_live();
+  const bool log_transitions = static_cast<bool>(listener_) || patch_field;
+  if (store_.narrow()) {
+    sparse_phase1(store_.bytes_data(), log_transitions);
+  } else {
+    sparse_phase1(store_.wide_data(), log_transitions);
+  }
+
   if (listener_) {
-    // Listener fallback: barriered phase 1, replay, serial apply.
-    if (store_.narrow()) {
-      sparse_listener_phase1(store_.bytes_data());
-    } else {
-      sparse_listener_phase1(store_.wide_data());
-    }
+    // Listener fallback: replay from the pre-apply configuration, then the
+    // serial apply loop.
     for (std::size_t s = 0; s < sparse_shards_.size(); ++s) {
       for (const TransitionRec& tr : shard_ws_[s].transitions) {
         const SignalView sig = sense_current(scratch_, tr.v);
@@ -733,29 +695,29 @@ void Engine::step_sparse_parallel() {
     return;
   }
 
-  // Task-graph path: phase-1 tasks (no deps), then per-shard apply tasks
-  // dependent on all of them.
-  sparse_log_ = field_live();
-  const auto shards = static_cast<unsigned>(sparse_shards_.size());
-  cur_phase1_.clear();
-  for (unsigned s = 0; s < shards; ++s) {
-    cur_phase1_.push_back(pool_->add_task({&Engine::sparse_phase1_task, this},
-                                          sparse_shards_[s], s, 0));
-  }
-  for (unsigned s = 0; s < shards; ++s) {
-    pool_->add_task({&Engine::sparse_apply_task, this}, sparse_shards_[s], s,
-                    0, cur_phase1_.data(), cur_phase1_.size());
-  }
-  pool_->wait_all();
+  pool_->run(sparse_shards_, [&](const Shard& shard, unsigned shard_index) {
+    ShardWorkspace& ws = shard_ws_[shard_index];
+    std::uint64_t newly_done = 0;
+    for (NodeId i = shard.begin; i < shard.end; ++i) {
+      const auto [v, q] = updates_.get(i);
+      store_.set_raw(v, q);
+      bump_act(v, ws.act_saturated);
+      if (pending_[v] != 0) {
+        pending_[v] = 0;
+        ++newly_done;
+      }
+    }
+    ws.newly_done = newly_done;
+  });
 
   // Serial merge, shard-index order — the deterministic ordering of every
   // cross-shard effect.
   const auto apply_from = std::chrono::steady_clock::now();
   store_.invalidate_view();
   std::uint64_t newly_done = 0;
-  for (unsigned s = 0; s < shards; ++s) {
+  for (std::size_t s = 0; s < sparse_shards_.size(); ++s) {
     const ShardWorkspace& ws = shard_ws_[s];
-    if (sparse_log_) {
+    if (patch_field) {
       field_->apply_transitions(ws.transitions.data(), ws.transitions.size());
       field_patches_ += ws.transitions.size();
     }
@@ -912,8 +874,7 @@ std::size_t Engine::dynamic_memory_usage() const {
       util::DynamicUsage(act64_) + util::DynamicUsage(active_) +
       util::DynamicUsage(sense_buffer_) + util::DynamicUsage(field_scratch_) +
       util::DynamicUsage(user_view_) +
-      util::DynamicUsage(sync_shards_) + util::DynamicUsage(sparse_shards_) +
-      util::DynamicUsage(cur_phase1_);
+      util::DynamicUsage(sync_shards_) + util::DynamicUsage(sparse_shards_);
   if (compiled_) {
     total += sizeof(CompiledAutomaton) + compiled_->dynamic_memory_usage();
   }

@@ -46,37 +46,37 @@
 // kept as the differential-testing oracle.
 //
 // Parallel kernels (EngineOptions::thread_count != 1):
-//   * all sharded execution runs on the task-graph runtime
-//     (core/parallel_engine.hpp): per-shard tasks with explicit dependency
-//     edges on per-participant work-stealing deques, the caller executing
-//     tasks alongside the workers;
+//   * all sharded execution runs on the fork-join shard pool
+//     (core/parallel_engine.hpp): each run() call executes one body over a
+//     shard list, the caller claiming shards alongside the workers, and
+//     returns once every shard finished;
 //   * under a full-activation scheduler the double-buffered synchronous step
 //     is sharded over contiguous degree-weighted node ranges (core/shard.hpp);
 //     every node reads the previous buffer and writes only its own slot, so
-//     shards never contend. Each step is one barriered generation of
-//     per-shard phase-1 tasks followed by one serial tail: listener replay
-//     from the per-shard transition logs, field patch, buffer swap, round
-//     close. A serial synchronous engine runs the same shard body on a
-//     single [0, n) shard without a pool, so serial and sharded synchronous
-//     steps share one loop body and one tail;
+//     shards never contend. Each step is one run() of the phase-1 body
+//     followed by one serial tail: listener replay from the per-shard
+//     transition logs, field patch, buffer swap, round close. A serial
+//     synchronous engine runs the same shard body on a single [0, n) shard
+//     without a pool, so serial and sharded synchronous steps share one
+//     loop body and one tail;
 //   * under an asynchronous daemon whose activation sets can get large
 //     (Scheduler::max_activation_hint() at or above
 //     EngineOptions::sparse_activation_threshold), any step with
 //     |A_t| >= that threshold runs BOTH phases sharded over contiguous
-//     degree-weighted index ranges of the activation list: phase-1 tasks
-//     write disjoint slots of the update list (and per-shard transition
-//     logs), then per-shard apply tasks — each dependent on every phase-1
-//     task, since phase 1 reads arbitrary configuration slots — drain their
-//     own span into disjoint config/activation-count/pending elements, and
-//     the engine finishes with a serial merge in shard-index order (field
-//     patches from the logs, pending-count/round-close detection: exactly
-//     the cross-shard effects that need a deterministic order). The
-//     scheduler draw itself stays serial, so the schedule is untouched;
-//     steps below the threshold (or with a listener attached, whose replay
-//     needs the pre-apply configuration) run the serial apply path;
+//     degree-weighted index ranges of the activation list: a phase-1 run()
+//     writes disjoint slots of the update list (and per-shard transition
+//     logs), then an apply run() — a separate call, since phase 1 reads
+//     arbitrary configuration slots — drains each shard's own span into
+//     disjoint config/activation-count/pending elements, and the engine
+//     finishes with a serial merge in shard-index order (field patches from
+//     the logs, pending-count/round-close detection: exactly the cross-shard
+//     effects that need a deterministic order). The scheduler draw itself
+//     stays serial, so the schedule is untouched; steps below the threshold
+//     (or with a listener attached, whose replay needs the pre-apply
+//     configuration) run the serial apply path;
 //   * transition listeners stay exact: workers log (v, from, to) per shard
 //     and the engine replays the concatenated logs in iteration order after
-//     the barrier, materializing each signal from the pre-step configuration;
+//     the join, materializing each signal from the pre-step configuration;
 //   * single-node daemons (max_activation_hint() below the threshold) run
 //     the serial path regardless of thread_count and spawn no workers.
 //
@@ -228,16 +228,16 @@ struct EngineOptions {
   /// graph's scan footprint — small instances stay serial (or lightly
   /// sharded) rather than paying barrier overhead across idle workers; an
   /// explicit N is always honored as given. N > 1 = N degree-weighted
-  /// shards on the task-graph runtime. Full-activation schedulers shard the synchronous
-  /// kernel; asynchronous daemons with large activation sets shard both
-  /// phases of the sparse-activation kernel. Every setting produces
-  /// bit-identical trajectories. Ignored when fast_path is false — the
-  /// legacy oracle is always serial.
+  /// shards on the fork-join shard pool. Full-activation schedulers shard
+  /// the synchronous kernel; asynchronous daemons with large activation
+  /// sets shard both phases of the sparse-activation kernel. Every setting
+  /// produces bit-identical trajectories. Ignored when fast_path is false —
+  /// the legacy oracle is always serial.
   unsigned thread_count = 1;
   /// Minimum |A_t| for the sparse-activation sharded kernel. Steps with
   /// smaller activation sets (and daemons whose max_activation_hint() never
   /// reaches it) run the serial per-activation path — below this size the
-  /// epoch barrier costs more than the phase-1 work it parallelizes. Purely
+  /// pool's fork and join cost more than the phase-1 work they split. Purely
   /// a performance knob: trajectories are bit-identical either way. Ignored
   /// when fast_path is false or thread_count resolves to 1.
   std::size_t sparse_activation_threshold = 1024;
@@ -249,10 +249,6 @@ struct EngineOptions {
   /// Cache-locality node reordering — see ReorderMode. Only the
   /// churn-capable constructor acts on it; const-graph engines ignore it.
   ReorderMode reorder = ReorderMode::kAuto;
-  /// Software-prefetch lookahead (adjacency-span elements) for the gather
-  /// loops (neighborhood masks, senses, field rebuilds); 0 disables. Purely
-  /// a performance knob: trajectories are bit-identical at any setting.
-  unsigned prefetch_distance = simd::kDefaultPrefetchDistance;
 };
 
 /// ReorderMode::kAuto reorders only at or above this node count: below it
@@ -335,9 +331,9 @@ class ConfigStore {
     view_dirty_ = true;
   }
 
-  /// Raw element write for parallel apply tasks: touches no shared flag
+  /// Raw element write for the parallel apply phase: touches no shared flag
   /// (concurrent view_dirty_ writes would be a data race); the kernel calls
-  /// invalidate_view() once, serially, after the graph drains.
+  /// invalidate_view() once, serially, after the apply run() returns.
   void set_raw(NodeId v, StateId q) {
     if (narrow_) {
       bytes_[v] = static_cast<std::uint8_t>(q);
@@ -532,7 +528,7 @@ class Engine {
 
   /// Heap bytes owned by the engine's dynamic state — configuration buffers,
   /// round/pending bookkeeping, activation counters, kernels, workspaces,
-  /// the signal field, and the task runtime (see util/memusage.hpp). The
+  /// the signal field, and the shard pool (see util/memusage.hpp). The
   /// borrowed graph/automaton/scheduler are NOT included; Graph has its own
   /// dynamic_memory_usage().
   [[nodiscard]] std::size_t dynamic_memory_usage() const;
@@ -574,13 +570,13 @@ class Engine {
   /// activation sets stay below the sparse threshold, a parallel-unsafe
   /// automaton, or the legacy path).
   [[nodiscard]] unsigned shard_count() const {
-    return pool_ ? pool_->shard_count() : 1;
+    return pool_ ? pool_->participants() : 1;
   }
 
-  /// Nanoseconds the stepping thread has spent blocked on the runtime with
-  /// nothing runnable (ParallelEngine::barrier_wait_ns) — 0 for serial
-  /// engines. The bench's thread-sweep rows report this per cell; the PR 2
-  /// epoch pool spent every serial phase-2 tail here.
+  /// Nanoseconds the stepping thread has spent blocked at the pool's join
+  /// after every shard was claimed (ParallelEngine::barrier_wait_ns) — 0
+  /// for serial engines. The bench's thread-sweep rows report this per
+  /// cell; the original epoch pool spent every serial phase-2 tail here.
   [[nodiscard]] std::uint64_t barrier_wait_ns() const {
     return pool_ ? pool_->barrier_wait_ns() : 0;
   }
@@ -677,11 +673,6 @@ class Engine {
   void step_legacy();
   void apply_updates_and_close_rounds();
 
-  static void sparse_phase1_task(void* ctx, const Shard& shard,
-                                 unsigned shard_index, std::uint64_t seq);
-  static void sparse_apply_task(void* ctx, const Shard& shard,
-                                unsigned shard_index, std::uint64_t seq);
-
   /// Rebuilds the signal field from the current configuration if an
   /// injection invalidated it — called before every field sense.
   void ensure_field_fresh() {
@@ -724,11 +715,10 @@ class Engine {
   /// the engine has one, run inline on the single [0, n) shard otherwise.
   template <typename T>
   void sync_phase1(const T* cur, T* next, bool log_transitions);
+  /// The sparse kernel's phase 1: one pool run() over sparse_shards_, each
+  /// shard computing its span of the activation list into updates_.
   template <typename T>
-  void sparse_phase1_impl(const Shard& shard, unsigned shard_index,
-                          const T* cfg);
-  template <typename T>
-  void sparse_listener_phase1(const T* cfg);
+  void sparse_phase1(const T* cfg, bool log_transitions);
   /// Serial asynchronous phase 1 over `cfg` (the raw current-store buffer):
   /// the per-activation gather loops, templated on the element width so the
   /// narrow/wide branch is taken once per step, not once per activation.
@@ -736,8 +726,8 @@ class Engine {
   void async_phase1(const T* cfg);
 
   /// Node v's activation count right now — the activation axis of the lazy
-  /// rng stream derivation. Safe from shard tasks: only tasks handling v
-  /// write act*[v], and they are dependency-ordered.
+  /// rng stream derivation. Safe from shard bodies: only the shard holding
+  /// v writes act*[v], in a later run() than any phase-1 read.
   [[nodiscard]] std::uint64_t act_now(NodeId v) const {
     return act_wide_ ? act64_[v] : act32_[v];
   }
@@ -751,7 +741,7 @@ class Engine {
 
   /// Bumps node v's activation count, requesting promotion via `saturated`
   /// (the engine-level flag on serial paths, a per-shard workspace flag in
-  /// parallel tasks — promotion itself only ever runs at a serial point).
+  /// shard bodies — promotion itself only ever runs at a serial point).
   void bump_act(NodeId v, bool& saturated) {
     if (act_wide_) {
       ++act64_[v];
@@ -776,8 +766,8 @@ class Engine {
   }
 
   /// shard_phase1's rng source: same derivation, but into the calling
-  /// shard's workspace scratch generator (tasks touching one workspace are
-  /// dependency-ordered, so this never races).
+  /// shard's workspace scratch generator (one run() hands each shard index
+  /// to exactly one participant, so this never races).
   [[nodiscard]] util::Rng& shard_rng(ShardWorkspace& ws, NodeId v) {
     if (randomized_) {
       ws.scratch_rng = util::Rng::activation_stream(seed_, v, act_now(v));
@@ -854,18 +844,18 @@ class Engine {
     std::vector<TransitionRec> transitions;
     // Lazy-memo compiled kernels are single-threaded; each shard gets its own
     // instance (dense tables are immutable after construction and shared).
-    // Safe under work stealing too: tasks touching one shard's workspace are
-    // dependency-ordered, so at most one thread uses it at a time.
+    // One run() hands each shard index to exactly one participant, so at
+    // most one thread uses a workspace at a time.
     std::unique_ptr<CompiledAutomaton> compiled;
     const Automaton* stepper = nullptr;
     // Randomized automata: the derived per-activation stream is materialized
     // here (see shard_rng); deterministic automata never consult it.
     util::Rng scratch_rng{0};
-    // Set when this shard's tasks pushed a 32-bit activation counter near the
+    // Set when this shard pushed a 32-bit activation counter near the
     // ceiling; the next serial point promotes (see maybe_promote_acts).
     bool act_saturated = false;
-    // Sparse-kernel apply tasks: nodes of this shard's span that left the
-    // pending set this step (summed serially in shard order afterwards).
+    // The sparse kernel's apply phase: nodes of this shard's span that left
+    // the pending set this step (summed serially in shard order afterwards).
     std::uint64_t newly_done = 0;
   };
   std::unique_ptr<ParallelEngine> pool_;
@@ -883,10 +873,6 @@ class Engine {
   std::vector<Shard> sync_shards_;
   bool sync_shards_dirty_ = false;
 
-  // Sparse-kernel task state: the phase-1 task ids the apply tasks depend
-  // on, and whether this step's phase-1 tasks log transitions.
-  std::vector<ParallelEngine::TaskId> cur_phase1_;
-  bool sparse_log_ = false;
   // Post-barrier tail time of sharded steps (see apply_phase_ns()); only
   // the stepping thread touches it.
   std::uint64_t apply_phase_ns_ = 0;
@@ -910,7 +896,7 @@ class Engine {
   Signal listener_scratch_;
 
   // Round operator tracking. pending_ is byte-per-node (not vector<bool>):
-  // the sparse kernel's parallel apply tasks clear disjoint ELEMENTS from
+  // the sparse kernel's parallel apply phase clears disjoint ELEMENTS from
   // different threads, which packed bits would turn into a word-level race.
   // The snapshot wire format still packs 64 nodes per word.
   std::uint64_t rounds_ = 0;

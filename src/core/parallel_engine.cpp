@@ -7,19 +7,26 @@
 
 namespace ssau::core {
 
-ParallelEngine::ParallelEngine(std::vector<Shard> shards)
-    : shards_(std::move(shards)) {
-  if (shards_.empty()) {
-    throw std::invalid_argument("ParallelEngine: shard list must be non-empty");
+ParallelEngine::ParallelEngine(unsigned participants) {
+  if (participants == 0) {
+    throw std::invalid_argument("ParallelEngine: participants must be positive");
   }
-  deques_.resize(shards_.size());
-  workers_.reserve(shards_.size() - 1);
-  for (unsigned i = 1; i < shards_.size(); ++i) {
-    workers_.emplace_back(&ParallelEngine::worker_loop, this, i);
+  workers_.reserve(participants - 1);
+  try {
+    for (unsigned i = 1; i < participants; ++i) {
+      workers_.emplace_back(&ParallelEngine::worker_loop, this);
+    }
+  } catch (...) {
+    // A failed spawn (std::system_error) must not destroy joinable threads
+    // or the members the started ones wait on: stop them first.
+    stop_workers();
+    throw;
   }
 }
 
-ParallelEngine::~ParallelEngine() {
+ParallelEngine::~ParallelEngine() { stop_workers(); }
+
+void ParallelEngine::stop_workers() {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
@@ -28,132 +35,57 @@ ParallelEngine::~ParallelEngine() {
   for (std::thread& w : workers_) w.join();
 }
 
-ParallelEngine::TaskId ParallelEngine::add_task(ShardFnRef fn,
-                                                const Shard& shard,
-                                                unsigned shard_index,
-                                                std::uint64_t seq,
-                                                const TaskId* deps,
-                                                std::size_t dep_count) {
-  bool ready = false;
-  TaskId id;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    id = static_cast<TaskId>(tasks_.size());
-    TaskNode node;
-    node.fn = fn;
-    node.shard = shard;
-    node.shard_index = shard_index;
-    node.seq = seq;
-    for (std::size_t i = 0; i < dep_count; ++i) {
-      const TaskId dep = deps[i];
-      if (dep == kNoTask || tasks_[dep].done) continue;
-      ++node.unmet;
-      edges_.push_back({id, tasks_[dep].dependents});
-      tasks_[dep].dependents = static_cast<std::uint32_t>(edges_.size() - 1);
+void ParallelEngine::claim_shards(std::unique_lock<std::mutex>& lock) {
+  while (next_shard_ < shard_count_) {
+    const auto index = static_cast<unsigned>(next_shard_++);
+    const Shard shard = shards_[index];
+    const ShardFnRef fn = fn_;
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+      fn(shard, index);
+    } catch (...) {  // finish every shard; run() rethrows the first error
+      error = std::current_exception();
     }
-    ready = node.unmet == 0;
-    tasks_.push_back(std::move(node));
-    ++unfinished_;
-    if (ready) {
-      // Dependency-free tasks spread round-robin across the deques so a
-      // burst of independent work starts on every participant without any
-      // of them having to steal first.
-      deques_[next_spawn_deque_].push_back(id);
-      next_spawn_deque_ = (next_spawn_deque_ + 1) % deques_.size();
+    lock.lock();
+    if (error && !error_) error_ = error;
+    if (--unfinished_ == 0) {
+      lock.unlock();  // see run(): a waiter woken into a held lock re-sleeps
+      all_done_.notify_one();
+      lock.lock();
     }
   }
-  if (ready) work_ready_.notify_one();
-  return id;
 }
 
-bool ParallelEngine::has_runnable_locked() const {
-  for (const std::deque<TaskId>& d : deques_) {
-    if (!d.empty()) return true;
+void ParallelEngine::run(const std::vector<Shard>& shards, ShardFnRef fn) {
+  if (shards.empty() || shards.size() > participants()) {
+    throw std::invalid_argument(
+        "ParallelEngine: shard list must have 1..participants() entries");
   }
-  return false;
-}
-
-ParallelEngine::TaskId ParallelEngine::pop_runnable_locked(
-    unsigned participant) {
-  std::deque<TaskId>& own = deques_[participant];
-  if (!own.empty()) {  // own back: the dependents this thread just released
-    const TaskId id = own.back();
-    own.pop_back();
-    return id;
+  if (shards.size() == 1) {
+    // Single shard: plain serial execution, zero synchronization.
+    fn(shards[0], 0);
+    return;
   }
-  const unsigned k = static_cast<unsigned>(deques_.size());
-  for (unsigned i = 1; i < k; ++i) {  // steal the oldest work of a neighbor
-    std::deque<TaskId>& victim = deques_[(participant + i) % k];
-    if (!victim.empty()) {
-      const TaskId id = victim.front();
-      victim.pop_front();
-      return id;
-    }
-  }
-  return kNoTask;
-}
-
-void ParallelEngine::complete_locked(unsigned participant, TaskId id) {
-  TaskNode& task = tasks_[id];
-  task.done = true;
-  --unfinished_;
-  unsigned released = 0;
-  for (std::uint32_t e = task.dependents; e != kNoEdge; e = edges_[e].next) {
-    TaskNode& dependent = tasks_[edges_[e].to];
-    if (--dependent.unmet == 0) {
-      deques_[participant].push_back(edges_[e].to);
-      ++released;
-    }
-  }
-  // The completing participant takes one released task itself on its next
-  // loop; extra releases (or the generation finishing) wake the others —
-  // including a caller blocked in wait_all.
-  if (released > 1 || unfinished_ == 0) work_ready_.notify_all();
-}
-
-void ParallelEngine::execute(std::unique_lock<std::mutex>& lock,
-                             unsigned participant, TaskId id) {
-  // Snapshot what the body needs: tasks_ may reallocate under add_task while
-  // this task runs unlocked (caller-thread producer, worker consumers).
-  const ShardFnRef fn = tasks_[id].fn;
-  const Shard shard = tasks_[id].shard;
-  const unsigned shard_index = tasks_[id].shard_index;
-  const std::uint64_t seq = tasks_[id].seq;
-  lock.unlock();
-  std::exception_ptr error;
-  try {
-    fn(shard, shard_index, seq);
-  } catch (...) {
-    // Never terminate a worker / unwind the caller mid-generation: finish
-    // the graph, hand the first exception to wait_all.
-    error = std::current_exception();
-  }
-  lock.lock();
-  if (error && !error_) error_ = error;
-  complete_locked(participant, id);
-}
-
-void ParallelEngine::wait_all() {
   std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (unfinished_ == 0) break;
-    const TaskId id = pop_runnable_locked(0);
-    if (id != kNoTask) {
-      execute(lock, 0, id);
-      continue;
-    }
+  shards_ = shards.data();
+  fn_ = fn;
+  shard_count_ = shards.size();
+  next_shard_ = 0;
+  unfinished_ = shards.size();
+  lock.unlock();
+  // Notify with mu_ released: a thread woken into a held lock sleeps again,
+  // and that second wake-up would land on every step's critical path.
+  work_ready_.notify_all();
+  lock.lock();
+  claim_shards(lock);
+  if (unfinished_ != 0) {
     const auto blocked_from = std::chrono::steady_clock::now();
-    work_ready_.wait(lock, [this] {
-      return unfinished_ == 0 || has_runnable_locked();
-    });
-    barrier_wait_ns_ += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - blocked_from)
-            .count());
+    all_done_.wait(lock, [this] { return unfinished_ == 0; });
+    const std::chrono::nanoseconds blocked =
+        std::chrono::steady_clock::now() - blocked_from;
+    barrier_wait_ns_ += static_cast<std::uint64_t>(blocked.count());
   }
-  tasks_.clear();  // capacity retained: the arena is reused every generation
-  edges_.clear();
-  next_spawn_deque_ = 0;
   if (error_) {
     const std::exception_ptr error = std::exchange(error_, nullptr);
     lock.unlock();
@@ -161,38 +93,14 @@ void ParallelEngine::wait_all() {
   }
 }
 
-void ParallelEngine::run(ShardFnRef fn) {
-  run(shards_, fn);
-}
-
-void ParallelEngine::run(const std::vector<Shard>& shards, ShardFnRef fn) {
-  if (shards.empty() || shards.size() > shards_.size()) {
-    throw std::invalid_argument(
-        "ParallelEngine: per-epoch shard list must have 1..shard_count() "
-        "entries");
-  }
-  const std::uint64_t seq = epoch_++;
-  if (shards.size() == 1 || workers_.empty()) {
-    // Single shard: plain serial execution, zero synchronization (and the
-    // single-shard pool never locks at all).
-    for (unsigned i = 0; i < shards.size(); ++i) fn(shards[i], i, seq);
-    return;
-  }
-  for (unsigned i = 0; i < shards.size(); ++i) {
-    add_task(fn, shards[i], i, seq);
-  }
-  wait_all();
-}
-
-void ParallelEngine::worker_loop(unsigned participant) {
+void ParallelEngine::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    work_ready_.wait(lock,
-                     [this] { return stopping_ || has_runnable_locked(); });
+    work_ready_.wait(lock, [this] {
+      return stopping_ || next_shard_ < shard_count_;
+    });
     if (stopping_) return;
-    const TaskId id = pop_runnable_locked(participant);
-    if (id == kNoTask) continue;  // another participant got there first
-    execute(lock, participant, id);
+    claim_shards(lock);
   }
 }
 

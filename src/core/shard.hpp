@@ -86,7 +86,7 @@ inline void make_weighted_shards_into(std::vector<Shard>& out, NodeId count,
 
 /// Floor on the per-shard working set before another worker pays for
 /// itself: below ~256 KiB of configuration + adjacency traffic per shard,
-/// task setup and the epoch barrier dominate the phase-1 work being split.
+/// the pool's fork and join dominate the phase-1 work being split.
 inline constexpr std::uint64_t kMinShardFootprintBytes = std::uint64_t{1}
                                                          << 18;
 

@@ -118,11 +118,9 @@ class SignalScratch {
   /// byte-compact storage mode (uint8_t per node for |Q| <= 256) senses
   /// through the same one definition as the wide StateId buffers. The gather
   /// routes through core/simd_gather.hpp (AVX2 accumulation for byte
-  /// buffers, prefetched scalar otherwise); `prefetch_distance` is the
-  /// lookahead in adjacency elements (0 disables).
+  /// buffers, prefetched scalar otherwise).
   template <typename T>
-  SignalView sense(const graph::Graph& g, const T* c, NodeId v,
-                   unsigned prefetch_distance = simd::kDefaultPrefetchDistance) {
+  SignalView sense(const graph::Graph& g, const T* c, NodeId v) {
     buffer_.clear();
     const StateId own = c[v];
     const std::span<const NodeId> nbrs = g.neighbors(v);
@@ -130,7 +128,7 @@ class SignalScratch {
       // Bitmask fast path: OR the neighborhood into a 64-bit set, then unpack
       // set bits in ascending order — O(distinct) instead of O(deg log deg).
       std::uint64_t mask = std::uint64_t{1} << own;
-      if (simd::try_accumulate_mask(nbrs, c, mask, prefetch_distance)) {
+      if (simd::try_accumulate_mask(nbrs, c, mask)) {
         unpack_mask(mask, buffer_);
         return {buffer_, mask, true};
       }

@@ -6,9 +6,9 @@
 // field's rebuild). After graph::reorder packs neighborhoods into nearby
 // ids these gathers hit warm cache lines; this header squeezes what remains:
 //
-//   * software prefetch a configurable distance ahead of the gather index
-//     stream (the adjacency span is sequential, so nb[i + d] is known long
-//     before c[nb[i + d]] is needed);
+//   * software prefetch a fixed distance ahead of the gather index stream
+//     (the adjacency span is sequential, so nb[i + d] is known long before
+//     c[nb[i + d]] is needed);
 //   * an AVX2 lane-parallel mask accumulator for the byte-per-node storage
 //     mode: 8 neighbor ids per _mm256_i32gather_epi32, presence bits built
 //     with variable 64-bit shifts and OR-folded once per span.
@@ -39,9 +39,9 @@ namespace ssau::core::simd {
 /// byte offsets, so the final node's gather touches 3 bytes beyond it.
 inline constexpr std::size_t kByteStorePadding = 4;
 
-/// Default lookahead (in adjacency-span elements) for software prefetch.
-/// Far enough to cover an L2 miss at typical bench degrees, near enough to
-/// stay inside most spans; EngineOptions::prefetch_distance overrides.
+/// Lookahead (in adjacency-span elements) for software prefetch in every
+/// gather loop. Far enough to cover an L2 miss at typical bench degrees,
+/// near enough to stay inside most spans.
 inline constexpr unsigned kDefaultPrefetchDistance = 8;
 
 /// Which gather kernel this translation unit compiled in — benches and
@@ -67,13 +67,12 @@ inline void prefetch(const void* p) {
 /// the scalar and SIMD forms are bit-identical under that contract.
 template <typename T>
 [[nodiscard]] inline std::uint64_t accumulate_mask(
-    std::span<const graph::NodeId> neighbors, const T* c, std::uint64_t mask,
-    unsigned prefetch_distance) {
+    std::span<const graph::NodeId> neighbors, const T* c, std::uint64_t mask) {
   const graph::NodeId* nb = neighbors.data();
   const std::size_t deg = neighbors.size();
   for (std::size_t i = 0; i < deg; ++i) {
-    if (prefetch_distance != 0 && i + prefetch_distance < deg) {
-      prefetch(c + nb[i + prefetch_distance]);
+    if (i + kDefaultPrefetchDistance < deg) {
+      prefetch(c + nb[i + kDefaultPrefetchDistance]);
     }
     mask |= std::uint64_t{1} << c[nb[i]];
   }
@@ -108,7 +107,7 @@ inline __m256i or_presence_bits(__m256i acc, __m256i states) {
 /// kByteStorePadding readable bytes past the last node of `c`.
 [[nodiscard]] inline std::uint64_t accumulate_mask(
     std::span<const graph::NodeId> neighbors, const std::uint8_t* c,
-    std::uint64_t mask, unsigned prefetch_distance) {
+    std::uint64_t mask) {
   const graph::NodeId* nb = neighbors.data();
   const std::size_t deg = neighbors.size();
   std::size_t i = 0;
@@ -126,8 +125,8 @@ inline __m256i or_presence_bits(__m256i acc, __m256i states) {
     mask |= detail::horizontal_or(acc);
   }
   for (; i < deg; ++i) {
-    if (prefetch_distance != 0 && i + prefetch_distance < deg) {
-      prefetch(c + nb[i + prefetch_distance]);
+    if (i + kDefaultPrefetchDistance < deg) {
+      prefetch(c + nb[i + kDefaultPrefetchDistance]);
     }
     mask |= std::uint64_t{1} << c[nb[i]];
   }
@@ -141,13 +140,13 @@ inline __m256i or_presence_bits(__m256i acc, __m256i states) {
 /// and the caller must fall back to the sparse sorted path.
 template <typename T>
 [[nodiscard]] inline bool try_accumulate_mask(
-    std::span<const graph::NodeId> neighbors, const T* c, std::uint64_t& mask,
-    unsigned prefetch_distance) {
+    std::span<const graph::NodeId> neighbors, const T* c,
+    std::uint64_t& mask) {
   const graph::NodeId* nb = neighbors.data();
   const std::size_t deg = neighbors.size();
   for (std::size_t i = 0; i < deg; ++i) {
-    if (prefetch_distance != 0 && i + prefetch_distance < deg) {
-      prefetch(c + nb[i + prefetch_distance]);
+    if (i + kDefaultPrefetchDistance < deg) {
+      prefetch(c + nb[i + kDefaultPrefetchDistance]);
     }
     const StateId q = c[nb[i]];
     if (q >= 64) return false;
@@ -159,7 +158,7 @@ template <typename T>
 #if defined(__AVX2__)
 [[nodiscard]] inline bool try_accumulate_mask(
     std::span<const graph::NodeId> neighbors, const std::uint8_t* c,
-    std::uint64_t& mask, unsigned prefetch_distance) {
+    std::uint64_t& mask) {
   const graph::NodeId* nb = neighbors.data();
   const std::size_t deg = neighbors.size();
   std::size_t i = 0;
@@ -181,8 +180,8 @@ template <typename T>
     mask |= detail::horizontal_or(acc);
   }
   for (; i < deg; ++i) {
-    if (prefetch_distance != 0 && i + prefetch_distance < deg) {
-      prefetch(c + nb[i + prefetch_distance]);
+    if (i + kDefaultPrefetchDistance < deg) {
+      prefetch(c + nb[i + kDefaultPrefetchDistance]);
     }
     const StateId q = c[nb[i]];
     if (q >= 64) return false;

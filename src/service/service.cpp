@@ -12,8 +12,15 @@ SimulationService::SimulationService(ServiceOptions options)
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   worker_count_ = core::ParallelEngine::resolve_thread_count(options_.workers);
   threads_.reserve(worker_count_);
-  for (unsigned i = 0; i < worker_count_; ++i) {
-    threads_.emplace_back([this] { worker_loop(); });
+  try {
+    for (unsigned i = 0; i < worker_count_; ++i) {
+      threads_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // A failed spawn (std::system_error) must not destroy joinable threads
+    // or the members the started ones wait on: stop them first.
+    shutdown();
+    throw;
   }
 }
 

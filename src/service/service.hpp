@@ -59,6 +59,8 @@ class SimulationService {
  public:
   using SessionId = std::uint64_t;
 
+  /// Spawns the worker pool. If a spawn fails, the started workers are
+  /// joined before the std::system_error propagates.
   explicit SimulationService(ServiceOptions options = {});
   /// Equivalent to shutdown() — no accepted command is dropped.
   ~SimulationService();

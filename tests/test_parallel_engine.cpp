@@ -3,7 +3,9 @@
 // count must walk exactly the trajectory of the serial fast path and the
 // legacy oracle (configurations, time, rounds, activation counts, and
 // listener streams), for deterministic and randomized automata alike, under
-// full-activation and asynchronous schedulers.
+// full-activation and asynchronous schedulers. The shard pool underneath is
+// pinned directly too: every shard runs once per call, a throwing shard
+// still lets the call finish, and a failed thread spawn throws cleanly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +23,7 @@
 #include "sched/scheduler.hpp"
 #include "sync/simple_sync_algs.hpp"
 #include "sync/synchronizer.hpp"
+#include "thread_spawn_failure.hpp"
 #include "unison/alg_au.hpp"
 #include "unison/au_invariants.hpp"
 #include "util/rng.hpp"
@@ -144,14 +147,15 @@ TEST(Shards, WeightedIndexRangeBalance) {
 
 // --- worker pool ------------------------------------------------------------
 
-TEST(ParallelEnginePool, RunsEveryShardEveryEpoch) {
-  core::ParallelEngine pool({{0, 10}, {10, 25}, {25, 30}});
-  EXPECT_EQ(pool.shard_count(), 3u);
+TEST(ParallelEnginePool, RunsEveryShardEveryCall) {
+  core::ParallelEngine pool(3);
+  EXPECT_EQ(pool.participants(), 3u);
+  const std::vector<Shard> shards = {{0, 10}, {10, 25}, {25, 30}};
   std::vector<int> hits(3, 0);
   std::vector<core::NodeId> begins(3, 0);
-  for (int epoch = 0; epoch < 50; ++epoch) {
-    pool.run([&](const Shard& s, unsigned idx) {
-      ++hits[idx];  // each index touched by exactly one worker per epoch
+  for (int call = 0; call < 50; ++call) {
+    pool.run(shards, [&](const Shard& s, unsigned idx) {
+      ++hits[idx];  // each index claimed by exactly one participant per call
       begins[idx] = s.begin;
     });
   }
@@ -159,15 +163,15 @@ TEST(ParallelEnginePool, RunsEveryShardEveryEpoch) {
   EXPECT_EQ(begins, (std::vector<core::NodeId>{0, 10, 25}));
 }
 
-TEST(ParallelEnginePool, PerEpochShardListOverridesFixedPartition) {
-  // The sparse-activation kernel passes a fresh shard list every epoch; the
-  // pool must run exactly that list, and workers beyond the epoch's shard
-  // count must sit the epoch out without disturbing the barrier.
-  core::ParallelEngine pool({{0, 10}, {10, 20}, {20, 30}, {30, 40}});
+TEST(ParallelEnginePool, ShorterShardListsLeaveParticipantsIdle) {
+  // The sparse-activation kernel passes a fresh shard list every step; the
+  // pool must run exactly that list, and participants beyond the call's
+  // shard count must sit it out without disturbing the join.
+  core::ParallelEngine pool(4);
   std::vector<int> hits(4, 0);
   std::vector<Shard> seen(4);
   const std::vector<Shard> two = {{0, 7}, {7, 13}};
-  for (int epoch = 0; epoch < 50; ++epoch) {
+  for (int call = 0; call < 50; ++call) {
     pool.run(two, [&](const Shard& s, unsigned idx) {
       ++hits[idx];
       seen[idx] = s;
@@ -179,8 +183,9 @@ TEST(ParallelEnginePool, PerEpochShardListOverridesFixedPartition) {
   EXPECT_EQ(seen[1].begin, 7u);
   EXPECT_EQ(seen[1].end, 13u);
 
-  // Mixed fixed-partition and per-epoch runs interleave cleanly.
-  pool.run([&](const Shard& s, unsigned idx) {
+  // Full-width and shorter calls interleave cleanly.
+  const std::vector<Shard> four = {{0, 10}, {10, 20}, {20, 30}, {30, 40}};
+  pool.run(four, [&](const Shard& s, unsigned idx) {
     ++hits[idx];
     seen[idx] = s;
   });
@@ -188,7 +193,7 @@ TEST(ParallelEnginePool, PerEpochShardListOverridesFixedPartition) {
   EXPECT_EQ(seen[3].begin, 30u);
   EXPECT_EQ(seen[3].end, 40u);
 
-  // An over-long or empty per-epoch list is rejected.
+  // An over-long or empty shard list is rejected.
   const std::vector<Shard> five(5, Shard{0, 1});
   EXPECT_THROW(pool.run(five, [](const Shard&, unsigned) {}),
                std::invalid_argument);
@@ -197,26 +202,41 @@ TEST(ParallelEnginePool, PerEpochShardListOverridesFixedPartition) {
 }
 
 TEST(ParallelEnginePool, ShardExceptionCompletesBarrierAndRethrows) {
-  // A throwing ShardFn must neither terminate a worker nor let the caller
-  // unwind while shards are still executing: the epoch completes its
-  // barrier, then the first captured exception is rethrown on the caller.
-  core::ParallelEngine pool({{0, 8}, {8, 16}, {16, 24}});
+  // A throwing shard must neither terminate a worker nor let the caller
+  // unwind while shards are still executing: the call completes its join,
+  // then the first captured exception is rethrown on the caller.
+  core::ParallelEngine pool(3);
+  const std::vector<Shard> shards = {{0, 8}, {8, 16}, {16, 24}};
   std::atomic<int> completed{0};
-  for (int epoch = 0; epoch < 20; ++epoch) {
-    // Alternate which shard throws — caller-run shard 0 included.
-    const unsigned thrower = static_cast<unsigned>(epoch % 3);
+  for (int call = 0; call < 20; ++call) {
+    // Alternate which shard throws — including shards the caller claims.
+    const unsigned thrower = static_cast<unsigned>(call % 3);
     EXPECT_THROW(
-        pool.run([&](const Shard&, unsigned idx) {
+        pool.run(shards, [&](const Shard&, unsigned idx) {
           if (idx == thrower) throw std::runtime_error("shard failure");
           ++completed;
         }),
         std::runtime_error);
   }
   EXPECT_EQ(completed.load(), 20 * 2);  // the two non-throwing shards ran
-  // The pool remains usable after failed epochs.
+  // The pool remains usable after failed calls.
   std::vector<int> hits(3, 0);
-  pool.run([&](const Shard&, unsigned idx) { ++hits[idx]; });
+  pool.run(shards, [&](const Shard&, unsigned idx) { ++hits[idx]; });
   EXPECT_EQ(hits, (std::vector<int>{1, 1, 1}));
+}
+
+TEST(ParallelEnginePool, FailedThreadSpawnJoinsStartedWorkersAndThrows) {
+#ifdef SSAU_SHADOW_MEMORY_SANITIZER
+  GTEST_SKIP() << "sanitizer shadow memory exceeds any RLIMIT_AS cap";
+#endif
+  // Re-exec the binary for the child: a forked child would inherit this
+  // process's address space, so the cap could starve the very first spawn
+  // and hide a constructor that leaks joinable threads.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(testing_support::construct_under_address_cap([] {
+                core::ParallelEngine pool(testing_support::kSpawnTestThreads);
+              }),
+              ::testing::ExitedWithCode(0), "caught: ");
 }
 
 TEST(ParallelEnginePool, ResolveThreadCount) {
@@ -441,8 +461,8 @@ TEST(SparseActivationKernel, WaveBitIdenticalIncludingDisconnected) {
 
 TEST(SparseActivationKernel, ZeroThresholdRunsEveryStepWithoutThrowing) {
   // sparse_activation_threshold = 0 ("always shard") must not push a
-  // degenerate empty activation set into the pool (an empty per-epoch shard
-  // list is rejected there); the mix of single-node and bulk laggard steps
+  // degenerate empty activation set into the pool (an empty shard list is
+  // rejected there); the mix of single-node and bulk laggard steps
   // must run to completion and stay on the reference trajectory.
   const unison::AlgAu alg(2);
   util::Rng rng(97);

@@ -28,6 +28,7 @@
 #include "sched/scheduler.hpp"
 #include "service/service.hpp"
 #include "service/session.hpp"
+#include "thread_spawn_failure.hpp"
 #include "unison/alg_au.hpp"
 #include "util/binary_io.hpp"
 #include "util/rng.hpp"
@@ -436,6 +437,21 @@ TEST(SimulationService, UnknownSessionIdThrows) {
   EXPECT_THROW(svc.submit(123, cmd::step()), std::out_of_range);
   EXPECT_THROW(static_cast<void>(svc.session(123)), std::out_of_range);
   EXPECT_FALSE(svc.quarantined(123));
+}
+
+TEST(SimulationService, FailedWorkerSpawnJoinsStartedWorkersAndThrows) {
+#ifdef SSAU_SHADOW_MEMORY_SANITIZER
+  GTEST_SKIP() << "sanitizer shadow memory exceeds any RLIMIT_AS cap";
+#endif
+  // Re-exec the binary for the child: a forked child would inherit this
+  // process's address space, so the cap could starve the very first spawn
+  // and hide a constructor that leaks joinable threads.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(testing_support::construct_under_address_cap([] {
+                SimulationService svc(
+                    {.workers = testing_support::kSpawnTestThreads});
+              }),
+              ::testing::ExitedWithCode(0), "caught: ");
 }
 
 // --- SimulationService: pooled engine thread budgets -------------------------

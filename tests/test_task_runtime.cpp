@@ -1,11 +1,9 @@
-// Task-graph runtime and the sharded synchronous kernel.
+// Thread budgets and the sharded synchronous kernel.
 //
 // Three layers of pinning:
-//   * the ParallelEngine task graph itself — dependency ordering under a
-//     steal storm (many tiny tasks, dependency chains, every participant
-//     hungry), arena reuse across generations, and the thread-count
-//     resolution contracts (0 = auto never reaches engine arithmetic as 0;
-//     recommended_threads divides the hardware budget across sessions);
+//   * the thread-budget contract: recommended_threads divides the hardware
+//     budget across sessions and never returns 0 (the pool's own tests,
+//     including resolve_thread_count, live in test_parallel_engine.cpp);
 //   * the sharded synchronous kernel — AU + MIS + LE under every scheduler
 //     at threads {1, 2, 4, 8} must stay bit-identical to the serial engine,
 //     stepped one at a time and driven through run_rounds(k) (the
@@ -16,17 +14,15 @@
 //     a listener attached mid-run must see the serial transition stream.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "core/parallel_engine.hpp"
-#include "core/shard.hpp"
 #include "graph/generators.hpp"
 #include "le/alg_le.hpp"
 #include "mis/alg_mis.hpp"
@@ -39,7 +35,6 @@ namespace ssau {
 namespace {
 
 using core::ParallelEngine;
-using core::Shard;
 
 std::vector<std::string> all_scheduler_names() {
   std::vector<std::string> names = sched::async_scheduler_names();
@@ -47,145 +42,7 @@ std::vector<std::string> all_scheduler_names() {
   return names;
 }
 
-std::vector<Shard> unit_shards(unsigned n) {
-  std::vector<Shard> shards;
-  for (unsigned i = 0; i < n; ++i) shards.push_back({i, i + 1});
-  return shards;
-}
-
-// --- ParallelEngine: task graph ----------------------------------------------
-
-TEST(TaskRuntime, DependencyChainsExecuteInOrderUnderStealStorm) {
-  // C independent chains of L tiny tasks each on a P-participant runtime:
-  // with tasks this small, participants drain their own deques instantly and
-  // spend the generation stealing from each other. Each chain appends its
-  // link index to a per-chain log; dependency ordering must survive no
-  // matter which participant ran which link.
-  constexpr unsigned kParticipants = 8;
-  constexpr unsigned kChains = 24;
-  constexpr unsigned kLinks = 50;
-  ParallelEngine pool(unit_shards(kParticipants));
-
-  struct ChainLog {
-    std::vector<unsigned> order;
-  };
-  std::vector<ChainLog> logs(kChains);
-  struct Ctx {
-    std::vector<ChainLog>* logs;
-  } ctx{&logs};
-  const ParallelEngine::ShardFnRef link{
-      +[](void* c, const Shard&, unsigned chain, std::uint64_t seq) {
-        // Links of one chain are dependency-ordered, so this append is
-        // race-free by the runtime's happens-before guarantee.
-        (*static_cast<Ctx*>(c)->logs)[chain].order.push_back(
-            static_cast<unsigned>(seq));
-      },
-      &ctx};
-
-  for (int generation = 0; generation < 20; ++generation) {
-    for (ChainLog& log : logs) log.order.clear();
-    std::vector<ParallelEngine::TaskId> tails(kChains, ParallelEngine::kNoTask);
-    // Interleave the chains' links so consecutive add_task calls belong to
-    // different chains (maximally scrambled spawn order).
-    for (unsigned l = 0; l < kLinks; ++l) {
-      for (unsigned c = 0; c < kChains; ++c) {
-        tails[c] = pool.add_task(link, Shard{0, 1}, c, l, &tails[c], 1);
-      }
-    }
-    pool.wait_all();
-    for (unsigned c = 0; c < kChains; ++c) {
-      ASSERT_EQ(logs[c].order.size(), kLinks) << "chain " << c;
-      for (unsigned l = 0; l < kLinks; ++l) {
-        ASSERT_EQ(logs[c].order[l], l)
-            << "chain " << c << " ran links out of dependency order";
-      }
-    }
-  }
-}
-
-TEST(TaskRuntime, FanInTaskSeesEveryDependencyCompleted) {
-  constexpr unsigned kParticipants = 6;
-  constexpr unsigned kWide = 64;
-  ParallelEngine pool(unit_shards(kParticipants));
-  struct Ctx {
-    std::atomic<unsigned> done{0};
-    unsigned seen_at_join = 0;
-  } ctx;
-  const ParallelEngine::ShardFnRef leaf{
-      +[](void* c, const Shard&, unsigned, std::uint64_t) {
-        static_cast<Ctx*>(c)->done.fetch_add(1, std::memory_order_relaxed);
-      },
-      &ctx};
-  const ParallelEngine::ShardFnRef join{
-      +[](void* c, const Shard&, unsigned, std::uint64_t) {
-        Ctx& x = *static_cast<Ctx*>(c);
-        x.seen_at_join = x.done.load(std::memory_order_relaxed);
-      },
-      &ctx};
-  std::vector<ParallelEngine::TaskId> leaves;
-  for (unsigned i = 0; i < kWide; ++i) {
-    leaves.push_back(pool.add_task(leaf, Shard{0, 1}, i, 0));
-  }
-  pool.add_task(join, Shard{0, 1}, 0, 1, leaves.data(), leaves.size());
-  pool.wait_all();
-  EXPECT_EQ(ctx.seen_at_join, kWide);
-}
-
-TEST(TaskRuntime, ThrowingTaskStillReleasesDependentsAndRethrows) {
-  ParallelEngine pool(unit_shards(4));
-  struct Ctx {
-    std::atomic<int> ran{0};
-  } ctx;
-  const ParallelEngine::ShardFnRef boom{
-      +[](void* c, const Shard&, unsigned, std::uint64_t) {
-        static_cast<Ctx*>(c)->ran.fetch_add(1);
-        throw std::runtime_error("task failed");
-      },
-      &ctx};
-  const ParallelEngine::ShardFnRef after{
-      +[](void* c, const Shard&, unsigned, std::uint64_t) {
-        static_cast<Ctx*>(c)->ran.fetch_add(1);
-      },
-      &ctx};
-  const ParallelEngine::TaskId first = pool.add_task(boom, Shard{0, 1}, 0, 0);
-  pool.add_task(after, Shard{0, 1}, 0, 1, &first, 1);
-  EXPECT_THROW(pool.wait_all(), std::runtime_error);
-  EXPECT_EQ(ctx.ran.load(), 2) << "dependent of the failed task must still run";
-
-  // The runtime stays usable for the next generation.
-  ctx.ran = 0;
-  pool.add_task(after, Shard{0, 1}, 0, 0);
-  pool.wait_all();
-  EXPECT_EQ(ctx.ran.load(), 1);
-}
-
-TEST(TaskRuntime, CompletedAndNoTaskDependenciesAreSkipped) {
-  ParallelEngine pool(unit_shards(2));
-  struct Ctx {
-    int ran = 0;
-  } ctx;
-  const ParallelEngine::ShardFnRef fn{
-      +[](void* c, const Shard&, unsigned, std::uint64_t) {
-        ++static_cast<Ctx*>(c)->ran;  // single-threaded here: 2 shards, deps
-      },
-      &ctx};
-  // kNoTask entries (a caller's "no predecessor" markers) must be ignored,
-  // not counted as unmet dependencies.
-  const ParallelEngine::TaskId none = ParallelEngine::kNoTask;
-  pool.add_task(fn, Shard{0, 1}, 0, 0, &none, 1);
-  pool.wait_all();
-  EXPECT_EQ(ctx.ran, 1);
-}
-
 // --- thread-count resolution contracts ---------------------------------------
-
-TEST(TaskRuntime, ResolveThreadCountContract) {
-  EXPECT_EQ(ParallelEngine::resolve_thread_count(1), 1u);
-  EXPECT_EQ(ParallelEngine::resolve_thread_count(6), 6u);
-  // 0 = auto: hardware concurrency, clamped to at least 1 even where the
-  // standard lets hardware_concurrency() report 0.
-  EXPECT_GE(ParallelEngine::resolve_thread_count(0), 1u);
-}
 
 TEST(TaskRuntime, RecommendedThreadsDividesHardwareAcrossSessions) {
   const unsigned hw = ParallelEngine::resolve_thread_count(0);
