@@ -62,6 +62,14 @@ class Automaton {
   [[nodiscard]] virtual StateId step_mask(StateId q, std::uint64_t mask,
                                           util::Rng& rng) const;
 
+  /// δ from the exact 256-bit presence set — the engine's kernel when
+  /// 64 < |Q| <= 256 (every byte-per-node store senses into a StateSet). The
+  /// default unpacks the words in ascending order into a scratch SignalView
+  /// and calls step_fast, as step_mask's default does; automata with native
+  /// guard sets (AlgAu for D <= 20) override it with word-wise AND tests.
+  [[nodiscard]] virtual StateId step_set(StateId q, const StateSet& set,
+                                         util::Rng& rng) const;
+
   /// True iff δ never consults the Rng. Deterministic automata with
   /// |Q| <= SignalView::kMaskBits are eligible for table compilation
   /// (CompiledAutomaton).

@@ -113,6 +113,7 @@ Engine::Engine(const graph::Graph& g, const Automaton& alg,
   randomized_ = !automaton_.deterministic();
   if (options_.fast_path) {
     mask_kernel_ = automaton_.state_count() <= SignalView::kMaskBits;
+    set_kernel_ = narrow && !mask_kernel_;
     if (options_.compile && CompiledAutomaton::compilable(automaton_) &&
         !automaton_.native_mask_kernel()) {
       compiled_ = std::make_unique<CompiledAutomaton>(automaton_);
@@ -418,6 +419,17 @@ void Engine::shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
       }
       emit(i, v, next);
     }
+  } else if (set_kernel_) {
+    for (NodeId i = shard.begin; i < shard.end; ++i) {
+      const NodeId v = node_of(i);
+      const StateId cur = cfg[v];
+      const StateId next = kernel.step_set(
+          cur, neighborhood_set(graph_, cfg, v), shard_rng(ws, v));
+      if (log_transitions && next != cur) {
+        log.push_back({v, cur, next});
+      }
+      emit(i, v, next);
+    }
   } else {
     for (NodeId i = shard.begin; i < shard.end; ++i) {
       const NodeId v = node_of(i);
@@ -585,6 +597,16 @@ void Engine::async_phase1(const T* cfg) {
         updates_.push(v,
                       kernel.step_mask(cur, field_->mask_of(v), step_rng(v)));
       }
+    } else if (set_kernel_) {
+      for (const NodeId v : active_) {
+        const StateSet set = field_->set_of(v);
+        const StateId cur = cfg[v];
+        const StateId next = stepper_->step_set(cur, set, step_rng(v));
+        if (next != cur && listener_) {
+          emit_listener(v, cur, next, unpack_set(set, field_scratch_));
+        }
+        updates_.push(v, next);
+      }
     } else {
       for (const NodeId v : active_) {
         const SignalView sig = field_->sense(v, field_scratch_);
@@ -611,6 +633,16 @@ void Engine::async_phase1(const T* cfg) {
                              cur, neighborhood_mask(graph_, cfg, v),
                              step_rng(v)));
       }
+    }
+  } else if (set_kernel_) {
+    for (const NodeId v : active_) {
+      const StateId cur = cfg[v];
+      const StateId next = stepper_->step_set(
+          cur, neighborhood_set(graph_, cfg, v), step_rng(v));
+      if (next != cur && listener_) {
+        emit_listener(v, cur, next, scratch_.sense(graph_, cfg, v));
+      }
+      updates_.push(v, next);
     }
   } else {
     for (const NodeId v : active_) {

@@ -13,9 +13,12 @@
 // sched::Scheduler from any initial configuration (the adversary's C_0).
 //
 // Hot path (EngineOptions::fast_path, the default):
-//   * signals are zero-allocation SignalViews built in a reusable scratch
-//     (bitmask construction when every sensed StateId < 64, sorted-span
-//     otherwise) and fed to Automaton::step_fast;
+//   * sensing follows the configuration store, allocation-free
+//     (core/signal_view.hpp): |Q| <= 64 gathers a 64-bit presence mask for
+//     Automaton::step_mask; 64 < |Q| <= 256 (the rest of the byte-per-node
+//     stores) gathers the exact 256-bit StateSet for Automaton::step_set;
+//     wide stores (|Q| > 256) sort the neighborhood into a SignalView for
+//     Automaton::step_fast;
 //   * deterministic automata with |Q| <= 64 are compiled into a table-driven
 //     kernel (CompiledAutomaton) at engine construction;
 //   * under a full-activation scheduler (Scheduler::full_activation), the
@@ -154,9 +157,11 @@ enum class SignalFieldMode : std::uint8_t {
   /// below half the node count (daemons activating most of the graph per
   /// step transition too often for delta maintenance to win), and the
   /// graph's average degree reaches the floor for the automaton's sense
-  /// cost: kSignalFieldMinAvgDegree for automata whose per-sense work is
-  /// heavy (randomized δ, |Q| > 64, uncompiled step_mask — their rescan
-  /// sorts/unpacks and walks the view), but the much higher
+  /// cost: kSignalFieldMinAvgDegree for every automaton outside the
+  /// native/compiled mask kernel (randomized δ, |Q| > 64, uncompiled
+  /// step_mask — including set-kernel automata such as AlgAu at D >= 5,
+  /// whose rescan is one set gather plus a native step_set), but the much
+  /// higher
   /// kSignalFieldMaskKernelMinAvgDegree for mask-kernel automata (native or
   /// table-compiled O(1) δ), whose rescan is a single OR-loop that delta
   /// maintenance only beats on genuinely dense neighborhoods.
@@ -819,6 +824,7 @@ class Engine {
   const Automaton* stepper_;       // compiled_ if present, else &automaton_
   bool full_activation_ = false;   // scheduler guarantees A_t = V
   bool mask_kernel_ = false;       // |Q| <= 64: step_mask drives the hot loop
+  bool set_kernel_ = false;        // 64 < |Q| <= 256: step_set, byte store
   // Dense compiled kernel hoisted out of the virtual dispatch: when the
   // compiled automaton carries an eager table, phase-1 loops apply δ as
   // table_[(q << dense_shift_) | mask] directly (nullptr otherwise). The
@@ -883,7 +889,7 @@ class Engine {
   // stale (for a lazy rebuild at the next field sense) by injections.
   std::unique_ptr<SignalField> field_;
   bool field_stale_ = false;
-  std::vector<StateId> field_scratch_;  // dense-mode sense unpack buffer
+  std::vector<StateId> field_scratch_;  // field-sense / set unpack buffer
   // Adaptive routing (kAuto on a mask-kernel automaton only): senses and
   // patches observed this window; the field self-disables at a window
   // boundary when patching outweighs the rescans saved.

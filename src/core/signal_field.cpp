@@ -1,7 +1,6 @@
 #include "core/signal_field.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <span>
 
@@ -194,22 +193,20 @@ void SignalField::apply_transition(NodeId v, StateId from, StateId to) {
   for (const NodeId u : graph_.neighbors(v)) patch(u);
 }
 
-SignalView SignalField::sense(NodeId v, std::vector<StateId>& scratch) const {
+StateSet SignalField::set_of(NodeId v) const {
+  assert(state_count_ <= StateSet::kBits);
+  StateSet set;
   if (dense_) {
-    scratch.clear();
-    const std::uint64_t* words =
-        masks_.data() + static_cast<std::size_t>(v) * mask_words_;
-    if (mask_words_ == 1) {
-      unpack_mask(words[0], scratch);
-      return {scratch, words[0], true};
-    }
-    bool small = true;
-    for (StateId w = 0; w < mask_words_; ++w) {
-      if (w > 0 && words[w] != 0) small = false;
-      unpack_mask(words[w], scratch, w * 64);
-    }
-    return {scratch, small ? words[0] : 0, small};
+    std::copy_n(masks_.data() + static_cast<std::size_t>(v) * mask_words_,
+                mask_words_, set.words.begin());
+    return set;
   }
+  for (const StateId q : keys_[v]) set.insert(q);
+  return set;
+}
+
+SignalView SignalField::sense(NodeId v, std::vector<StateId>& scratch) const {
+  if (dense_) return unpack_set(set_of(v), scratch);
   const auto& keys = keys_[v];
   const bool small = keys.empty() || keys.back() < SignalView::kMaskBits;
   std::uint64_t mask = 0;

@@ -17,7 +17,8 @@
 //     saturation bound: a flat q-major counter table
 //     counts[q * n + v] = multiplicity of q in N+(v), with saturating 16-bit
 //     counters, plus a per-node presence bitmap of ceil(|Q| / 64) words
-//     (exactly one word — the engine's step_mask input — when |Q| <= 64).
+//     (exactly one word — the engine's step_mask input — when |Q| <= 64,
+//     otherwise the words of the step_set input, see set_of).
 //     The q-major layout keeps a transition patch (two counter rows) inside
 //     two n-sized stripes that stay cache-hot across steps.
 //   * sparse — large |Q| (synchronizer product spaces) or extreme degrees: a
@@ -115,8 +116,13 @@ class SignalField {
   /// True iff mask_of() is the complete signal (|Q| <= 64, dense mode).
   [[nodiscard]] bool mask_exact() const { return dense_ && mask_words_ == 1; }
 
+  /// The exact presence set of N+(v) — the engine's step_set input. Dense
+  /// mode hands over the node's <= 4 presence words; sparse mode ORs its
+  /// sorted keys in. Requires |Q| <= StateSet::kBits.
+  [[nodiscard]] StateSet set_of(NodeId v) const;
+
   /// The signal of node v as a zero-copy sorted view. Dense mode unpacks the
-  /// presence bitmap into `scratch` (O(distinct)); sparse mode wraps the
+  /// presence words into `scratch` (O(distinct)); sparse mode wraps the
   /// node's keys span directly. The view is invalidated by the next sense
   /// into the same scratch and by any apply_transition/rebuild.
   [[nodiscard]] SignalView sense(NodeId v, std::vector<StateId>& scratch) const;

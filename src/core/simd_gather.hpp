@@ -2,9 +2,12 @@
 //
 // Every per-activation cost in the fast path is dominated by one shape of
 // work: gather c[u] over a CSR adjacency span and fold the states into a
-// 64-bit presence mask (neighborhood_mask, SignalScratch::sense, the signal
-// field's rebuild). After graph::reorder packs neighborhoods into nearby
-// ids these gathers hit warm cache lines; this header squeezes what remains:
+// presence set — a 64-bit mask when |Q| <= 64 (neighborhood_mask, the
+// signal field's rebuild), the exact 256-bit set of every byte-per-node
+// store otherwise (core::StateSet via accumulate_set, feeding step_set and
+// SignalScratch::sense). After graph::reorder packs neighborhoods into
+// nearby ids these gathers hit warm cache lines; this header squeezes what
+// remains:
 //
 //   * software prefetch a fixed distance ahead of the gather index stream
 //     (the adjacency span is sequential, so nb[i + d] is known long before
@@ -13,7 +16,7 @@
 //     mode: 8 neighbor ids per _mm256_i32gather_epi32, presence bits built
 //     with variable 64-bit shifts and OR-folded once per span.
 //
-// Dispatch is compile-time: the AVX2 overloads exist only under __AVX2__
+// Dispatch is compile-time: the AVX2 overload exists only under __AVX2__
 // (see the SSAU_NATIVE CMake option); every other build gets the scalar
 // prefetching loops, which are bit-identical by construction. The AVX2 byte
 // gathers read 4 bytes at c + id, so byte configuration buffers must keep
@@ -21,6 +24,7 @@
 // guarantees this for the engine's double buffers.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -134,10 +138,28 @@ inline __m256i or_presence_bits(__m256i acc, __m256i states) {
 }
 #endif  // __AVX2__
 
-/// Checked variant for SignalScratch::sense, where narrow storage may hold
-/// states >= 64 (64 < |Q| <= 256): accumulates into `mask` and returns true
-/// iff every sensed state fit the bitmask. On false, `mask` is unspecified
-/// and the caller must fall back to the sparse sorted path.
+/// OR the presence bits of c[u] for every u in `neighbors` into a 256-bit
+/// set held as four 64-bit words — core::StateSet's layout, bit q & 63 of
+/// word q >> 6. Caller guarantees every gathered state is < 256, which a
+/// byte-per-node store holds by construction.
+template <typename T>
+inline void accumulate_set(std::span<const graph::NodeId> neighbors,
+                           const T* c, std::array<std::uint64_t, 4>& words) {
+  const graph::NodeId* nb = neighbors.data();
+  const std::size_t deg = neighbors.size();
+  for (std::size_t i = 0; i < deg; ++i) {
+    if (i + kDefaultPrefetchDistance < deg) {
+      prefetch(c + nb[i + kDefaultPrefetchDistance]);
+    }
+    const auto q = static_cast<unsigned>(c[nb[i]]);
+    words[q >> 6] |= std::uint64_t{1} << (q & 63);
+  }
+}
+
+/// Checked 64-bit variant for SignalScratch::sense over wide stores
+/// (|Q| > 256), where states >= 64 may appear: accumulates into `mask` and
+/// returns true iff every sensed state fit the bitmask. On false, `mask` is
+/// unspecified and the caller must fall back to the sorted path.
 template <typename T>
 [[nodiscard]] inline bool try_accumulate_mask(
     std::span<const graph::NodeId> neighbors, const T* c,
@@ -154,41 +176,5 @@ template <typename T>
   }
   return true;
 }
-
-#if defined(__AVX2__)
-[[nodiscard]] inline bool try_accumulate_mask(
-    std::span<const graph::NodeId> neighbors, const std::uint8_t* c,
-    std::uint64_t& mask) {
-  const graph::NodeId* nb = neighbors.data();
-  const std::size_t deg = neighbors.size();
-  std::size_t i = 0;
-  if (deg >= 8) {
-    const __m256i low_byte = _mm256_set1_epi32(0xFF);
-    const __m256i limit = _mm256_set1_epi32(63);
-    __m256i acc = _mm256_setzero_si256();
-    for (; i + 8 <= deg; i += 8) {
-      const __m256i ids =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(nb + i));
-      const __m256i states = _mm256_and_si256(
-          _mm256_i32gather_epi32(reinterpret_cast<const int*>(c), ids, 1),
-          low_byte);
-      if (_mm256_movemask_epi8(_mm256_cmpgt_epi32(states, limit)) != 0) {
-        return false;
-      }
-      acc = detail::or_presence_bits(acc, states);
-    }
-    mask |= detail::horizontal_or(acc);
-  }
-  for (; i < deg; ++i) {
-    if (i + kDefaultPrefetchDistance < deg) {
-      prefetch(c + nb[i + kDefaultPrefetchDistance]);
-    }
-    const StateId q = c[nb[i]];
-    if (q >= 64) return false;
-    mask |= std::uint64_t{1} << q;
-  }
-  return true;
-}
-#endif  // __AVX2__
 
 }  // namespace ssau::core::simd

@@ -8,72 +8,109 @@
 
 namespace ssau::unison {
 
-AlgAu::AlgAu(int diameter_bound, AlgAuOptions options)
-    : turns_(diameter_bound), options_(options) {
-  if (turns_.state_count() <= core::SignalView::kMaskBits) {
-    build_mask_tables();
-  }
+namespace {
+
+// Guard tests over either sensed form: the 64-bit mask names states < 64,
+// so word 0 of a guard set is its exact counterpart.
+bool within(std::uint64_t mask, const core::StateSet& guard) {
+  return (mask & ~guard.words[0]) == 0;
+}
+bool within(const core::StateSet& set, const core::StateSet& guard) {
+  return set.subset_of(guard);
+}
+bool meets(std::uint64_t mask, const core::StateSet& guard) {
+  return (mask & guard.words[0]) != 0;
+}
+bool meets(const core::StateSet& set, const core::StateSet& guard) {
+  return set.intersects(guard);
 }
 
-void AlgAu::build_mask_tables() {
+}  // namespace
+
+AlgAu::AlgAu(int diameter_bound, AlgAuOptions options)
+    : turns_(diameter_bound), options_(options) {
+  if (turns_.state_count() <= core::StateSet::kBits) build_guards();
+}
+
+void AlgAu::build_guards() {
   const core::StateId n = turns_.state_count();
-  mask_tables_.resize(n);
-  for (core::StateId s = 0; s < n; ++s) {
-    if (turns_.is_faulty(s)) faulty_mask_ |= std::uint64_t{1} << s;
-  }
+  // Every guard is a union of whole levels: a level's able turn and, for
+  // |ℓ| >= 2, its faulty twin. Building level by level costs O(|Q| k)
+  // instead of testing every (q, s) pair.
+  const auto insert_level = [&](core::StateSet& set, Level l) {
+    set.insert(turns_.able_id(l));
+    if (turns_.has_faulty(l)) set.insert(turns_.faulty_id(l));
+  };
+  guards_.resize(n);
   for (core::StateId q = 0; q < n; ++q) {
-    TurnMasks& tm = mask_tables_[q];
+    TurnGuards& tg = guards_[q];
     const Level l = turns_.level_of(q);
     const Level fwd = turns_.forward(l);
-    for (core::StateId s = 0; s < n; ++s) {
-      const Level sl = turns_.level_of(s);
-      const std::uint64_t bit = std::uint64_t{1} << s;
-      if (turns_.adjacent(l, sl)) tm.adjacent |= bit;
-      if (sl == l || sl == fwd) tm.in_step |= bit;
-      if (turns_.strictly_outwards(sl, l)) tm.outwards |= bit;
+    // adjacent(ℓ, ℓ') iff ℓ' ∈ {φ^{-1}(ℓ), ℓ, φ(ℓ)}; Ψ>(ℓ) is every level of
+    // ℓ's sign further out than ℓ.
+    for (const Level a : {turns_.forward(l, -1), l, fwd}) {
+      insert_level(tg.adjacent, a);
+    }
+    insert_level(tg.in_step, l);
+    insert_level(tg.in_step, fwd);
+    for (int m = std::abs(l) + 1; m <= turns_.k(); ++m) {
+      insert_level(tg.outwards, l > 0 ? m : -m);
     }
     if (turns_.is_able(q)) {
-      tm.aa_next = turns_.able_id(fwd);
-      tm.has_faulty_twin = turns_.has_faulty(l);
-      if (tm.has_faulty_twin) {
-        tm.af_next = turns_.faulty_id(l);
+      tg.aa_next = turns_.able_id(fwd);
+      tg.has_faulty_twin = turns_.has_faulty(l);
+      if (tg.has_faulty_twin) {
+        tg.af_next = turns_.faulty_id(l);
         const Level inward = turns_.outwards(l, -1);
         if (turns_.has_faulty(inward)) {
-          tm.af_inward = std::uint64_t{1} << turns_.faulty_id(inward);
+          tg.af_inward.insert(turns_.faulty_id(inward));
         }
       }
     } else {
-      tm.fa_next = turns_.able_id(turns_.outwards(l, -1));
+      faulty_.insert(q);
+      tg.fa_next = turns_.able_id(turns_.outwards(l, -1));
     }
   }
 }
 
-core::StateId AlgAu::step_mask(core::StateId q, std::uint64_t mask,
-                               util::Rng& rng) const {
-  if (mask_tables_.empty()) return Automaton::step_mask(q, mask, rng);
-  const TurnMasks& tm = mask_tables_[q];
+template <typename Sensed>
+core::StateId AlgAu::guarded_step(core::StateId q,
+                                  const Sensed& sensed) const {
+  const TurnGuards& tg = guards_[q];
 
   if (turns_.is_able(q)) {
     // --- type AA: good (or merely protected under the ablation) and
     // Λ_v ⊆ {ℓ, φ(ℓ)} ------------------------------------------------------
-    const bool prot = (mask & ~tm.adjacent) == 0;
+    const bool prot = within(sensed, tg.adjacent);
     const bool good =
-        options_.aa_requires_good ? prot && (mask & faulty_mask_) == 0 : prot;
-    if (good && (mask & ~tm.in_step) == 0) return tm.aa_next;
+        options_.aa_requires_good ? prot && !meets(sensed, faulty_) : prot;
+    if (good && within(sensed, tg.in_step)) return tg.aa_next;
 
     // --- type AF (only levels with |ℓ| >= 2 have a faulty twin) ------------
-    if (tm.has_faulty_twin) {
-      if (!prot) return tm.af_next;
-      if (options_.af_inward_trigger && (mask & tm.af_inward) != 0) {
-        return tm.af_next;
+    if (tg.has_faulty_twin) {
+      if (!prot) return tg.af_next;
+      if (options_.af_inward_trigger && meets(sensed, tg.af_inward)) {
+        return tg.af_next;
       }
     }
     return q;
   }
 
   // --- type FA -------------------------------------------------------------
-  if (options_.fa_outward_guard && (mask & tm.outwards) != 0) return q;
-  return tm.fa_next;
+  if (options_.fa_outward_guard && meets(sensed, tg.outwards)) return q;
+  return tg.fa_next;
+}
+
+core::StateId AlgAu::step_mask(core::StateId q, std::uint64_t mask,
+                               util::Rng& rng) const {
+  if (guards_.empty()) return Automaton::step_mask(q, mask, rng);
+  return guarded_step(q, mask);
+}
+
+core::StateId AlgAu::step_set(core::StateId q, const core::StateSet& set,
+                              util::Rng& rng) const {
+  if (guards_.empty()) return Automaton::step_set(q, set, rng);
+  return guarded_step(q, set);
 }
 
 core::StateId AlgAu::step_fast(core::StateId q, const core::SignalView& sig,

@@ -56,15 +56,21 @@ class AlgAu final : public core::Automaton {
   [[nodiscard]] core::StateId step_fast(core::StateId q,
                                         const core::SignalView& sig,
                                         util::Rng& rng) const override;
-  /// Native bitmask δ: every Table-1 guard is a precomputed per-turn bitmask
+  /// Native bitmask δ: every Table-1 guard is a precomputed per-turn set
   /// test (protected / good / Λ_v ⊆ {ℓ, φ(ℓ)} / faulty-inward / Ψ>), so one
-  /// activation costs a handful of AND/compare ops. Built whenever
-  /// |Q| = 4k-2 <= 64, i.e. D <= 4; larger D falls back to the scalar path.
+  /// activation costs a handful of AND/compare ops on word 0 of the guard
+  /// sets. The engine's kernel when |Q| = 4k-2 <= 64, i.e. D <= 4.
   [[nodiscard]] core::StateId step_mask(core::StateId q, std::uint64_t mask,
                                         util::Rng& rng) const override;
+  /// Native 256-bit δ: the same guard tests over all four words of the
+  /// guard sets. The engine's kernel when 64 < |Q| <= 256, i.e.
+  /// 5 <= D <= 20; larger D keeps the default (unpack into step_fast).
+  [[nodiscard]] core::StateId step_set(core::StateId q,
+                                       const core::StateSet& set,
+                                       util::Rng& rng) const override;
   [[nodiscard]] bool deterministic() const override { return true; }
   [[nodiscard]] bool native_mask_kernel() const override {
-    return !mask_tables_.empty();
+    return !guards_.empty() && state_count() <= core::SignalView::kMaskBits;
   }
   /// Stateless δ over precomputed per-turn tables: safe to shard.
   [[nodiscard]] bool parallel_safe() const override { return true; }
@@ -90,23 +96,29 @@ class AlgAu final : public core::Automaton {
                                   const core::SignalView& sig) const;
 
  private:
-  /// Per-turn guard masks for the bitmask kernel (empty when |Q| > 64).
-  struct TurnMasks {
-    std::uint64_t adjacent = 0;     // turns whose level is adjacent to ours
-    std::uint64_t in_step = 0;      // turns with level in {ℓ, φ(ℓ)}
-    std::uint64_t af_inward = 0;    // the faulty turn at ψ_{-1}(ℓ), if any
-    std::uint64_t outwards = 0;     // turns with level in Ψ>(ℓ)
+  /// Per-turn Table-1 guard sets, built whenever |Q| <= StateSet::kBits
+  /// (empty otherwise): step_set tests all four words, step_mask word 0.
+  struct TurnGuards {
+    core::StateSet adjacent;        // turns whose level is adjacent to ours
+    core::StateSet in_step;         // turns with level in {ℓ, φ(ℓ)}
+    core::StateSet af_inward;       // the faulty turn at ψ_{-1}(ℓ), if any
+    core::StateSet outwards;        // turns with level in Ψ>(ℓ)
     core::StateId aa_next = 0;      // able φ(ℓ)
     core::StateId af_next = 0;      // faulty ℓ̂ (able turns with |ℓ| >= 2)
     core::StateId fa_next = 0;      // able ψ_{-1}(ℓ) (faulty turns)
     bool has_faulty_twin = false;   // |ℓ| >= 2
   };
-  void build_mask_tables();
+  void build_guards();
+  /// The one guarded δ body behind step_mask and step_set; `Sensed` is the
+  /// 64-bit mask or the StateSet.
+  template <typename Sensed>
+  [[nodiscard]] core::StateId guarded_step(core::StateId q,
+                                           const Sensed& sensed) const;
 
   TurnSystem turns_;
   AlgAuOptions options_;
-  std::vector<TurnMasks> mask_tables_;  // indexed by StateId
-  std::uint64_t faulty_mask_ = 0;       // all faulty turns
+  std::vector<TurnGuards> guards_;  // indexed by StateId
+  core::StateSet faulty_;           // all faulty turns
 };
 
 [[nodiscard]] std::string to_string(AlgAu::TransitionType t);

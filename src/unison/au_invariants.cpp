@@ -44,8 +44,19 @@ bool node_out_protected(const TurnSystem& ts, const graph::Graph& g,
   return true;
 }
 
+const core::Configuration& layout_order(const graph::Graph& g,
+                                        const core::Configuration& c,
+                                        core::Configuration& buffer) {
+  if (!g.reordered()) return c;
+  buffer.resize(c.size());
+  for (core::NodeId i = 0; i < g.num_nodes(); ++i) buffer[i] = c[g.to_user(i)];
+  return buffer;
+}
+
 bool graph_protected(const TurnSystem& ts, const graph::Graph& g,
-                     const core::Configuration& c) {
+                     const core::Configuration& user_c) {
+  core::Configuration buffer;
+  const core::Configuration& c = layout_order(g, user_c, buffer);
   for (const auto& [u, v] : g.edges()) {
     if (!edge_protected(ts, c, u, v)) return false;
   }
@@ -61,7 +72,9 @@ bool graph_good(const TurnSystem& ts, const graph::Graph& g,
 }
 
 bool graph_out_protected(const TurnSystem& ts, const graph::Graph& g,
-                         const core::Configuration& c) {
+                         const core::Configuration& user_c) {
+  core::Configuration buffer;
+  const core::Configuration& c = layout_order(g, user_c, buffer);
   for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
     if (!node_out_protected(ts, g, c, v)) return false;
   }
@@ -69,7 +82,9 @@ bool graph_out_protected(const TurnSystem& ts, const graph::Graph& g,
 }
 
 bool graph_l_out_protected(const TurnSystem& ts, const graph::Graph& g,
-                           const core::Configuration& c, Level l) {
+                           const core::Configuration& user_c, Level l) {
+  core::Configuration buffer;
+  const core::Configuration& c = layout_order(g, user_c, buffer);
   for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
     if (ts.weakly_outwards(ts.level_of(c[v]), l) &&
         !node_out_protected(ts, g, c, v)) {
@@ -93,7 +108,9 @@ bool justifiably_faulty(const TurnSystem& ts, const graph::Graph& g,
 }
 
 bool graph_justified(const TurnSystem& ts, const graph::Graph& g,
-                     const core::Configuration& c) {
+                     const core::Configuration& user_c) {
+  core::Configuration buffer;
+  const core::Configuration& c = layout_order(g, user_c, buffer);
   for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
     if (ts.is_faulty(c[v]) && !justifiably_faulty(ts, g, c, v)) return false;
   }
@@ -101,7 +118,9 @@ bool graph_justified(const TurnSystem& ts, const graph::Graph& g,
 }
 
 std::vector<bool> grounded_nodes(const TurnSystem& ts, const graph::Graph& g,
-                                 const core::Configuration& c) {
+                                 const core::Configuration& user_c) {
+  core::Configuration buffer;
+  const core::Configuration& c = layout_order(g, user_c, buffer);
   const core::NodeId n = g.num_nodes();
   std::vector<bool> is_protected(n);
   for (core::NodeId v = 0; v < n; ++v) {
@@ -132,7 +151,9 @@ std::vector<bool> grounded_nodes(const TurnSystem& ts, const graph::Graph& g,
     }
   }
   std::vector<bool> grounded(n, false);
-  for (core::NodeId v = 0; v < n; ++v) grounded[v] = depth[v] != kUnreached;
+  for (core::NodeId v = 0; v < n; ++v) {
+    grounded[g.to_user(v)] = depth[v] != kUnreached;
+  }
   return grounded;
 }
 

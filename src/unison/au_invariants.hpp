@@ -6,6 +6,13 @@
 // property tests replay Observations 2.1–2.9 and Lemmas 2.10/2.16 against
 // random executions; the monitors use "graph good" as the stabilization
 // criterion (Lem 2.10/2.11/2.18 establish that good ⟹ stabilized).
+//
+// Id spaces: a configuration is indexed by USER id, as Engine::config()
+// returns it, while a reordered graph (graph::reorder) walks its edges in
+// layout ids. The graph-level predicates (graph_*, grounded_nodes,
+// au_safety_holds) bridge the two through layout_order, once per call. The
+// node- and edge-level predicates index `c` and take node ids in the
+// graph's own id space; on an unreordered graph both spaces coincide.
 #pragma once
 
 #include <vector>
@@ -15,6 +22,12 @@
 #include "unison/alg_au.hpp"
 
 namespace ssau::unison {
+
+/// `c` (user-id order) in the graph's layout order: `c` itself when the
+/// graph carries no permutation, otherwise its permuted copy in `buffer`.
+[[nodiscard]] const core::Configuration& layout_order(
+    const graph::Graph& g, const core::Configuration& c,
+    core::Configuration& buffer);
 
 /// λ_v for every node.
 [[nodiscard]] std::vector<Level> levels_of(const TurnSystem& ts,
@@ -68,12 +81,13 @@ namespace ssau::unison {
                                    const core::Configuration& c);
 
 /// Node v is grounded iff it lies on a path of length <= D, entirely within
-/// protected nodes, one endpoint of which has level in {−1, 1}.
+/// protected nodes, one endpoint of which has level in {−1, 1}. `v` is a
+/// user id (it indexes grounded_nodes).
 [[nodiscard]] bool node_grounded(const TurnSystem& ts, const graph::Graph& g,
                                  const core::Configuration& c, core::NodeId v);
 
 /// Grounded flags for all nodes in one pass (BFS over the protected-node
-/// induced subgraph from protected ±1 sources, depth D).
+/// induced subgraph from protected ±1 sources, depth D), indexed by user id.
 [[nodiscard]] std::vector<bool> grounded_nodes(const TurnSystem& ts,
                                                const graph::Graph& g,
                                                const core::Configuration& c);

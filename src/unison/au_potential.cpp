@@ -6,7 +6,9 @@ namespace ssau::unison {
 
 PotentialSnapshot measure_potential(const TurnSystem& ts,
                                     const graph::Graph& g,
-                                    const core::Configuration& c) {
+                                    const core::Configuration& user_c) {
+  core::Configuration buffer;
+  const core::Configuration& c = layout_order(g, user_c, buffer);
   PotentialSnapshot snap;
   for (const auto& [u, v] : g.edges()) {
     if (!edge_protected(ts, c, u, v)) {

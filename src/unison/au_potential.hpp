@@ -34,6 +34,7 @@ struct PotentialSnapshot {
   int max_level_gap = 0;
 };
 
+/// `c` is in user ids, like the graph-level predicates (au_invariants.hpp).
 [[nodiscard]] PotentialSnapshot measure_potential(const TurnSystem& ts,
                                                   const graph::Graph& g,
                                                   const core::Configuration& c);

@@ -1,10 +1,18 @@
 // Unit tests for AlgAU's transition function against Table 1, condition by
-// condition, using hand-built signals.
+// condition, using hand-built signals; its native 256-bit kernel (step_set)
+// against the span-walking step_fast; and the engine's set and sorted-span
+// sense paths on either side of the byte-store boundary (|Q| = 256 / 257).
 #include "unison/alg_au.hpp"
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "core/engine.hpp"
 #include "core/signal.hpp"
+#include "graph/generators.hpp"
+#include "sched/scheduler.hpp"
 
 namespace ssau::unison {
 namespace {
@@ -212,6 +220,116 @@ TEST_F(AlgAuRules, GradientConfigIsGood) {
   EXPECT_EQ(ts_.level_of(c[1]), 2);
   EXPECT_EQ(ts_.level_of(c[2]), 3);
   EXPECT_EQ(ts_.level_of(c[3]), 4);
+}
+
+// --- native 256-bit kernel ---------------------------------------------------
+
+/// A random presence set containing turn q: up to five more turns, drawn
+/// mostly from levels within two steps of q's (so AA, AF and FA all fire)
+/// and otherwise from the whole turn set.
+core::StateSet random_set_around(const TurnSystem& ts, core::StateId q,
+                                 util::Rng& rng) {
+  core::StateSet set;
+  set.insert(q);
+  const Level l = ts.level_of(q);
+  const bool near = rng.below(4) != 0;
+  const auto extra = rng.below(6);
+  for (std::uint64_t i = 0; i < extra; ++i) {
+    if (!near) {
+      set.insert(rng.below(ts.state_count()));
+      continue;
+    }
+    const Level sl = ts.forward(l, static_cast<int>(rng.below(5)) - 2);
+    set.insert(rng.below(2) == 0 || !ts.has_faulty(sl) ? ts.able_id(sl)
+                                                       : ts.faulty_id(sl));
+  }
+  return set;
+}
+
+TEST(AlgAuSetKernel, MatchesStepFastForEveryTurnAndAblation) {
+  // D = 5, 16, 20: |Q| = 66, 198, 246 — one, three and four populated words.
+  for (const int d : {5, 16, 20}) {
+    for (unsigned bits = 0; bits < 8; ++bits) {
+      const AlgAuOptions opts{.af_inward_trigger = (bits & 1u) != 0,
+                              .fa_outward_guard = (bits & 2u) != 0,
+                              .aa_requires_good = (bits & 4u) != 0};
+      const AlgAu alg(d, opts);
+      ASSERT_FALSE(alg.native_mask_kernel());
+      const TurnSystem& ts = alg.turns();
+      util::Rng rng(1000 + 8 * static_cast<std::uint64_t>(d) + bits);
+      std::vector<core::StateId> scratch;
+      std::set<AlgAu::TransitionType> seen;
+      for (core::StateId q = 0; q < alg.state_count(); ++q) {
+        for (int trial = 0; trial < 1000; ++trial) {
+          const core::StateSet set = random_set_around(ts, q, rng);
+          util::Rng r1(0), r2(0);
+          const core::StateId next = alg.step_set(q, set, r1);
+          ASSERT_EQ(next, alg.step_fast(q, core::unpack_set(set, scratch), r2))
+              << "D=" << d << " options=" << bits << " q=" << q;
+          seen.insert(alg.classify(q, next));
+        }
+      }
+      EXPECT_EQ(seen.size(), 4u) << "D=" << d << " options=" << bits;
+    }
+  }
+}
+
+// --- byte-store boundary: set kernel at |Q| = 256, sort at 257 ---------------
+
+/// Deterministic toy automaton whose δ reads the whole signal: its largest
+/// state, its size and one membership test 64 states (one word) away.
+class SpreadAutomaton final : public core::Automaton {
+ public:
+  explicit SpreadAutomaton(core::StateId states) : states_(states) {}
+  [[nodiscard]] core::StateId state_count() const override { return states_; }
+  [[nodiscard]] bool is_output(core::StateId) const override { return true; }
+  [[nodiscard]] std::int64_t output(core::StateId q) const override {
+    return static_cast<std::int64_t>(q);
+  }
+  [[nodiscard]] core::StateId step_fast(core::StateId q,
+                                        const core::SignalView& sig,
+                                        util::Rng&) const override {
+    const core::StateId hop = sig.contains((q + 64) % states_) ? 65 : 1;
+    return (sig.states().back() + 3 * sig.size() + hop) % states_;
+  }
+  [[nodiscard]] bool deterministic() const override { return true; }
+  [[nodiscard]] bool parallel_safe() const override { return true; }
+
+ private:
+  core::StateId states_;
+};
+
+TEST(ByteStoreBoundary, SetAndSortPathsMatchLegacyOracle) {
+  util::Rng rng(41);
+  const graph::Graph g = graph::random_connected(48, 0.2, rng);
+  for (const core::StateId states : {core::StateId{256}, core::StateId{257}}) {
+    const SpreadAutomaton alg(states);
+    const core::Configuration c0 =
+        core::random_configuration(alg, g.num_nodes(), rng);
+    for (const char* sched_name :
+         {"synchronous", "uniform-single", "random-subset", "laggard"}) {
+      for (const core::EngineOptions& opts :
+           {core::EngineOptions{.signal_field = core::SignalFieldMode::kOff},
+            core::EngineOptions{.signal_field = core::SignalFieldMode::kOn},
+            core::EngineOptions{.thread_count = 2,
+                                .sparse_activation_threshold = 2}}) {
+        auto fast_sched = sched::make_scheduler(sched_name, g);
+        auto legacy_sched = sched::make_scheduler(sched_name, g);
+        core::Engine fast(g, alg, *fast_sched, c0, 43, opts);
+        core::Engine legacy(g, alg, *legacy_sched, c0, 43,
+                            core::EngineOptions{.fast_path = false});
+        EXPECT_EQ(fast.compact_config(), states <= 256);
+        for (int s = 0; s < 120; ++s) {
+          fast.step();
+          legacy.step();
+          ASSERT_EQ(fast.config(), legacy.config())
+              << "|Q|=" << states << " " << sched_name << " step " << s;
+        }
+        ASSERT_EQ(fast.rounds_completed(), legacy.rounds_completed());
+        EXPECT_NE(fast.config(), c0) << "|Q|=" << states << " " << sched_name;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -75,15 +75,20 @@ TEST(FastPathDifferential, AlgAuEverySchedulerEveryAdversary) {
 }
 
 TEST(FastPathDifferential, AlgAuLargeDiameterSparsePath) {
-  // D = 5: |Q| = 66 > 64 -> the fast path uses the sorted-span SignalView
-  // (no bitmask, no table) and must still match exactly.
-  const unison::AlgAu alg(5);
+  // D = 5, 16, 20: |Q| = 66, 198, 246 > 64 -> the byte store senses into
+  // the exact 256-bit set and AlgAu's native step_set runs δ; on a dense
+  // graph a random start populates every word it can, and every scheduler
+  // must still match the legacy oracle exactly.
   util::Rng rng(13);
-  const graph::Graph g = graph::cycle(10);
-  const core::Configuration c0 =
-      unison::au_adversarial_configuration("random", alg, g, rng);
-  for (const std::string& sched_name : all_scheduler_names()) {
-    expect_identical_trajectories(g, alg, c0, sched_name, 103, 300);
+  const graph::Graph g = graph::random_bounded_diameter(40, 3, rng);
+  ASSERT_GE(g.avg_degree(), 8.0);
+  for (const int d : {5, 16, 20}) {
+    const unison::AlgAu alg(d);
+    const core::Configuration c0 =
+        unison::au_adversarial_configuration("random", alg, g, rng);
+    for (const std::string& sched_name : all_scheduler_names()) {
+      expect_identical_trajectories(g, alg, c0, sched_name, 103, 300);
+    }
   }
 }
 
@@ -136,40 +141,47 @@ TEST(FastPathDifferential, SmallDeterministicAutomataCompileToTables) {
 TEST(FastPathDifferential, ListenerSeesIdenticalTransitions) {
   // Attaching a listener switches the fast engine off the mask-only loop
   // (rotating-single) or onto the logged-and-replayed synchronous kernel
-  // (synchronous, serial engine: one [0, n) shard); the observed transition
-  // streams must match the legacy engine's exactly.
-  const unison::AlgAu alg(1);
+  // (synchronous, serial engine: one [0, n) shard); the set kernel (D = 16)
+  // emits from its own sense, rescanned or read from a forced-on field. The
+  // observed transition streams must match the legacy engine's exactly.
   util::Rng rng(29);
   const graph::Graph g = graph::cycle(8);
-  const core::Configuration c0 =
-      unison::au_adversarial_configuration("tear", alg, g, rng);
   struct Event {
     core::NodeId v;
     core::StateId from, to;
     core::Time t;
     bool operator==(const Event&) const = default;
   };
-  for (const char* sched_name : {"rotating-single", "synchronous"}) {
-    auto run = [&](bool fast_path) {
-      auto sched = sched::make_scheduler(sched_name, g);
-      core::Engine engine(g, alg, *sched, c0, 131,
-                          core::EngineOptions{.fast_path = fast_path});
-      std::vector<Event> events;
-      std::vector<core::Signal> signals;
-      engine.set_transition_listener(
-          [&](core::NodeId v, core::StateId from, core::StateId to,
-              const core::Signal& sig, core::Time t) {
-            events.push_back({v, from, to, t});
-            signals.push_back(sig);
-          });
-      for (int s = 0; s < 200; ++s) engine.step();
-      return std::make_pair(events, signals);
-    };
-    const auto [fast_events, fast_signals] = run(true);
-    const auto [legacy_events, legacy_signals] = run(false);
-    EXPECT_EQ(fast_events, legacy_events) << sched_name;
-    EXPECT_EQ(fast_signals, legacy_signals) << sched_name;
-    EXPECT_FALSE(fast_events.empty()) << sched_name;
+  for (const int d : {1, 16}) {
+    const unison::AlgAu alg(d);
+    const core::Configuration c0 =
+        unison::au_adversarial_configuration("tear", alg, g, rng);
+    for (const core::SignalFieldMode field :
+         {core::SignalFieldMode::kOff, core::SignalFieldMode::kOn}) {
+      for (const char* sched_name : {"rotating-single", "synchronous"}) {
+        auto run = [&](bool fast_path) {
+          auto sched = sched::make_scheduler(sched_name, g);
+          core::Engine engine(g, alg, *sched, c0, 131,
+                              core::EngineOptions{.fast_path = fast_path,
+                                                  .signal_field = field});
+          std::vector<Event> events;
+          std::vector<core::Signal> signals;
+          engine.set_transition_listener(
+              [&](core::NodeId v, core::StateId from, core::StateId to,
+                  const core::Signal& sig, core::Time t) {
+                events.push_back({v, from, to, t});
+                signals.push_back(sig);
+              });
+          for (int s = 0; s < 200; ++s) engine.step();
+          return std::make_pair(events, signals);
+        };
+        const auto [fast_events, fast_signals] = run(true);
+        const auto [legacy_events, legacy_signals] = run(false);
+        EXPECT_EQ(fast_events, legacy_events) << sched_name << " D=" << d;
+        EXPECT_EQ(fast_signals, legacy_signals) << sched_name << " D=" << d;
+        EXPECT_FALSE(fast_events.empty()) << sched_name << " D=" << d;
+      }
+    }
   }
 }
 
@@ -203,6 +215,31 @@ TEST(FastPathDifferential, ShardedKernelMatchesLegacyOracle) {
       }
       ASSERT_EQ(sharded.rounds_completed(), legacy.rounds_completed());
     }
+  }
+  // D = 16 (|Q| = 198): the 256-bit set kernel at 4 threads, with the
+  // signal field forced on (patched from the shard logs) and forced off.
+  const unison::AlgAu au16(16);
+  const core::Configuration c16 =
+      unison::au_adversarial_configuration("random", au16, g, rng);
+  for (const core::SignalFieldMode field :
+       {core::SignalFieldMode::kOn, core::SignalFieldMode::kOff}) {
+    auto sharded_sched = sched::make_scheduler("synchronous", g);
+    auto legacy_sched = sched::make_scheduler("synchronous", g);
+    core::Engine sharded(
+        g, au16, *sharded_sched, c16, 127,
+        core::EngineOptions{.thread_count = 4, .signal_field = field});
+    core::Engine legacy(g, au16, *legacy_sched, c16, 127,
+                        core::EngineOptions{.fast_path = false});
+    ASSERT_EQ(sharded.shard_count(), 4u);
+    ASSERT_EQ(sharded.signal_field_active(),
+              field == core::SignalFieldMode::kOn);
+    for (int s = 0; s < 120; ++s) {
+      sharded.step();
+      legacy.step();
+      ASSERT_EQ(sharded.config(), legacy.config())
+          << "D=16 field=" << static_cast<int>(field) << " step " << s;
+    }
+    ASSERT_EQ(sharded.rounds_completed(), legacy.rounds_completed());
   }
 }
 
@@ -244,6 +281,40 @@ TEST(FastPathDifferential, SparseKernelMatchesLegacyOracle) {
         for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
           ASSERT_EQ(sparse.activation_count(v), legacy.activation_count(v));
         }
+      }
+    }
+  }
+  // D = 16 (|Q| = 198): the 256-bit set kernel at 4 threads, with the
+  // signal field forced on and forced off. With the field on, steps below
+  // the threshold sense through the field's presence words instead.
+  const unison::AlgAu au16(16);
+  const core::Configuration c16 =
+      unison::au_adversarial_configuration("random", au16, g, rng);
+  for (const core::SignalFieldMode field :
+       {core::SignalFieldMode::kOn, core::SignalFieldMode::kOff}) {
+    for (const char* sched_name : {"laggard", "random-subset", "wave"}) {
+      auto sparse_sched = sched::make_scheduler(sched_name, g);
+      auto legacy_sched = sched::make_scheduler(sched_name, g);
+      core::Engine sparse(
+          g, au16, *sparse_sched, c16, 137,
+          core::EngineOptions{.thread_count = 4,
+                              .sparse_activation_threshold = 8,
+                              .signal_field = field});
+      core::Engine legacy(g, au16, *legacy_sched, c16, 137,
+                          core::EngineOptions{.fast_path = false});
+      ASSERT_EQ(sparse.shard_count(), 4u) << sched_name;
+      ASSERT_EQ(sparse.signal_field_active(),
+                field == core::SignalFieldMode::kOn);
+      for (int s = 0; s < 150; ++s) {
+        sparse.step();
+        legacy.step();
+        ASSERT_EQ(sparse.config(), legacy.config())
+            << "D=16 " << sched_name << " field=" << static_cast<int>(field)
+            << " step " << s;
+      }
+      ASSERT_EQ(sparse.rounds_completed(), legacy.rounds_completed());
+      for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
+        ASSERT_EQ(sparse.activation_count(v), legacy.activation_count(v));
       }
     }
   }

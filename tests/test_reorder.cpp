@@ -35,6 +35,8 @@
 #include "mis/alg_mis.hpp"
 #include "sched/scheduler.hpp"
 #include "unison/alg_au.hpp"
+#include "unison/au_monitor.hpp"
+#include "unison/au_potential.hpp"
 #include "util/binary_io.hpp"
 #include "util/rng.hpp"
 
@@ -541,6 +543,63 @@ TEST(EngineReorder, SnapshotRoundTripCarriesThePermutation) {
   auto stripped_sched = sched::make_scheduler("random-subset", stripped);
   EXPECT_THROW(core::snapshot::restore(bytes, stripped, alg, *stripped_sched),
                util::SnapshotError);
+}
+
+// --- the AU checks on a reordered engine ----------------------------------
+
+TEST(EngineReorder, AuChecksAgreeAcrossLayouts) {
+  // engine.graph() walks layout ids while engine.config() speaks user ids;
+  // the AU checks must bridge the two, or on a reordered engine they judge
+  // edges the run never had (here run_to_good reported round 140 instead
+  // of the true 136). The synchronous trajectory of a deterministic
+  // automaton is the unreordered one relabelled, so every check must read
+  // the same rounds under kOff and kBfs.
+  const unison::AlgAu alg(12);
+  const Graph g0 = random_graph(3000, 6.0, 100);
+  util::Rng init_rng(7);
+  const Configuration c0 =
+      core::random_configuration(alg, g0.num_nodes(), init_rng);
+  std::vector<std::uint64_t> good_rounds;
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>>
+      phase_rounds;
+  std::vector<std::vector<bool>> grounded;
+  std::vector<std::size_t> unprotected_edges;
+  for (const ReorderMode mode : {ReorderMode::kOff, ReorderMode::kBfs}) {
+    Graph g = g0;
+    auto sched = sched::make_scheduler("synchronous", g);
+    Engine e(g, alg, *sched, c0, 42, EngineOptions{.reorder = mode});
+    ASSERT_EQ(g.reordered(), mode == ReorderMode::kBfs);
+    grounded.push_back(unison::grounded_nodes(alg.turns(), g, e.config()));
+    unprotected_edges.push_back(
+        unison::measure_potential(alg.turns(), g, e.config())
+            .non_protected_edges);
+    const core::RunOutcome out = unison::run_to_good(e, alg, 100000);
+    ASSERT_TRUE(out.reached);
+    good_rounds.push_back(out.rounds);
+    EXPECT_TRUE(unison::graph_good(alg.turns(), e.graph(), e.config()));
+    const auto report = unison::verify_post_stabilization(e, alg, 16);
+    EXPECT_TRUE(report.safety_ok);
+    EXPECT_TRUE(report.outputs_ok);
+    EXPECT_TRUE(report.ticks_plus_one);
+    EXPECT_TRUE(report.liveness_ok);
+
+    Graph h = g0;
+    auto phase_sched = sched::make_scheduler("synchronous", h);
+    Engine f(h, alg, *phase_sched, c0, 42, EngineOptions{.reorder = mode});
+    const unison::PhaseTimes phases = unison::track_phases(f, alg, 100000);
+    ASSERT_TRUE(phases.reached_t2);
+    EXPECT_TRUE(phases.monotone);
+    phase_rounds.emplace_back(phases.t0_rounds, phases.t1_rounds,
+                              phases.t2_rounds);
+  }
+  EXPECT_EQ(good_rounds[0], good_rounds[1]);
+  EXPECT_EQ(phase_rounds[0], phase_rounds[1]);
+  EXPECT_EQ(std::get<2>(phase_rounds[0]), good_rounds[0]);
+  // C_0 is far from good: the checks must see the same torn edges and
+  // grounded nodes (indexed by user id) in either layout.
+  EXPECT_GT(unprotected_edges[0], 0u);
+  EXPECT_EQ(unprotected_edges[0], unprotected_edges[1]);
+  EXPECT_EQ(grounded[0], grounded[1]);
 }
 
 }  // namespace

@@ -81,6 +81,23 @@ TEST(SignalScratch, SparsePathMatchesFromStates) {
   }
 }
 
+/// The signal of v under `c`, built the legacy way.
+Signal expected_signal(const graph::Graph& g, const Configuration& c,
+                       NodeId v) {
+  std::vector<StateId> sensed{c[v]};
+  for (const NodeId u : g.neighbors(v)) sensed.push_back(c[u]);
+  return Signal::from_states(std::move(sensed));
+}
+
+/// `c` as a byte-per-node buffer with the engine's gather padding.
+std::vector<std::uint8_t> padded_bytes(const Configuration& c) {
+  std::vector<std::uint8_t> bytes(c.size() + simd::kByteStorePadding, 0xFF);
+  for (std::size_t v = 0; v < c.size(); ++v) {
+    bytes[v] = static_cast<std::uint8_t>(c[v]);
+  }
+  return bytes;
+}
+
 TEST(SignalScratch, MixedBoundaryStates) {
   // Exactly 63 stays on the bitmask path; exactly 64 leaves it.
   const graph::Graph g = graph::path(2);
@@ -88,6 +105,36 @@ TEST(SignalScratch, MixedBoundaryStates) {
   EXPECT_TRUE(scratch.sense(g, {63, 0}, 0).has_mask());
   EXPECT_FALSE(scratch.sense(g, {64, 0}, 0).has_mask());
   EXPECT_FALSE(scratch.sense(g, {0, 64}, 0).has_mask());
+
+  // Byte stores sense through the 256-bit set: every word boundary, alone
+  // and together, must decode to the legacy signal.
+  const std::vector<StateId> edges{0, 63, 64, 127, 128, 191, 192, 255};
+  const graph::Graph k = graph::complete(static_cast<NodeId>(edges.size()));
+  const graph::Graph p = graph::path(static_cast<NodeId>(edges.size()));
+  for (const graph::Graph* h : {&k, &p}) {
+    for (std::size_t shift = 0; shift < edges.size(); ++shift) {
+      Configuration c(edges.size());
+      for (std::size_t v = 0; v < c.size(); ++v) {
+        c[v] = edges[(v + shift) % edges.size()];
+      }
+      const std::vector<std::uint8_t> bytes = padded_bytes(c);
+      for (NodeId v = 0; v < h->num_nodes(); ++v) {
+        const Signal expected = expected_signal(*h, c, v);
+        const SignalView view = scratch.sense(*h, bytes.data(), v);
+        EXPECT_EQ(view.materialize(), expected) << "node " << v;
+        EXPECT_EQ(view.has_mask(), expected.states().back() < 64);
+        if (view.has_mask()) {
+          EXPECT_EQ(view.mask(), SignalView(expected).mask());
+        }
+      }
+    }
+  }
+  // A lone low state keeps the mask; one state per high word drops it.
+  const graph::Graph single = graph::path(2);
+  for (const StateId q : edges) {
+    const std::vector<std::uint8_t> bytes = padded_bytes({q, q});
+    EXPECT_EQ(scratch.sense(single, bytes.data(), 0).has_mask(), q < 64);
+  }
 }
 
 TEST(SignalScratch, RandomizedAgainstFromStates) {
@@ -100,12 +147,45 @@ TEST(SignalScratch, RandomizedAgainstFromStates) {
     Configuration c(g.num_nodes());
     for (auto& q : c) q = rng.below(universe);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      std::vector<StateId> sensed{c[v]};
-      for (const NodeId u : g.neighbors(v)) sensed.push_back(c[u]);
-      const Signal expected = Signal::from_states(std::move(sensed));
-      EXPECT_EQ(scratch.sense(g, c, v).materialize(), expected);
+      EXPECT_EQ(scratch.sense(g, c, v).materialize(),
+                expected_signal(g, c, v));
     }
   }
+  // Byte stores over every word count of the 256-bit set, on a padded
+  // buffer as the engine keeps it.
+  for (int trial = 0; trial < 64; ++trial) {
+    const StateId universe =
+        std::vector<StateId>{60, 64, 65, 128, 129, 192, 193, 256}[trial % 8];
+    Configuration c(g.num_nodes());
+    for (auto& q : c) q = rng.below(universe);
+    const std::vector<std::uint8_t> bytes = padded_bytes(c);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const Signal expected = expected_signal(g, c, v);
+      const SignalView view = scratch.sense(g, bytes.data(), v);
+      EXPECT_EQ(view.materialize(), expected) << "universe " << universe;
+      EXPECT_EQ(view.has_mask(), expected.states().back() < 64);
+    }
+  }
+}
+
+TEST(StateSet, InsertUnpackAndSetAlgebra) {
+  StateSet a;
+  for (const StateId q : {255, 0, 64, 63, 191, 127, 192, 128, 64}) {
+    a.insert(q);
+  }
+  StateSet b;
+  b.insert(191);
+  EXPECT_TRUE(b.subset_of(a));
+  EXPECT_FALSE(a.subset_of(b));
+  EXPECT_TRUE(a.intersects(b));
+  StateSet c;
+  c.insert(190);
+  EXPECT_FALSE(a.intersects(c));
+  EXPECT_TRUE(StateSet{}.subset_of(c));
+  std::vector<StateId> out{7};
+  const SignalView view = unpack_set(a, out);
+  EXPECT_EQ(out, (std::vector<StateId>{0, 63, 64, 127, 128, 191, 192, 255}));
+  EXPECT_FALSE(view.has_mask());
 }
 
 TEST(MakeSignalView, SortsDedupsAndMasks) {
