@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "graph/metrics.hpp"
 
@@ -30,12 +31,13 @@ Graph stream_graph(NodeId n, EmitAll&& emit_all, GraphOptions options = {}) {
 // G(n, p) draw costs O(n + m) instead of the O(n^2) per-pair coin flips.
 // Consumes one geometric draw per kept pair plus one terminal draw —
 // replaying the same rng state therefore re-emits the exact pair sequence,
-// which is what the two-pass builders rely on.
+// which is what the two-pass builders rely on. NaN must be rejected upstream.
 template <typename Edge>
 void sample_pairs(NodeId n, double p, util::Rng& rng, Edge&& edge) {
+  const double log_q = std::log1p(-p);  // once per sampling, not per draw
   const std::uint64_t total =
       n >= 2 ? std::uint64_t{n} * (n - 1) / 2 : 0;
-  std::uint64_t jump = rng.geometric(p);  // >= 1; huge sentinel when p <= 0
+  std::uint64_t jump = rng.geometric(p, log_q);  // >= 1; huge when p <= 0
   if (jump > total) return;
   std::uint64_t idx = jump - 1;
   NodeId u = 0;
@@ -48,9 +50,17 @@ void sample_pairs(NodeId n, double p, util::Rng& rng, Edge&& edge) {
       row_len = n - 1 - u;
     }
     edge(u, static_cast<NodeId>(u + 1 + (idx - row_start)));
-    jump = rng.geometric(p);
+    jump = rng.geometric(p, log_q);
     if (jump >= total - idx) return;  // next index would fall off the end
     idx += jump;
+  }
+}
+
+/// Edge probabilities are compared, never cast: NaN would pass every range
+/// test and reach a float-to-integer conversion, so it is refused outright.
+void require_probability(double p, const char* what) {
+  if (std::isnan(p)) {
+    throw std::invalid_argument(std::string(what) + ": probability is NaN");
   }
 }
 
@@ -169,6 +179,7 @@ Graph dumbbell(NodeId side_size, NodeId bridge_len) {
 
 Graph random_connected(NodeId n, double p, util::Rng& rng) {
   if (n == 0) throw std::invalid_argument("empty graph");
+  require_probability(p, "random_connected");
   // Random spanning tree via random attachment to an already-connected prefix
   // of a random permutation. Drawn once up front (O(n) storage) so both
   // builder passes can re-emit the same tree edges.
@@ -264,6 +275,7 @@ Graph with_edges(const Graph& g,
 }
 
 Graph damaged_clique(NodeId n, double drop_p, util::Rng& rng) {
+  require_probability(drop_p, "damaged_clique");
   // Skip-sample the KEPT edges (probability 1 - drop_p) — still O(n + m),
   // and m ~ n^2 here only because the family is dense by design.
   const double keep_p = 1.0 - drop_p;

@@ -31,7 +31,8 @@ namespace ssau::graph {
 [[nodiscard]] Graph dumbbell(NodeId side_size, NodeId bridge_len);
 
 /// Connected Erdős–Rényi-style graph: a random spanning tree plus each extra
-/// edge kept with probability p.
+/// edge kept with probability p (none for p <= 0, all for p >= 1). Throws
+/// std::invalid_argument for n == 0 or a NaN p.
 [[nodiscard]] Graph random_connected(NodeId n, double p, util::Rng& rng);
 
 /// Random connected graph whose diameter is <= max_diameter: sampled by
@@ -43,6 +44,8 @@ namespace ssau::graph {
 /// "Damaged clique": complete graph with each edge removed with probability
 /// drop_p, conditioned on staying connected — the paper's motivating family
 /// (environmental obstacles disconnect some links of a broadcast network).
+/// Throws std::invalid_argument for a NaN drop_p, and std::runtime_error
+/// when 200 draws all come out disconnected.
 [[nodiscard]] Graph damaged_clique(NodeId n, double drop_p, util::Rng& rng);
 
 /// Wheel: a hub (node 0) joined to every node of an (n-1)-cycle (n >= 4);

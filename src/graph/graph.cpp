@@ -333,16 +333,22 @@ Graph GraphBuilder::finish() && {
   if (phase_ != Phase::kFilling) {
     throw std::logic_error("GraphBuilder::finish before finish_counting");
   }
-  phase_ = Phase::kDone;
-  Graph g(n_);
-  std::size_t half_edges = 0;
-  g.hist_.assign(n_ > 0 ? n_ : 1, 0);
   for (NodeId v = 0; v < n_; ++v) {
     NodeId* base = pool_.data() + pos_[v];
     std::sort(base, base + deg_[v]);
     // Parallel emissions collapse; the freed entries stay as in-slot slack.
     const auto unique_end = std::unique(base, base + deg_[v]);
     deg_[v] = static_cast<std::uint32_t>(unique_end - base);
+  }
+  return std::move(*this).take();
+}
+
+Graph GraphBuilder::take() && {
+  phase_ = Phase::kDone;
+  Graph g(n_);
+  std::size_t half_edges = 0;
+  g.hist_.assign(n_ > 0 ? n_ : 1, 0);
+  for (NodeId v = 0; v < n_; ++v) {
     half_edges += deg_[v];
     ++g.hist_[deg_[v]];
     g.max_degree_ = std::max<std::size_t>(g.max_degree_, deg_[v]);
@@ -359,6 +365,40 @@ Graph GraphBuilder::finish() && {
   // lazily by the first edges() caller (never on the scale path).
   g.edges_dirty_ = true;
   return g;
+}
+
+Graph GraphBuilder::relabel(const Graph& g, std::span<const NodeId> perm,
+                            GraphOptions options) {
+  const NodeId n = g.num_nodes();
+  if (perm.size() != n) {
+    throw std::invalid_argument("relabel: permutation size mismatch");
+  }
+  {
+    std::vector<std::uint8_t> seen(n, 0);
+    for (const NodeId p : perm) {
+      if (p >= n || seen[p]) {
+        throw std::invalid_argument("relabel: not a permutation");
+      }
+      seen[p] = 1;
+    }
+  }
+  GraphBuilder b(n, options);
+  for (NodeId v = 0; v < n; ++v) b.deg_[perm[v]] = g.deg_[v];
+  b.finish_counting();
+  // Old rows are read in order; each lands, whole, in the slot of its new
+  // id. Only those destinations are scattered, so they are prefetched.
+  for (NodeId v = 0; v < n; ++v) {
+    if (v + kRowPrefetchDistance < n) {
+      const NodeId ahead = perm[v + kRowPrefetchDistance];
+      prefetch</*kForWrite=*/true>(b.pool_.data() + b.pos_[ahead]);
+    }
+    const auto row = g.neighbors(v);
+    NodeId* out = b.pool_.data() + b.pos_[perm[v]];
+    for (std::size_t i = 0; i < row.size(); ++i) out[i] = perm[row[i]];
+    std::sort(out, out + row.size());
+    b.deg_[perm[v]] = g.deg_[v];
+  }
+  return std::move(b).take();
 }
 
 }  // namespace ssau::graph

@@ -33,6 +33,21 @@ namespace ssau::graph {
 
 using NodeId = std::uint32_t;
 
+/// How far ahead a walk prefetches rows, in queue slots for a BFS and in
+/// node ids for a sequential pass (see Graph::prefetch_neighbors).
+inline constexpr std::size_t kRowPrefetchDistance = 4;
+
+/// Cache hint: the line at `addr` is about to be read (or, with kForWrite,
+/// written). A no-op where the compiler has no prefetch builtin.
+template <bool kForWrite = false>
+inline void prefetch(const void* addr) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(addr, /*rw=*/kForWrite ? 1 : 0, /*locality=*/1);
+#else
+  static_cast<void>(addr);
+#endif
+}
+
 /// A batch of edge edits — the unit of topology churn. Removals are applied
 /// before insertions; edges absent from the graph are ignored by removal and
 /// already-present edges are ignored by insertion, so a delta is always
@@ -78,6 +93,11 @@ class Graph {
   }
 
   [[nodiscard]] std::size_t degree(NodeId v) const { return deg_[v]; }
+
+  /// Cache hint for an upcoming neighbors(v) read. Queue-driven walks (BFS,
+  /// the reorder's frontier) issue it kRowPrefetchDistance slots ahead, so
+  /// the row's first line is on its way while the current row is scanned.
+  void prefetch_neighbors(NodeId v) const { prefetch(pool_.data() + pos_[v]); }
 
   /// Largest degree over all nodes (0 for an edgeless graph), maintained
   /// incrementally across mutations — consumers (engine scratch sizing,
@@ -282,8 +302,24 @@ class GraphBuilder {
   /// consumed.
   [[nodiscard]] Graph finish() &&;
 
+  /// Row-wise relabel of a finished graph: node perm[v] of the result has
+  /// exactly the neighbours {perm[u] : u in g.neighbors(v)}. Slot offsets
+  /// come from the permuted degrees (laid out under `options` like a
+  /// two-pass build), each new row is the sorted image of one old row,
+  /// written once, and no per-edge scatter runs. Reads only
+  /// g.neighbors() spans, never g.edges(). The result carries no
+  /// user<->internal maps (reorder_graph attaches them). Throws
+  /// std::invalid_argument unless `perm` is an n-element permutation.
+  [[nodiscard]] static Graph relabel(const Graph& g,
+                                     std::span<const NodeId> perm,
+                                     GraphOptions options = {});
+
  private:
   enum class Phase : std::uint8_t { kCounting, kFilling, kDone };
+
+  /// Moves the filled slots (sorted, duplicate-free, deg_ = row lengths)
+  /// into a Graph and computes its degree statistics.
+  [[nodiscard]] Graph take() &&;
 
   NodeId n_;
   GraphOptions options_;

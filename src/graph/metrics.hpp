@@ -10,11 +10,13 @@
 
 namespace ssau::graph {
 
-/// Distances from src to every node (UINT32_MAX if unreachable).
+/// Distances from src to every node (UINT32_MAX if unreachable). Throws
+/// std::invalid_argument unless src < n (so always on the empty graph).
 [[nodiscard]] std::vector<std::uint32_t> bfs_distances(const Graph& g,
                                                        NodeId src);
 
-/// max_v dist(src, v); throws std::runtime_error if g is disconnected.
+/// max_v dist(src, v); throws std::runtime_error if g is disconnected, and
+/// std::invalid_argument like bfs_distances for an out-of-range src.
 [[nodiscard]] std::uint32_t eccentricity(const Graph& g, NodeId src);
 
 /// Exact diameter via all-sources BFS; throws if disconnected.

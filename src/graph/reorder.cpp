@@ -2,12 +2,27 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <numeric>
 #include <stdexcept>
 
 namespace ssau::graph {
 
 namespace {
+
+/// Every node id in ascending (degree, id) order, or descending degree with
+/// ties by ascending id: one counting sort over the degrees, stable in id.
+std::vector<NodeId> by_degree(const Graph& g, bool descending) {
+  const NodeId n = g.num_nodes();
+  const std::size_t top = g.max_degree();
+  const auto key = [&](NodeId v) {
+    return descending ? top - g.degree(v) : g.degree(v);
+  };
+  std::vector<NodeId> start(top + 2, 0);  // bucket k fills [start[k], ...)
+  for (NodeId v = 0; v < n; ++v) ++start[key(v) + 1];
+  for (std::size_t k = 1; k < start.size(); ++k) start[k] += start[k - 1];
+  std::vector<NodeId> order(n);
+  for (NodeId v = 0; v < n; ++v) order[start[key(v)]++] = v;
+  return order;
+}
 
 /// BFS/RCM-style frontier order. Components are entered from their
 /// minimum-degree node (ties by id); within the queue, each dequeued node's
@@ -16,54 +31,35 @@ namespace {
 /// a total order over (degree, id).
 std::vector<NodeId> bfs_order(const Graph& g) {
   const NodeId n = g.num_nodes();
-  std::vector<NodeId> order;
-  order.reserve(n);
+  const std::vector<NodeId> seeds = by_degree(g, /*descending=*/false);
+  std::vector<NodeId> order(n);  // doubles as the BFS queue
   std::vector<std::uint8_t> visited(n, 0);
-
-  // Component seeds, tried in (degree, id) order. The sort is O(n log n)
-  // once — cheap next to the CSR rebuild that follows.
-  std::vector<NodeId> seeds(n);
-  std::iota(seeds.begin(), seeds.end(), NodeId{0});
-  std::sort(seeds.begin(), seeds.end(), [&](NodeId a, NodeId b) {
-    const auto da = g.degree(a), db = g.degree(b);
-    return da != db ? da < db : a < b;
-  });
-
-  std::vector<NodeId> sorted_nb;  // reused per-node neighbor sort buffer
-  sorted_nb.reserve(g.max_degree());
-  std::size_t head = 0;  // `order` doubles as the BFS queue
+  // A frontier's unvisited neighbours sort as packed (degree << 32) | id
+  // keys: one integer compare per step, no degree lookups inside the sort.
+  std::vector<std::uint64_t> keys;
+  keys.reserve(g.max_degree());
+  std::size_t head = 0;
+  std::size_t tail = 0;
   for (const NodeId seed : seeds) {
     if (visited[seed]) continue;
     visited[seed] = 1;
-    order.push_back(seed);
-    while (head < order.size()) {
-      const NodeId v = order[head++];
-      sorted_nb.clear();
-      for (const NodeId u : g.neighbors(v)) {
-        if (!visited[u]) sorted_nb.push_back(u);
+    order[tail++] = seed;
+    while (head < tail) {
+      if (head + kRowPrefetchDistance < tail) {
+        g.prefetch_neighbors(order[head + kRowPrefetchDistance]);
       }
-      std::sort(sorted_nb.begin(), sorted_nb.end(), [&](NodeId a, NodeId b) {
-        const auto da = g.degree(a), db = g.degree(b);
-        return da != db ? da < db : a < b;
-      });
-      for (const NodeId u : sorted_nb) {
-        visited[u] = 1;
-        order.push_back(u);
+      keys.clear();
+      for (const NodeId u : g.neighbors(order[head++])) {
+        if (visited[u]) continue;
+        visited[u] = 1;  // rows hold no duplicates: u is queued once
+        keys.push_back(std::uint64_t{g.degree(u)} << 32 | u);
+      }
+      std::sort(keys.begin(), keys.end());
+      for (const std::uint64_t key : keys) {
+        order[tail++] = static_cast<NodeId>(key);
       }
     }
   }
-  return order;
-}
-
-/// Stable descending-degree order (ties by id): hubs — the endpoints of most
-/// half-edges — pack into the lowest ids and therefore the first cache lines
-/// of every per-node array.
-std::vector<NodeId> degree_order(const Graph& g) {
-  std::vector<NodeId> order(g.num_nodes());
-  std::iota(order.begin(), order.end(), NodeId{0});
-  std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return g.degree(a) > g.degree(b);
-  });
   return order;
 }
 
@@ -77,7 +73,9 @@ std::vector<NodeId> reorder_permutation(const Graph& g, ReorderPolicy policy) {
       order = bfs_order(g);
       break;
     case ReorderPolicy::kDegree:
-      order = degree_order(g);
+      // Hubs — the endpoints of most half-edges — pack into the lowest ids
+      // and therefore the first cache lines of every per-node array.
+      order = by_degree(g, /*descending=*/true);
       break;
     default:
       throw std::invalid_argument("reorder_permutation: unknown policy");
@@ -89,40 +87,12 @@ std::vector<NodeId> reorder_permutation(const Graph& g, ReorderPolicy policy) {
 
 Graph reorder_graph(const Graph& g, const std::vector<NodeId>& perm,
                     GraphOptions options) {
-  const NodeId n = g.num_nodes();
-  if (perm.size() != n) {
-    throw std::invalid_argument("reorder_graph: permutation size mismatch");
-  }
-  {
-    std::vector<std::uint8_t> seen(n, 0);
-    for (const NodeId p : perm) {
-      if (p >= n || seen[p]) {
-        throw std::invalid_argument("reorder_graph: not a permutation");
-      }
-      seen[p] = 1;
-    }
-  }
-
-  // Two-pass streaming rebuild straight into the permuted CSR — the source's
-  // neighbors() spans are the only thing read (never its edges() cache), and
-  // no intermediate edge list is materialized.
-  GraphBuilder b(n, options);
-  for (NodeId v = 0; v < n; ++v) {
-    for (const NodeId u : g.neighbors(v)) {
-      if (v < u) b.count_edge(perm[v], perm[u]);
-    }
-  }
-  b.finish_counting();
-  for (NodeId v = 0; v < n; ++v) {
-    for (const NodeId u : g.neighbors(v)) {
-      if (v < u) b.fill_edge(perm[v], perm[u]);
-    }
-  }
-  Graph out = std::move(b).finish();
+  Graph out = GraphBuilder::relabel(g, perm, options);  // validates perm
 
   // Compose onto the source's provenance so user ids survive repeated
   // reorders: user u sat at g-internal i = g.to_internal(u) and now sits at
   // perm[i].
+  const NodeId n = g.num_nodes();
   std::vector<NodeId> to_internal(n);
   std::vector<NodeId> to_user(n);
   for (NodeId u = 0; u < n; ++u) {

@@ -6,10 +6,10 @@
 // nodes, one cache (and eventually TLB) miss per neighbor. Relabelling the
 // nodes so that neighbors sit close in id space turns those gathers into
 // near-sequential reads of a few cache lines. The permutation is applied at
-// BUILD time (a fresh slack-pooled CSR laid out in the permuted id space via
-// GraphBuilder), so the graph, every engine store indexed by node id, and
-// the signal field all inherit the locality for free — kernels never see
-// original ids.
+// BUILD time (a fresh slack-pooled CSR laid out in the permuted id space by
+// GraphBuilder::relabel), so the graph, every engine store indexed by node
+// id, and the signal field all inherit the locality for free — kernels
+// never see original ids.
 //
 // Policies:
 //   * kBfs — BFS/RCM-style frontier order: components are visited from a
@@ -21,6 +21,13 @@
 //     bulk of all half-edge endpoints) pack into the first cache lines.
 //     Cheaper to compute, weaker locality on flat-degree graphs; wins on
 //     heavy-tailed ones.
+//
+// Both orders are serial, linear passes: the seeds come from one counting
+// sort by degree (stable in id), and a frontier's unvisited neighbours sort
+// as packed (degree << 32) | id keys. The relabel then runs by rows: slot
+// offsets from the permuted degrees, and each new row is the sorted image
+// of one old row, written once. No per-edge scatter runs, and no n-sized
+// array beyond `perm` is held next to the two graphs.
 //
 // Everything here is deterministic: equal graphs yield equal permutations,
 // whatever the thread count — reordering must never change a trajectory
@@ -48,18 +55,19 @@ enum class ReorderPolicy : std::uint8_t {
 
 /// Computes the locality permutation of `g` under `policy`, in the graph's
 /// own (internal) id space: perm[v] is the new id of node v. Deterministic;
-/// O(n log n + m log max_degree) for kBfs, O(n log n) for kDegree.
+/// O(n + max_degree + m log max_degree) for kBfs, O(n + max_degree) for
+/// kDegree.
 [[nodiscard]] std::vector<NodeId> reorder_permutation(const Graph& g,
                                                       ReorderPolicy policy);
 
 /// Builds the relabelled graph: node perm[v] of the result has exactly the
 /// neighbors {perm[u] : u in g.neighbors(v)}, laid out as a fresh
-/// slack-pooled CSR (GraphBuilder two-pass over the source CSR — the source's
-/// lazy edges() cache is never consulted). The result carries the composed
-/// user<->internal permutation: if `g` was itself already reordered, the new
-/// mapping composes on top of g's, so user ids stay stable across repeated
-/// reorders. Throws std::invalid_argument unless `perm` is an n-element
-/// permutation.
+/// slack-pooled CSR (GraphBuilder::relabel, row by row over the source's
+/// neighbors() spans — its lazy edges() cache is never consulted). The
+/// result carries the composed user<->internal permutation: if `g` was
+/// itself already reordered, the new mapping composes on top of g's, so
+/// user ids stay stable across repeated reorders. Throws
+/// std::invalid_argument unless `perm` is an n-element permutation.
 [[nodiscard]] Graph reorder_graph(const Graph& g,
                                   const std::vector<NodeId>& perm,
                                   GraphOptions options = {});

@@ -74,13 +74,20 @@ bool Rng::bernoulli(double p) noexcept {
 }
 
 std::uint64_t Rng::geometric(double p) noexcept {
+  return geometric(p, std::log1p(-p));
+}
+
+std::uint64_t Rng::geometric(double p, double log1p_neg_p) noexcept {
   if (p >= 1.0) return 1;
   if (p <= 0.0) return std::numeric_limits<std::uint64_t>::max();
   // Inverse-CDF sampling: ceil(ln(U) / ln(1-p)) over U in (0,1).
   double u = uniform01();
   while (u <= 0.0) u = uniform01();
-  const double draw = std::ceil(std::log(u) / std::log1p(-p));
-  return draw < 1.0 ? 1 : static_cast<std::uint64_t>(draw);
+  const double draw = std::ceil(std::log(u) / log1p_neg_p);
+  if (draw < 1.0) return 1;
+  // Past 2^64 (p below ~1e-18) the cast would overflow: saturate instead.
+  if (draw >= 0x1p64) return std::numeric_limits<std::uint64_t>::max();
+  return static_cast<std::uint64_t>(draw);
 }
 
 Rng Rng::fork() noexcept {

@@ -48,8 +48,13 @@ class Rng {
   [[nodiscard]] bool coin() noexcept { return (operator()() >> 63) != 0; }
 
   /// Geometric draw: number of trials until first success (support {1,2,...})
-  /// with success probability p in (0,1].
+  /// with success probability p in (0,1]. p <= 0 returns UINT64_MAX without
+  /// drawing ("never"), and so does a draw too large for 64 bits.
   [[nodiscard]] std::uint64_t geometric(double p) noexcept;
+
+  /// geometric(p) for a caller that draws many times at one p: it passes
+  /// log1p_neg_p = std::log1p(-p), computed once. Same draws, same values.
+  [[nodiscard]] std::uint64_t geometric(double p, double log1p_neg_p) noexcept;
 
   /// Derives an independent child stream; deterministic given this stream's
   /// current state.

@@ -2,6 +2,8 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -224,6 +226,92 @@ TEST(GraphBuilderDifferential, RandomFamiliesAreSeedDeterministic) {
     expect_graphs_identical(random_bounded_diameter(50, 3, a),
                             random_bounded_diameter(50, 3, b));
   }
+}
+
+/// FNV-1a over every neighbors() row (its length, then its ids) and the
+/// edge count: a pin on the exact CSR a seed builds.
+std::uint64_t csr_fingerprint(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 0x100000001b3ULL;
+  };
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto row = g.neighbors(v);
+    mix(row.size());
+    for (const NodeId u : row) mix(u);
+  }
+  mix(g.num_edges());
+  return h;
+}
+
+TEST(GraphBuilderDifferential, RandomFamiliesMatchRecordedFingerprints) {
+  // Recorded when sample_pairs still called Rng::geometric(p) per draw,
+  // re-evaluating ln(1 - p) each time. Hoisting it must not change a single
+  // skip: every seed keeps its graph, and the caller's rng ends where it did.
+  struct Pin {
+    std::uint64_t seed;
+    std::uint64_t fingerprint;
+    std::size_t edges;
+    std::uint64_t next_draw;
+  };
+  for (const Pin& pin : {Pin{1, 0x5ae83d3c5d6e6a76ULL, 49745,
+                             17667851736137863031ULL},
+                         Pin{2, 0x1a084205c496ada2ULL, 49742,
+                             12627831474260147685ULL},
+                         Pin{3, 0x6d8a6deb95092f06ULL, 49759,
+                             15429987093486659601ULL}}) {
+    util::Rng rng(pin.seed);
+    const Graph g = random_connected(10'000, 8e-4, rng);
+    EXPECT_EQ(g.num_edges(), pin.edges) << "seed " << pin.seed;
+    EXPECT_EQ(csr_fingerprint(g), pin.fingerprint) << "seed " << pin.seed;
+    EXPECT_EQ(rng(), pin.next_draw) << "seed " << pin.seed;
+  }
+  {
+    util::Rng rng(1);
+    const Graph g = damaged_clique(256, 0.5, rng);
+    EXPECT_EQ(g.num_edges(), 16235u);
+    EXPECT_EQ(csr_fingerprint(g), 0xc242b147a75e5836ULL);
+  }
+  {
+    util::Rng rng(1);
+    const Graph g = random_bounded_diameter(200, 4, rng);
+    EXPECT_EQ(g.num_edges(), 1269u);
+    EXPECT_EQ(csr_fingerprint(g), 0x57d3e74f5ce8691dULL);
+  }
+}
+
+TEST(Generators, EdgeProbabilityBoundaries) {
+  // p <= 0 keeps no extra pair and p >= 1 keeps every pair, neither
+  // drawing. A p so small that its first skip exceeds 2^64 keeps none
+  // either: the skip saturates instead of overflowing its integer cast. NaN
+  // is refused before any draw.
+  const NodeId n = 64;
+  const std::size_t all_pairs = std::size_t{n} * (n - 1) / 2;
+  for (const double p : {0.0, -1.0, -std::numeric_limits<double>::infinity(),
+                         1e-300, std::numeric_limits<double>::denorm_min()}) {
+    util::Rng rng(5);
+    EXPECT_EQ(random_connected(n, p, rng).num_edges(), n - 1u) << p;
+  }
+  for (const double p : {1.0, 2.0, std::numeric_limits<double>::infinity()}) {
+    util::Rng rng(5);
+    util::Rng tree_only(5);
+    EXPECT_EQ(random_connected(n, p, rng).num_edges(), all_pairs) << p;
+    (void)random_connected(n, 0.0, tree_only);
+    EXPECT_EQ(rng(), tree_only()) << "p >= 1 must not draw";
+  }
+  {
+    util::Rng rng(6);
+    EXPECT_EQ(damaged_clique(n, 0.0, rng).num_edges(), all_pairs);
+    EXPECT_EQ(damaged_clique(n, -3.0, rng).num_edges(), all_pairs);
+    EXPECT_THROW(damaged_clique(n, 1.0, rng), std::runtime_error);
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  util::Rng rng(7);
+  util::Rng before = rng;
+  EXPECT_THROW(random_connected(n, nan, rng), std::invalid_argument);
+  EXPECT_THROW(damaged_clique(n, nan, rng), std::invalid_argument);
+  EXPECT_EQ(rng(), before());
 }
 
 TEST(GraphBuilderDifferential, StreamingBuildLeavesEdgesCacheLazy) {

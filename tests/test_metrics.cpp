@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.hpp"
 
@@ -28,6 +32,69 @@ TEST(Metrics, BfsUnreachableIsInfinity) {
   const Graph g(3, {{0, 1}});
   const auto d = bfs_distances(g, 0);
   EXPECT_EQ(d[2], std::numeric_limits<std::uint32_t>::max());
+}
+
+TEST(Metrics, BfsRejectsAnOutOfRangeSource) {
+  EXPECT_THROW((void)bfs_distances(path(4), 7), std::invalid_argument);
+  EXPECT_THROW((void)bfs_distances(path(4), 4), std::invalid_argument);
+  EXPECT_THROW((void)eccentricity(path(4), 4), std::invalid_argument);
+  EXPECT_THROW((void)bfs_distances(Graph(0, {}), 0), std::invalid_argument);
+  EXPECT_EQ(bfs_distances(path(4), 3).front(), 3u);
+}
+
+TEST(Metrics, BfsAgreesWithTextbookBfs) {
+  // The prefetching BFS against the textbook std::queue one, on connected
+  // and fragmented random graphs from several sources.
+  const auto reference = [](const Graph& g, NodeId src) {
+    std::vector<std::uint32_t> dist(g.num_nodes(),
+                                    std::numeric_limits<std::uint32_t>::max());
+    std::queue<NodeId> frontier;
+    dist[src] = 0;
+    frontier.push(src);
+    while (!frontier.empty()) {
+      const NodeId v = frontier.front();
+      frontier.pop();
+      for (const NodeId u : g.neighbors(v)) {
+        if (dist[u] == std::numeric_limits<std::uint32_t>::max()) {
+          dist[u] = dist[v] + 1;
+          frontier.push(u);
+        }
+      }
+    }
+    return dist;
+  };
+  util::Rng rng(3);
+  const Graph connected = random_connected(3000, 3.0 / 3000, rng);
+  const Graph fragmented = without_edges(connected, [&] {
+    std::vector<std::pair<NodeId, NodeId>> cut;
+    for (NodeId v = 0; v < 3000; v += 3) {
+      for (const NodeId u : connected.neighbors(v)) cut.emplace_back(v, u);
+    }
+    return cut;
+  }());
+  ASSERT_FALSE(fragmented.connected());
+  for (const Graph* g : {&connected, &fragmented}) {
+    for (const NodeId src : {0u, 1u, 1234u, 2999u}) {
+      EXPECT_EQ(bfs_distances(*g, src), reference(*g, src)) << src;
+    }
+  }
+  // eccentricity must read the deepest level, and component_labels must
+  // group exactly the mutually reachable nodes.
+  for (const NodeId src : {0u, 1u, 1234u, 2999u}) {
+    const auto dist = reference(connected, src);
+    EXPECT_EQ(eccentricity(connected, src),
+              *std::max_element(dist.begin(), dist.end()));
+    EXPECT_THROW((void)eccentricity(fragmented, src), std::runtime_error);
+  }
+  const auto label = component_labels(fragmented);
+  for (const NodeId src : {0u, 1u, 1234u, 2999u}) {
+    const auto dist = reference(fragmented, src);
+    for (NodeId v = 0; v < fragmented.num_nodes(); ++v) {
+      ASSERT_EQ(label[v] == label[src],
+                dist[v] != std::numeric_limits<std::uint32_t>::max())
+          << src << " -> " << v;
+    }
+  }
 }
 
 TEST(Metrics, EccentricityOfPathEnd) {

@@ -31,6 +31,7 @@
 #include "core/snapshot.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "graph/metrics.hpp"
 #include "le/alg_le.hpp"
 #include "mis/alg_mis.hpp"
 #include "sched/scheduler.hpp"
@@ -187,6 +188,223 @@ TEST(Reorder, NeverTriggersLazyEdgesRebuild) {
                     7, EngineOptions{.reorder = ReorderMode::kBfs});
   reordering.run_rounds(3);
   EXPECT_EQ(fresh.edges_rebuild_count(), 0u);
+}
+
+// --- exactness against the reference implementations -------------------------
+//
+// reorder_permutation counting-sorts its seeds and sorts packed frontier
+// keys, and reorder_graph relabels row by row. The straightforward versions
+// they replaced live on here as references — a comparator sort, a stable
+// sort and a two-pass GraphBuilder edge scatter — and the fast code must
+// reproduce them exactly: permutation, every row, the degree statistics,
+// the slot layout and both id maps.
+
+namespace reference {
+
+std::vector<NodeId> bfs_order(const Graph& g) {
+  const NodeId n = g.num_nodes();
+  std::vector<NodeId> order;
+  order.reserve(n);
+  std::vector<std::uint8_t> visited(n, 0);
+  std::vector<NodeId> seeds(n);
+  std::iota(seeds.begin(), seeds.end(), NodeId{0});
+  std::sort(seeds.begin(), seeds.end(), [&](NodeId a, NodeId b) {
+    const auto da = g.degree(a), db = g.degree(b);
+    return da != db ? da < db : a < b;
+  });
+  std::vector<NodeId> sorted_nb;
+  std::size_t head = 0;
+  for (const NodeId seed : seeds) {
+    if (visited[seed]) continue;
+    visited[seed] = 1;
+    order.push_back(seed);
+    while (head < order.size()) {
+      const NodeId v = order[head++];
+      sorted_nb.clear();
+      for (const NodeId u : g.neighbors(v)) {
+        if (!visited[u]) sorted_nb.push_back(u);
+      }
+      std::sort(sorted_nb.begin(), sorted_nb.end(), [&](NodeId a, NodeId b) {
+        const auto da = g.degree(a), db = g.degree(b);
+        return da != db ? da < db : a < b;
+      });
+      for (const NodeId u : sorted_nb) {
+        visited[u] = 1;
+        order.push_back(u);
+      }
+    }
+  }
+  return order;
+}
+
+std::vector<NodeId> degree_order(const Graph& g) {
+  std::vector<NodeId> order(g.num_nodes());
+  std::iota(order.begin(), order.end(), NodeId{0});
+  std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+    return g.degree(a) > g.degree(b);
+  });
+  return order;
+}
+
+std::vector<NodeId> permutation(const Graph& g, ReorderPolicy policy) {
+  const std::vector<NodeId> order =
+      policy == ReorderPolicy::kBfs ? bfs_order(g) : degree_order(g);
+  std::vector<NodeId> perm(g.num_nodes());
+  for (NodeId k = 0; k < g.num_nodes(); ++k) perm[order[k]] = k;
+  return perm;
+}
+
+Graph reorder_graph(const Graph& g, const std::vector<NodeId>& perm,
+                    graph::GraphOptions options) {
+  const NodeId n = g.num_nodes();
+  graph::GraphBuilder b(n, options);
+  for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId u : g.neighbors(v)) {
+      if (v < u) b.count_edge(perm[v], perm[u]);
+    }
+  }
+  b.finish_counting();
+  for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId u : g.neighbors(v)) {
+      if (v < u) b.fill_edge(perm[v], perm[u]);
+    }
+  }
+  Graph out = std::move(b).finish();
+  std::vector<NodeId> to_internal(n);
+  std::vector<NodeId> to_user(n);
+  for (NodeId u = 0; u < n; ++u) {
+    const NodeId i = perm[g.to_internal(u)];
+    to_internal[u] = i;
+    to_user[i] = u;
+  }
+  out.attach_permutation(std::move(to_internal), std::move(to_user));
+  return out;
+}
+
+}  // namespace reference
+
+void expect_identical_layout(const Graph& got, const Graph& want) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  EXPECT_EQ(got.num_edges(), want.num_edges());
+  EXPECT_EQ(got.max_degree(), want.max_degree());
+  EXPECT_EQ(got.avg_degree(), want.avg_degree());
+  // Equal heap footprints: the same slot capacities (slack included), the
+  // same histogram and the same id maps, with no extra array retained.
+  EXPECT_EQ(got.dynamic_memory_usage(), want.dynamic_memory_usage());
+  for (NodeId v = 0; v < got.num_nodes(); ++v) {
+    const auto a = got.neighbors(v);
+    const auto b = want.neighbors(v);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "row " << v;
+  }
+  EXPECT_TRUE(std::ranges::equal(got.permutation(), want.permutation()));
+  EXPECT_TRUE(std::ranges::equal(got.inverse_permutation(),
+                                 want.inverse_permutation()));
+}
+
+void expect_matches_reference(const Graph& g, graph::GraphOptions options) {
+  for (const ReorderPolicy policy :
+       {ReorderPolicy::kBfs, ReorderPolicy::kDegree}) {
+    SCOPED_TRACE(policy == ReorderPolicy::kBfs ? "bfs" : "degree");
+    const std::vector<NodeId> perm = reorder_permutation(g, policy);
+    ASSERT_EQ(perm, reference::permutation(g, policy));
+    const Graph got = reorder_graph(g, perm, options);
+    expect_identical_layout(got, reference::reorder_graph(g, perm, options));
+    // The churn-facing degree histogram must match too: strip every edge
+    // of the top-degree node and the maintained maximum must walk down alike.
+    Graph got_churned = got;
+    Graph want_churned = reference::reorder_graph(g, perm, options);
+    NodeId hub = 0;
+    for (NodeId v = 1; v < g.num_nodes(); ++v) {
+      if (got.degree(v) > got.degree(hub)) hub = v;
+    }
+    graph::TopologyDelta cut;
+    if (g.num_nodes() > 0) {
+      for (const NodeId u : got.neighbors(hub)) cut.remove.emplace_back(hub, u);
+    }
+    got_churned.apply_delta(cut);
+    want_churned.apply_delta(cut);
+    EXPECT_EQ(got_churned.max_degree(), want_churned.max_degree());
+  }
+}
+
+TEST(ReorderReference, DegreeTiesOnRegularAndRandomGraphs) {
+  expect_matches_reference(graph::torus(30, 40), {});  // all degrees tie
+  expect_matches_reference(graph::hypercube(9), {});
+  expect_matches_reference(graph::star(50), {});
+  // Dense rows (32 and 33 entries), every pair of degrees tied.
+  expect_matches_reference(graph::complete(33), {});
+  expect_matches_reference(graph::complete(34), {});
+  expect_matches_reference(graph::caterpillar(40, 3), {});
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    expect_matches_reference(random_graph(3000, 7.0, seed), {});
+  }
+}
+
+TEST(ReorderReference, ArbitraryPermutationsMatch) {
+  // reorder_graph takes any permutation, not only the locality orders: a
+  // uniform shuffle maps every row, short or long, to an unsorted image.
+  util::Rng rng(29);
+  for (const Graph& g : {random_graph(600, 50.0, 30),
+                         random_graph(2000, 7.0, 31), graph::complete(40)}) {
+    std::vector<NodeId> shuffle(g.num_nodes());
+    std::iota(shuffle.begin(), shuffle.end(), NodeId{0});
+    for (NodeId i = g.num_nodes(); i > 1; --i) {
+      std::swap(shuffle[i - 1], shuffle[rng.below(i)]);
+    }
+    for (const double slack : {0.0, 0.5}) {
+      expect_identical_layout(
+          reorder_graph(g, shuffle, {.slack = slack}),
+          reference::reorder_graph(g, shuffle, {.slack = slack}));
+    }
+  }
+}
+
+TEST(ReorderReference, SeveralComponentsAndIsolatedNodes) {
+  // A sparse G(n, m) draw below the connectivity threshold: a giant
+  // component, small trees and isolated nodes, entered seed by seed.
+  util::Rng rng(17);
+  const NodeId n = 2000;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (int i = 0; i < 900; ++i) {
+    const auto u = static_cast<NodeId>(rng.below(n));
+    const auto v = static_cast<NodeId>(rng.below(n));
+    if (u != v) edges.emplace_back(u, v);
+  }
+  const Graph g(n, std::move(edges));
+  const auto labels = graph::component_labels(g);
+  ASSERT_GT(*std::max_element(labels.begin(), labels.end()), 100u);
+  expect_matches_reference(g, {});
+  expect_matches_reference(Graph(5, {}), {});  // edgeless
+  expect_matches_reference(Graph(0, {}), {});  // empty
+}
+
+TEST(ReorderReference, SlackLayoutsMatch) {
+  const Graph g = random_graph(2500, 6.0, 21);
+  expect_matches_reference(g, {.slack = 0.5});
+  expect_matches_reference(g, {.slack = 2.0});
+}
+
+TEST(ReorderReference, ReorderedAndChurnedSourcesMatch) {
+  // An already-reordered source composes its maps; a churned one reads
+  // rows from relocated slots with slack and dead pool entries.
+  const Graph g = random_graph(2500, 6.0, 22);
+  expect_matches_reference(reorder_graph(g, ReorderPolicy::kDegree), {});
+  expect_matches_reference(reorder_graph(g, ReorderPolicy::kBfs), {});
+  Graph churned = g;
+  util::Rng rng(23);
+  graph::TopologyDelta delta;
+  for (int i = 0; i < 400; ++i) {
+    const auto u = static_cast<NodeId>(rng.below(g.num_nodes()));
+    const auto v = static_cast<NodeId>(rng.below(g.num_nodes()));
+    if (u == v) continue;
+    (i % 3 == 0 ? delta.remove : delta.add).emplace_back(u, v);
+  }
+  for (const NodeId u : g.neighbors(0)) delta.remove.emplace_back(0, u);
+  churned.apply_delta(delta);
+  expect_matches_reference(churned, {});
+  expect_matches_reference(reorder_graph(churned, ReorderPolicy::kBfs),
+                           {.slack = 0.25});
 }
 
 // --- shard sizing -------------------------------------------------------------

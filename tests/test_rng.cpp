@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cmath>
+#include <limits>
 #include <set>
 
 namespace ssau::util {
@@ -114,6 +115,27 @@ TEST(Rng, GeometricMeanMatches) {
 TEST(Rng, GeometricProbabilityOneIsOneTrial) {
   Rng rng(37);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.geometric(1.0), 1u);
+}
+
+TEST(Rng, GeometricWithPrecomputedLogMatchesPlainDraws) {
+  for (const double p : {1e-6, 0.01, 0.25, 0.9, 1.0, 0.0, -0.5}) {
+    Rng plain(41);
+    Rng hoisted(41);
+    const double log_q = std::log1p(-p);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(plain.geometric(p), hoisted.geometric(p, log_q)) << p;
+    }
+    EXPECT_EQ(plain(), hoisted());  // same number of draws consumed
+  }
+}
+
+TEST(Rng, GeometricSaturatesPastSixtyFourBits) {
+  // ln(U) / ln(1 - 1e-300) is ~1e300 trials: no uint64 holds it.
+  Rng rng(43);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(rng.geometric(1e-300), std::numeric_limits<std::uint64_t>::max());
+  }
+  EXPECT_EQ(rng.geometric(0.0), std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(Rng, ForkedStreamsAreIndependentAndDeterministic) {

@@ -140,6 +140,10 @@ TEST(Session, MalformedSpecsThrowInvalidArgument) {
   spec.automaton = "alg-au:3";
   spec.graph = "no-such-family:7";
   EXPECT_THROW(Session{spec}, std::invalid_argument);
+  spec.graph = "random:64:nan";  // NaN edge probability
+  EXPECT_THROW(Session{spec}, std::invalid_argument);
+  spec.graph = "damaged-clique:64:nan";
+  EXPECT_THROW(Session{spec}, std::invalid_argument);
   spec.graph = "complete:8";
   spec.initial = "uniform:100000";  // out of range for |Q|
   EXPECT_THROW(Session{spec}, std::invalid_argument);
