@@ -1,11 +1,14 @@
 // E12 — engine throughput harness (supporting bench, not a paper artifact).
 //
 // Measures simulator throughput (steps/sec and node-activations/sec) for the
-// main automata under the synchronous and asynchronous schedulers, in both
-// engine modes:
-//   * fast   — SignalView scratch + step_fast (+ CompiledAutomaton table
-//              kernel for deterministic |Q| <= 64 automata)
-//   * legacy — per-activation Signal::from_states + virtual Automaton::step
+// main automata under the synchronous and asynchronous schedulers, in two
+// modes:
+//   * fast   — core::Engine: SignalView scratch + step_fast (+
+//              CompiledAutomaton table kernel for deterministic |Q| <= 64
+//              automata)
+//   * legacy — the reference interpreter the tests judge the engine by
+//              (tests/support/reference_engine.hpp): per-activation
+//              Signal::from_states + virtual Automaton::step
 //
 // Writes BENCH_engine.json (machine-readable, schema below) so the perf
 // trajectory is tracked from PR to PR, and prints a table with the per-cell
@@ -116,6 +119,8 @@
 #include "unison/baselines.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
+// Test-side code, not part of libssau: the legacy cells time it.
+#include "../tests/support/reference_engine.hpp"
 
 using namespace ssau;
 
@@ -155,21 +160,32 @@ Measurement run_one(const Workload& w, const graph::Graph& g,
                     bool fast, std::uint64_t seed, unsigned threads = 1,
                     core::SignalFieldMode field = core::SignalFieldMode::kAuto) {
   auto sched = sched::make_scheduler(sched_name, g);
-  core::Engine engine(g, *w.alg, *sched, w.initial, seed,
-                      core::EngineOptions{.fast_path = fast,
-                                          .compile = fast,
-                                          .thread_count = threads,
-                                          .signal_field = field});
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t s = 0; s < steps; ++s) engine.step();
-  const auto t1 = std::chrono::steady_clock::now();
-
   Measurement m;
   m.algorithm = w.name;
   m.scheduler = sched_name;
   m.mode = fast ? "fast" : "legacy";
-  m.kernel = !fast ? "signal"
-             : engine.compiled() != nullptr
+  m.steps = steps;
+  const auto time_steps = [&](auto& engine) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t s = 0; s < steps; ++s) engine.step();
+    const auto t1 = std::chrono::steady_clock::now();
+    m.seconds = std::chrono::duration<double>(t1 - t0).count();
+    for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
+      m.activations += engine.activation_count(v);
+    }
+  };
+  if (!fast) {
+    // The reference interpreter is always serial.
+    oracle::ReferenceEngine engine(g, *w.alg, *sched, w.initial, seed);
+    time_steps(engine);
+    m.kernel = "signal";
+    return m;
+  }
+  core::Engine engine(g, *w.alg, *sched, w.initial, seed,
+                      core::EngineOptions{.thread_count = threads,
+                                          .signal_field = field});
+  time_steps(engine);
+  m.kernel = engine.compiled() != nullptr
                  ? "table"
                  : (w.alg->native_mask_kernel() ? "mask" : "view");
   // Effective shard count, not the request: --threads=0 resolves to hardware
@@ -177,11 +193,6 @@ Measurement run_one(const Workload& w, const graph::Graph& g,
   // what actually executed (also keeps the sweep's threads==1 serial
   // reference well-defined).
   m.threads = engine.shard_count();
-  m.steps = steps;
-  for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
-    m.activations += engine.activation_count(v);
-  }
-  m.seconds = std::chrono::duration<double>(t1 - t0).count();
   m.barrier_wait_ns = engine.barrier_wait_ns();
   m.apply_phase_ns = engine.apply_phase_ns();
   return m;
@@ -199,10 +210,8 @@ void assert_modes_agree(const Workload& w, const graph::Graph& g,
   auto s2 = sched::make_scheduler(sched_name, g);
   auto s3 = sched::make_scheduler(sched_name, g);
   auto s4 = sched::make_scheduler(sched_name, g);
-  core::Engine fast(g, *w.alg, *s1, w.initial, seed,
-                    core::EngineOptions{.fast_path = true, .compile = true});
-  core::Engine legacy(g, *w.alg, *s2, w.initial, seed,
-                      core::EngineOptions{.fast_path = false});
+  core::Engine fast(g, *w.alg, *s1, w.initial, seed);
+  oracle::ReferenceEngine legacy(g, *w.alg, *s2, w.initial, seed);
   core::Engine sharded(g, *w.alg, *s3, w.initial, seed,
                        core::EngineOptions{.thread_count = 4,
                                            .sparse_activation_threshold = 2});

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/snapshot.hpp"
 #include "util/binary_io.hpp"
 
 namespace ssau::core {
@@ -18,38 +19,6 @@ constexpr std::uint32_t kLogVersion = 2;
 constexpr std::uint32_t kMinLogVersion = 1;
 constexpr std::uint32_t kEndianSentinel = 0x01020304;
 constexpr std::uint8_t kHeaderRecord = 0;  // reserved type for the header
-
-void write_options(util::BinaryWriter& w, const EngineOptions& o) {
-  w.u8(o.fast_path ? 1 : 0);
-  w.u8(o.compile ? 1 : 0);
-  w.u32(o.thread_count);
-  w.u64(o.sparse_activation_threshold);
-  w.u8(static_cast<std::uint8_t>(o.signal_field));
-  w.u8(static_cast<std::uint8_t>(o.reorder));
-}
-
-EngineOptions read_options(util::BinaryReader& r, std::uint32_t version) {
-  EngineOptions o;
-  o.fast_path = r.u8() != 0;
-  o.compile = r.u8() != 0;
-  o.thread_count = r.u32();
-  o.sparse_activation_threshold = r.u64();
-  const std::uint8_t mode = r.u8();
-  if (mode > static_cast<std::uint8_t>(SignalFieldMode::kOff)) {
-    throw util::SnapshotError("command log header: bad signal-field mode");
-  }
-  o.signal_field = static_cast<SignalFieldMode>(mode);
-  if (version >= 2) {
-    const std::uint8_t reorder = r.u8();
-    if (reorder > static_cast<std::uint8_t>(ReorderMode::kDegree)) {
-      throw util::SnapshotError("command log header: bad reorder mode");
-    }
-    o.reorder = static_cast<ReorderMode>(reorder);
-  } else {
-    o.reorder = ReorderMode::kOff;
-  }
-  return o;
-}
 
 void write_pairs(util::BinaryWriter& w,
                  const std::vector<std::pair<graph::NodeId, graph::NodeId>>& p) {
@@ -113,7 +82,7 @@ CommandLogWriter::CommandLogWriter(const std::string& path,
   body.f64(header.subset_p);
   body.u32(header.burst);
   body.u64(header.seed);
-  write_options(body, header.options);
+  snapshot::write_options(body, header.options);
   write_record(body.buffer());
 }
 
@@ -268,7 +237,8 @@ CommandLog read_command_log(const std::string& path) {
       log.header.subset_p = body.f64();
       log.header.burst = body.u32();
       log.header.seed = body.u64();
-      log.header.options = read_options(body, version);
+      log.header.options = snapshot::read_options(
+          body, /*has_reorder_byte=*/version >= 2, "command log header");
       saw_header = true;
     } else {
       Command cmd;

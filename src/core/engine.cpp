@@ -111,122 +111,120 @@ Engine::Engine(const graph::Graph& g, const Automaton& alg,
   updates_.configure(automaton_.state_count() <=
                      std::numeric_limits<std::uint32_t>::max());
   randomized_ = !automaton_.deterministic();
-  if (options_.fast_path) {
-    mask_kernel_ = automaton_.state_count() <= SignalView::kMaskBits;
-    set_kernel_ = narrow && !mask_kernel_;
-    if (options_.compile && CompiledAutomaton::compilable(automaton_) &&
-        !automaton_.native_mask_kernel()) {
-      compiled_ = std::make_unique<CompiledAutomaton>(automaton_);
-      stepper_ = compiled_.get();
-      if (compiled_->dense()) {
-        dense_table_ = compiled_->dense_table().data();
-        dense_shift_ = automaton_.state_count();
-      }
+  mask_kernel_ = automaton_.state_count() <= SignalView::kMaskBits;
+  set_kernel_ = narrow && !mask_kernel_;
+  if (CompiledAutomaton::compilable(automaton_) &&
+      !automaton_.native_mask_kernel()) {
+    compiled_ = std::make_unique<CompiledAutomaton>(automaton_);
+    stepper_ = compiled_.get();
+    if (compiled_->dense()) {
+      dense_table_ = compiled_->dense_table().data();
+      dense_shift_ = automaton_.state_count();
     }
-    full_activation_ = scheduler_.full_activation();
-    if (full_activation_) next_store_.reset_zero(graph_.num_nodes(), narrow);
-    scratch_.reserve(graph_.max_degree() + 1);
+  }
+  full_activation_ = scheduler_.full_activation();
+  if (full_activation_) next_store_.reset_zero(graph_.num_nodes(), narrow);
+  scratch_.reserve(graph_.max_degree() + 1);
 
-    unsigned threads =
-        ParallelEngine::resolve_thread_count(options_.thread_count);
-    if (options_.thread_count == 0) {
-      // Auto thread count: scale the worker fleet to what this graph's
-      // working set can feed (see recommended_shard_count) instead of
-      // spawning the whole hardware budget for a cache-resident instance.
-      threads = recommended_shard_count(graph_, threads);
-    }
-    const bool shardable =
-        threads > 1 && graph_.num_nodes() > 1 && automaton_.parallel_safe();
-    // Asynchronous daemons shard only when their activation sets can reach
-    // the sparse threshold (the hint is consulted once; the per-step |A_t|
-    // check is in step_async). Single-node daemons spawn no workers.
-    sparse_eligible_ =
-        shardable && !full_activation_ &&
-        scheduler_.max_activation_hint() >= options_.sparse_activation_threshold;
-    if (shardable && (full_activation_ || sparse_eligible_)) {
-      sync_shards_ = make_shards(graph_, threads);
-      pool_ = std::make_unique<ParallelEngine>(
-          static_cast<unsigned>(sync_shards_.size()));
-    } else if (full_activation_) {
-      // Serial synchronous engines run the shared shard body on one shard.
-      sync_shards_.push_back({0, graph_.num_nodes()});
-    }
-    if (!sync_shards_.empty()) {
-      shard_ws_.resize(sync_shards_.size());
-      for (std::size_t i = 0; i < shard_ws_.size(); ++i) {
-        ShardWorkspace& ws = shard_ws_[i];
-        ws.scratch.reserve(graph_.max_degree() + 1);
-        if (compiled_ && !compiled_->dense() && i != 0) {
-          // Lazy-memo kernels are single-threaded; every shard but 0 gets
-          // its own instance. During a sharded step only shard 0's body
-          // uses the engine-level memo (whichever participant claims it),
-          // and serial steps run between run() calls — so shard 0 shares
-          // it: one warm cache for both the serial and sharded steps of a
-          // threshold-straddling run.
-          ws.compiled = std::make_unique<CompiledAutomaton>(automaton_);
-          ws.stepper = ws.compiled.get();
-        } else {
-          ws.stepper = stepper_;
-        }
+  unsigned threads =
+      ParallelEngine::resolve_thread_count(options_.thread_count);
+  if (options_.thread_count == 0) {
+    // Auto thread count: scale the worker fleet to what this graph's
+    // working set can feed (see recommended_shard_count) instead of
+    // spawning the whole hardware budget for a cache-resident instance.
+    threads = recommended_shard_count(graph_, threads);
+  }
+  const bool shardable =
+      threads > 1 && graph_.num_nodes() > 1 && automaton_.parallel_safe();
+  // Asynchronous daemons shard only when their activation sets can reach
+  // the sparse threshold (the hint is consulted once; the per-step |A_t|
+  // check is in step_async). Single-node daemons spawn no workers.
+  sparse_eligible_ =
+      shardable && !full_activation_ &&
+      scheduler_.max_activation_hint() >= options_.sparse_activation_threshold;
+  if (shardable && (full_activation_ || sparse_eligible_)) {
+    sync_shards_ = make_shards(graph_, threads);
+    pool_ = std::make_unique<ParallelEngine>(
+        static_cast<unsigned>(sync_shards_.size()));
+  } else if (full_activation_) {
+    // Serial synchronous engines run the shared shard body on one shard.
+    sync_shards_.push_back({0, graph_.num_nodes()});
+  }
+  if (!sync_shards_.empty()) {
+    shard_ws_.resize(sync_shards_.size());
+    for (std::size_t i = 0; i < shard_ws_.size(); ++i) {
+      ShardWorkspace& ws = shard_ws_[i];
+      ws.scratch.reserve(graph_.max_degree() + 1);
+      if (compiled_ && !compiled_->dense() && i != 0) {
+        // Lazy-memo kernels are single-threaded; every shard but 0 gets
+        // its own instance. During a sharded step only shard 0's body
+        // uses the engine-level memo (whichever participant claims it),
+        // and serial steps run between run() calls — so shard 0 shares
+        // it: one warm cache for both the serial and sharded steps of a
+        // threshold-straddling run.
+        ws.compiled = std::make_unique<CompiledAutomaton>(automaton_);
+        ws.stepper = ws.compiled.get();
+      } else {
+        ws.stepper = stepper_;
       }
     }
-    if (sparse_eligible_) {
-      // Size the activation workspaces once from the scheduler's bound
-      // (clamped to n), so sharded steps never reallocate mid-run. Serial
-      // engines keep growing lazily to the observed |A_t| instead — a
-      // loose worst-case hint (e.g. random-subset's n) must not charge
-      // engines that never shard for memory they will not touch.
-      const std::size_t hint = std::min<std::size_t>(
-          scheduler_.max_activation_hint(), graph_.num_nodes());
-      active_.reserve(hint);
-      updates_.reserve(hint);
-    }
+  }
+  if (sparse_eligible_) {
+    // Size the activation workspaces once from the scheduler's bound
+    // (clamped to n), so sharded steps never reallocate mid-run. Serial
+    // engines keep growing lazily to the observed |A_t| instead — a
+    // loose worst-case hint (e.g. random-subset's n) must not charge
+    // engines that never shard for memory they will not touch.
+    const std::size_t hint = std::min<std::size_t>(
+        scheduler_.max_activation_hint(), graph_.num_nodes());
+    active_.reserve(hint);
+    updates_.reserve(hint);
+  }
 
-    // Signal-field routing: delta-maintained senses vs dense rescan. kAuto
-    // enables the field only in the serial-daemon regime — activation sets
-    // small enough that the sparse kernel never engages and most of the
-    // graph sits idle per step — on graphs whose neighborhoods are large
-    // enough that the per-sense rescan is worth replacing. |Q| routes the
-    // field's internal representation (flat saturating counters vs compact
-    // sorted multiset), not the on/off decision.
-    // Mask-kernel automata sense in one OR-loop and step in O(1); their
-    // rescan is so lean that delta maintenance needs an order of magnitude
-    // more density to pay for its per-transition patches — and even then
-    // only at low transition rates, which construction cannot see.
-    const bool cheap_sense =
-        mask_kernel_ &&
-        (compiled_ != nullptr || automaton_.native_mask_kernel());
-    bool want_field = false;
-    switch (options_.signal_field) {
-      case SignalFieldMode::kOff:
-        break;
-      case SignalFieldMode::kOn:
-        want_field = true;
-        break;
-      case SignalFieldMode::kAuto: {
-        const std::size_t hint = scheduler_.max_activation_hint();
-        const double degree_floor = cheap_sense
-                                        ? kSignalFieldMaskKernelMinAvgDegree
-                                        : kSignalFieldMinAvgDegree;
-        want_field = !full_activation_ && graph_.num_nodes() > 1 &&
-                     hint < options_.sparse_activation_threshold &&
-                     hint * 2 <= graph_.num_nodes() &&
-                     graph_.avg_degree() >= degree_floor;
-        break;
-      }
+  // Signal-field routing: delta-maintained senses vs dense rescan. kAuto
+  // enables the field only in the serial-daemon regime — activation sets
+  // small enough that the sparse kernel never engages and most of the
+  // graph sits idle per step — on graphs whose neighborhoods are large
+  // enough that the per-sense rescan is worth replacing. |Q| routes the
+  // field's internal representation (flat saturating counters vs compact
+  // sorted multiset), not the on/off decision.
+  // Mask-kernel automata sense in one OR-loop and step in O(1); their
+  // rescan is so lean that delta maintenance needs an order of magnitude
+  // more density to pay for its per-transition patches — and even then
+  // only at low transition rates, which construction cannot see.
+  const bool cheap_sense =
+      mask_kernel_ &&
+      (compiled_ != nullptr || automaton_.native_mask_kernel());
+  bool want_field = false;
+  switch (options_.signal_field) {
+    case SignalFieldMode::kOff:
+      break;
+    case SignalFieldMode::kOn:
+      want_field = true;
+      break;
+    case SignalFieldMode::kAuto: {
+      const std::size_t hint = scheduler_.max_activation_hint();
+      const double degree_floor = cheap_sense
+                                      ? kSignalFieldMaskKernelMinAvgDegree
+                                      : kSignalFieldMinAvgDegree;
+      want_field = !full_activation_ && graph_.num_nodes() > 1 &&
+                   hint < options_.sparse_activation_threshold &&
+                   hint * 2 <= graph_.num_nodes() &&
+                   graph_.avg_degree() >= degree_floor;
+      break;
     }
-    if (want_field) {
-      field_ = std::make_unique<SignalField>(graph_, automaton_.state_count(),
-                                             initial);
-      // Only the heuristic's shakiest bet monitors itself: a kAuto field on
-      // a mask-kernel automaton wins or loses purely on the (unknowable at
-      // construction) transition rate, so it bails out mid-run if patching
-      // proves more expensive than the rescans it replaces. Heavy-sense
-      // automata keep the field unconditionally — their per-sense saving
-      // dwarfs any patch rate a single transition per activation can cause.
-      field_adaptive_ =
-          options_.signal_field == SignalFieldMode::kAuto && cheap_sense;
-    }
+  }
+  if (want_field) {
+    field_ = std::make_unique<SignalField>(graph_, automaton_.state_count(),
+                                           initial);
+    // Only the heuristic's shakiest bet monitors itself: a kAuto field on
+    // a mask-kernel automaton wins or loses purely on the (unknowable at
+    // construction) transition rate, so it bails out mid-run if patching
+    // proves more expensive than the rescans it replaces. Heavy-sense
+    // automata keep the field unconditionally — their per-sense saving
+    // dwarfs any patch rate a single transition per activation can cause.
+    field_adaptive_ =
+        options_.signal_field == SignalFieldMode::kAuto && cheap_sense;
   }
 }
 
@@ -373,9 +371,7 @@ void Engine::maybe_promote_acts() {
 }
 
 void Engine::step() {
-  if (!options_.fast_path) {
-    step_legacy();
-  } else if (full_activation_) {
+  if (full_activation_) {
     step_synchronous();
   } else {
     step_async();
@@ -453,8 +449,8 @@ void Engine::shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
 // inline on the single [0, n) shard otherwise. Serial and sharded
 // steps then share one serial tail: listener replay and field patches from
 // the per-shard logs (shards are contiguous and ascending, so shard-order
-// concatenation IS node order — the observed stream matches the legacy
-// oracle's), the buffer swap, and the round close.
+// concatenation IS node order — the order a per-activation loop over
+// A_t = V emits), the buffer swap, and the round close.
 void Engine::step_synchronous() {
   // The synchronous kernel never *senses* through the signal field, but a
   // live forced-on field must stay consistent across the step. Shards
@@ -767,40 +763,13 @@ void Engine::step_sparse_parallel() {
   maybe_promote_acts();
 }
 
-// The pre-fast-path engine: one owning Signal per activation via sort +
-// dedup, dispatched through Automaton::step. Kept as the differential oracle;
-// it derives randomized draws from the same (seed, node, activation) streams
-// as the fast and sharded kernels, so all paths produce bit-identical
-// trajectories.
-void Engine::step_legacy() {
-  scheduler_.activations(time_, active_, sched_rng_);
-  updates_.clear();
-
-  for (const NodeId v : active_) {
-    sense_buffer_.clear();
-    const StateId cur = store_.get(v);
-    sense_buffer_.push_back(cur);
-    for (const NodeId u : graph_.neighbors(v)) {
-      sense_buffer_.push_back(store_.get(u));
-    }
-    const Signal sig = Signal::from_states(sense_buffer_);
-    const StateId next = automaton_.step(cur, sig, step_rng(v));
-    if (next != cur && listener_) {
-      listener_(graph_.to_user(v), cur, next, sig, time_);
-    }
-    updates_.push(v, next);
-  }
-
-  apply_updates_and_close_rounds();
-}
-
 // Phase 2: apply simultaneously; advance round bookkeeping. A live signal
 // field is patched here from exactly the applied transitions — the single
-// spot all serial-apply engine paths (serial async, listener fallbacks, and
-// the legacy oracle, which never owns a field) flow through. Deliberately
-// NOT timed into apply_phase_ns_: single-activation steps are ~100ns, so a
-// clock read per step here would tax the serial hot loop measurably —
-// apply_phase_ns_ instruments the parallel kernels only.
+// spot all serial-apply engine paths (serial async and the listener
+// fallback) flow through. Deliberately NOT timed into apply_phase_ns_:
+// single-activation steps are ~100ns, so a clock read per step here would
+// tax the serial hot loop measurably — apply_phase_ns_ instruments the
+// parallel kernels only.
 void Engine::apply_updates_and_close_rounds() {
   const bool patch_field = field_live();
   const std::size_t count = updates_.size();
@@ -904,8 +873,7 @@ std::size_t Engine::dynamic_memory_usage() const {
       updates_.dynamic_memory_usage() + scratch_.dynamic_memory_usage() +
       util::DynamicUsage(pending_) + util::DynamicUsage(act32_) +
       util::DynamicUsage(act64_) + util::DynamicUsage(active_) +
-      util::DynamicUsage(sense_buffer_) + util::DynamicUsage(field_scratch_) +
-      util::DynamicUsage(user_view_) +
+      util::DynamicUsage(field_scratch_) + util::DynamicUsage(user_view_) +
       util::DynamicUsage(sync_shards_) + util::DynamicUsage(sparse_shards_);
   if (compiled_) {
     total += sizeof(CompiledAutomaton) + compiled_->dynamic_memory_usage();

@@ -12,7 +12,7 @@
 // The engine is algorithm-agnostic: it drives any core::Automaton under any
 // sched::Scheduler from any initial configuration (the adversary's C_0).
 //
-// Hot path (EngineOptions::fast_path, the default):
+// Kernels:
 //   * sensing follows the configuration store, allocation-free
 //     (core/signal_view.hpp): |Q| <= 64 gathers a 64-bit presence mask for
 //     Automaton::step_mask; 64 < |Q| <= 256 (the rest of the byte-per-node
@@ -36,17 +36,14 @@
 //     O(distinct) span) per sense;
 //   * routing is explicit: kAuto enables the field from the scheduler's
 //     max_activation_hint(), the graph's degree profile, and |Q| (see
-//     EngineOptions::signal_field); kOn forces maintenance on every fast
-//     path; kOff (and the legacy oracle) never touches it;
+//     EngineOptions::signal_field); kOn forces maintenance on every
+//     kernel; kOff never touches it;
 //   * the shard kernels keep the field consistent without sensing through
 //     it: the sparse-activation kernel patches it during its serial phase 2,
 //     the synchronous kernel patches it from the per-shard transition logs
 //     after phase 1, and configuration injections invalidate it for a lazy
 //     rebuild at the next field sense — so the field-sensed trajectory is
 //     bit-identical to the rescan-sensed one at every thread count.
-// The legacy interpreted path (fast_path = false) builds an owning Signal via
-// Signal::from_states per activation and dispatches Automaton::step; it is
-// kept as the differential-testing oracle.
 //
 // Parallel kernels (EngineOptions::thread_count != 1):
 //   * all sharded execution runs on the fork-join shard pool
@@ -109,8 +106,11 @@
 //     Every kernel draws before bumping the node's activation count, so the
 //     derived stream never depends on which shard, thread, or engine path
 //     executed the activation.
-// Consequently the legacy oracle, the serial fast path, and the sharded
-// kernel at every thread count all walk the same trajectory for equal seeds.
+// Consequently the serial kernels and the sharded kernels at every thread
+// count all walk the same trajectory for equal seeds — the trajectory of the
+// literal interpreter the differential suites judge them by
+// (tests/support/reference_engine.hpp: an owning Signal::from_states plus
+// Automaton::step per activation, under the same RNG discipline).
 #pragma once
 
 #include <functional>
@@ -151,8 +151,8 @@ struct RunOutcome {
 
 /// Routing policy for the delta-maintained signal field.
 enum class SignalFieldMode : std::uint8_t {
-  /// Decide from the workload: the field is enabled iff the fast path is on,
-  /// the scheduler is asynchronous (not full-activation), its
+  /// Decide from the workload: the field is enabled iff the scheduler is
+  /// asynchronous (not full-activation), its
   /// max_activation_hint() stays below the sparse-activation threshold AND
   /// below half the node count (daemons activating most of the graph per
   /// step transition too often for delta maintenance to win), and the
@@ -176,9 +176,8 @@ enum class SignalFieldMode : std::uint8_t {
   /// a full observation window shows patches outweighing the rescans saved
   /// (see kSignalFieldAdaptiveWindow). kOn never bails out.
   kAuto = 0,
-  /// Maintain the field on every fast-path engine regardless of the
-  /// heuristic (the differential-testing and forced-benchmark mode). The
-  /// legacy oracle still never uses it. One caveat: after an
+  /// Maintain the field regardless of the heuristic (the
+  /// differential-testing and forced-benchmark mode). One caveat: after an
   /// inject_configuration, a full-activation engine's field stays stale
   /// forever (nothing there ever senses through it, so the lazy rebuild
   /// never triggers) — Engine::signal_field_stale() exposes this to
@@ -214,12 +213,6 @@ enum class ReorderMode : std::uint8_t {
 
 /// Execution-path knobs. Defaults give the fastest exact-semantics engine.
 struct EngineOptions {
-  /// false: legacy interpreted path (owning Signal + Automaton::step per
-  /// activation) — the differential-testing oracle.
-  bool fast_path = true;
-  /// Compile deterministic |Q| <= 64 automata into a transition table
-  /// (ignored when fast_path is false or the automaton is not compilable).
-  bool compile = true;
   /// Shard count for the parallel kernels. 1 (default) = serial; 0 = auto —
   /// resolved through ParallelEngine::resolve_thread_count to
   /// std::thread::hardware_concurrency(), clamped to at least 1 (the
@@ -236,15 +229,14 @@ struct EngineOptions {
   /// shards on the fork-join shard pool. Full-activation schedulers shard
   /// the synchronous kernel; asynchronous daemons with large activation
   /// sets shard both phases of the sparse-activation kernel. Every setting
-  /// produces bit-identical trajectories. Ignored when fast_path is false —
-  /// the legacy oracle is always serial.
+  /// produces bit-identical trajectories.
   unsigned thread_count = 1;
   /// Minimum |A_t| for the sparse-activation sharded kernel. Steps with
   /// smaller activation sets (and daemons whose max_activation_hint() never
   /// reaches it) run the serial per-activation path — below this size the
   /// pool's fork and join cost more than the phase-1 work they split. Purely
   /// a performance knob: trajectories are bit-identical either way. Ignored
-  /// when fast_path is false or thread_count resolves to 1.
+  /// when thread_count resolves to 1.
   std::size_t sparse_activation_threshold = 1024;
   /// Whether the serial per-activation path senses through the
   /// delta-maintained signal field instead of rescanning N+(v) — see
@@ -456,9 +448,9 @@ class UpdateList {
 
 class Engine {
  public:
-  /// Observes every state transition (from != to) as it is applied. On the
-  /// fast path the Signal is materialized into one engine-owned scratch that
-  /// is reused across callbacks (no per-transition allocation once warm);
+  /// Observes every state transition (from != to) as it is applied. The
+  /// Signal is materialized into one engine-owned scratch that is reused
+  /// across callbacks (no per-transition allocation once warm);
   /// the reference is only valid for the duration of the call — listeners
   /// that keep signals must copy them.
   using TransitionListener = std::function<void(
@@ -547,8 +539,9 @@ class Engine {
   [[nodiscard]] const graph::Graph& graph() const { return graph_; }
   [[nodiscard]] const Automaton& automaton() const { return automaton_; }
   [[nodiscard]] const sched::Scheduler& scheduler() const { return scheduler_; }
-  /// The compiled table kernel, or nullptr when the automaton was not
-  /// compiled (randomized, |Q| > 64, or disabled via EngineOptions).
+  /// The compiled table kernel, or nullptr when the automaton is not
+  /// compiled: randomized, |Q| > 64, or carrying its own native mask kernel
+  /// (every other automaton is compiled at construction).
   [[nodiscard]] const CompiledAutomaton* compiled() const {
     return compiled_.get();
   }
@@ -572,8 +565,8 @@ class Engine {
 
   /// Shard count of the parallel kernels (synchronous or sparse-activation),
   /// or 1 when the engine runs serial (thread_count 1, a daemon whose
-  /// activation sets stay below the sparse threshold, a parallel-unsafe
-  /// automaton, or the legacy path).
+  /// activation sets stay below the sparse threshold, or a parallel-unsafe
+  /// automaton).
   [[nodiscard]] unsigned shard_count() const {
     return pool_ ? pool_->participants() : 1;
   }
@@ -675,7 +668,6 @@ class Engine {
   void step_synchronous();
   void step_async();
   void step_sparse_parallel();
-  void step_legacy();
   void apply_updates_and_close_rounds();
 
   /// Rebuilds the signal field from the current configuration if an
@@ -691,7 +683,7 @@ class Engine {
   /// (i.e. applied transitions must patch it to keep it that way).
   [[nodiscard]] bool field_live() const { return field_ && !field_stale_; }
 
-  /// Fast-path listener dispatch: refills the reusable scratch Signal from
+  /// Listener dispatch: refills the reusable scratch Signal from
   /// the view's span (no allocation once warm) and invokes the callback.
   /// `v` is an internal id; the listener, like every public surface, sees
   /// the user id.
@@ -819,7 +811,7 @@ class Engine {
   Time time_ = 0;
   EngineOptions options_;
 
-  // Fast-path kernel state.
+  // Kernel state.
   std::unique_ptr<CompiledAutomaton> compiled_;
   const Automaton* stepper_;       // compiled_ if present, else &automaton_
   bool full_activation_ = false;   // scheduler guarantees A_t = V
@@ -923,7 +915,6 @@ class Engine {
   // Reused scratch buffers.
   std::vector<NodeId> active_;
   UpdateList updates_;
-  std::vector<StateId> sense_buffer_;
   // config()'s user-id-order translation of the store (reordered graphs
   // only; empty otherwise).
   mutable Configuration user_view_;

@@ -57,38 +57,11 @@ std::uint64_t hash_graph(const graph::Graph& g) {
   return h;
 }
 
-void write_options(util::BinaryWriter& w, const EngineOptions& o) {
-  w.u8(o.fast_path ? 1 : 0);
-  w.u8(o.compile ? 1 : 0);
-  w.u32(o.thread_count);
-  w.u64(o.sparse_activation_threshold);
-  w.u8(static_cast<std::uint8_t>(o.signal_field));
-  w.u8(static_cast<std::uint8_t>(o.reorder));
-}
-
-EngineOptions read_options(util::BinaryReader& r, std::uint32_t version) {
-  EngineOptions o;
-  o.fast_path = r.u8() != 0;
-  o.compile = r.u8() != 0;
-  o.thread_count = r.u32();
-  o.sparse_activation_threshold = r.u64();
-  const std::uint8_t mode = r.u8();
-  if (mode > static_cast<std::uint8_t>(SignalFieldMode::kOff)) {
-    throw util::SnapshotError("snapshot options: bad signal-field mode");
-  }
-  o.signal_field = static_cast<SignalFieldMode>(mode);
-  if (version >= 3) {
-    const std::uint8_t reorder = r.u8();
-    if (reorder > static_cast<std::uint8_t>(ReorderMode::kDegree)) {
-      throw util::SnapshotError("snapshot options: bad reorder mode");
-    }
-    o.reorder = static_cast<ReorderMode>(reorder);
-  } else {
-    // Pre-v3 writers never reordered; kOff (not the kAuto default) keeps a
-    // restored engine from inventing a layout the state arrays don't have.
-    o.reorder = ReorderMode::kOff;
-  }
-  return o;
+/// Section 1 as this file's `version` lays it out.
+EngineOptions read_snapshot_options(util::BinaryReader& r,
+                                    std::uint32_t version) {
+  return read_options(r, /*has_reorder_byte=*/version >= 3,
+                      "snapshot options");
 }
 
 /// Section-3 trailer (v3+): the serialized user->internal relabelling, or an
@@ -157,6 +130,43 @@ util::BinaryReader open_payload(std::span<const std::uint8_t> bytes,
 
 }  // namespace
 
+void write_options(util::BinaryWriter& w, const EngineOptions& o) {
+  // The retired fast_path and compile bytes, as every default engine wrote
+  // them.
+  w.u8(1);
+  w.u8(1);
+  w.u32(o.thread_count);
+  w.u64(o.sparse_activation_threshold);
+  w.u8(static_cast<std::uint8_t>(o.signal_field));
+  w.u8(static_cast<std::uint8_t>(o.reorder));
+}
+
+EngineOptions read_options(util::BinaryReader& r, bool has_reorder_byte,
+                           const std::string& context) {
+  r.skip(2);  // the retired fast_path and compile bytes
+  EngineOptions o;
+  o.thread_count = r.u32();
+  o.sparse_activation_threshold = r.u64();
+  const std::uint8_t mode = r.u8();
+  if (mode > static_cast<std::uint8_t>(SignalFieldMode::kOff)) {
+    throw util::SnapshotError(context + ": bad signal-field mode");
+  }
+  o.signal_field = static_cast<SignalFieldMode>(mode);
+  if (has_reorder_byte) {
+    const std::uint8_t reorder = r.u8();
+    if (reorder > static_cast<std::uint8_t>(ReorderMode::kDegree)) {
+      throw util::SnapshotError(context + ": bad reorder mode");
+    }
+    o.reorder = static_cast<ReorderMode>(reorder);
+  } else {
+    // Writers before the reorder byte never reordered; kOff (not the kAuto
+    // default) keeps a restored engine from inventing a layout the state
+    // arrays don't have.
+    o.reorder = ReorderMode::kOff;
+  }
+  return o;
+}
+
 std::vector<std::uint8_t> save(const Engine& engine) {
   const graph::Graph& g = engine.graph();
   const EdgesGuard guard(g);
@@ -218,7 +228,7 @@ Info inspect(std::span<const std::uint8_t> bytes) {
   std::uint32_t version = kSnapshotVersion;
   auto r = open_payload(bytes, &version);
   Info info;
-  info.options = read_options(r, version);
+  info.options = read_snapshot_options(r, version);
   info.state_count = r.u64();
   info.deterministic = r.u8() != 0;
   info.num_nodes = r.u32();
@@ -251,7 +261,7 @@ Info inspect(std::span<const std::uint8_t> bytes) {
 graph::Graph restore_graph(std::span<const std::uint8_t> bytes) {
   std::uint32_t version = kSnapshotVersion;
   auto r = open_payload(bytes, &version);
-  read_options(r, version);
+  read_snapshot_options(r, version);
   r.skip(8 + 1);  // automaton identity
   const graph::NodeId n = r.u32();
   const std::uint64_t m = r.u64();
@@ -301,7 +311,7 @@ std::unique_ptr<Engine> restore(std::span<const std::uint8_t> bytes,
                                 std::optional<EngineOptions> options_override) {
   std::uint32_t version = kSnapshotVersion;
   auto r = open_payload(bytes, &version);
-  const EngineOptions saved_options = read_options(r, version);
+  const EngineOptions saved_options = read_snapshot_options(r, version);
 
   const std::uint64_t state_count = r.u64();
   const bool deterministic = r.u8() != 0;

@@ -19,9 +19,12 @@
 //   24+len  4     CRC-32 over bytes [0, 24 + len)
 //
 // Payload sections, in order:
-//   1. engine options     fast_path u8, compile u8, thread_count u32,
+//   1. engine options     two retired u8s, thread_count u32,
 //                         sparse_activation_threshold u64, signal_field u8,
-//                         then (v3+) reorder u8
+//                         then (v3+) reorder u8. The retired bytes held the
+//                         removed fast_path and compile switches: writers
+//                         emit both as 1 (what every default engine wrote)
+//                         and readers ignore them
 //   2. automaton identity state_count u64, deterministic u8 (restore
 //                         validates the caller's automaton against these)
 //   3. graph              n u32, m u64, m edge pairs (u32 < u32, sorted) —
@@ -103,6 +106,17 @@ struct Info {
   Time time = 0;
   std::uint64_t rounds = 0;
 };
+
+/// Section 1, the engine options — one codec for both persistent formats:
+/// the command-log header (core/command_log.hpp) carries the same bytes.
+/// `has_reorder_byte` is false for snapshot v1/v2 and command-log v1, which
+/// predate EngineOptions::reorder; those read back as ReorderMode::kOff,
+/// what their writers ran. Malformed modes throw util::SnapshotError
+/// prefixed with `context`.
+void write_options(util::BinaryWriter& w, const EngineOptions& o);
+[[nodiscard]] EngineOptions read_options(util::BinaryReader& r,
+                                         bool has_reorder_byte,
+                                         const std::string& context);
 
 /// Serializes the engine's full state. Never touches Graph::edges() — the
 /// CSR slots are walked directly (the lazy edges() cache is not safe under

@@ -1,6 +1,7 @@
 #include "restart/restart.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "util/strings.hpp"
@@ -10,6 +11,12 @@ namespace ssau::restart {
 RestartRules::RestartRules(int diameter_bound) : d_(diameter_bound) {
   if (diameter_bound < 1) {
     throw std::invalid_argument("RestartRules: diameter bound must be >= 1");
+  }
+  // The chain has 2D + 1 states. Hosts that embed it (AlgMis, AlgLe)
+  // construct this member first, so their own D + small-constant
+  // arithmetic is covered by the same bound.
+  if (diameter_bound > (std::numeric_limits<int>::max() - 1) / 2) {
+    throw std::invalid_argument("RestartRules: diameter bound too large");
   }
 }
 

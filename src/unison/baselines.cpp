@@ -1,6 +1,7 @@
 #include "unison/baselines.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "util/strings.hpp"
@@ -30,6 +31,12 @@ ResetUnison::ResetUnison(int diameter_bound, int modulus)
     : d_(diameter_bound), m_(modulus) {
   if (diameter_bound < 1 || modulus < 3) {
     throw std::invalid_argument("ResetUnison: need D >= 1, modulus >= 3");
+  }
+  // Derived ints: the state count M + 2D + 1, and the clock arithmetic's
+  // c + M - 1 with c < M.
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  if (2LL * modulus > kIntMax || modulus + 2LL * diameter_bound + 1 > kIntMax) {
+    throw std::invalid_argument("ResetUnison: D or modulus too large");
   }
 }
 

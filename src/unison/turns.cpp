@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "util/strings.hpp"
@@ -11,6 +12,11 @@ namespace ssau::unison {
 TurnSystem::TurnSystem(int diameter_bound) : d_(diameter_bound) {
   if (diameter_bound < 1) {
     throw std::invalid_argument("TurnSystem: diameter bound must be >= 1");
+  }
+  // The largest derived int is 4k = 12D + 8 (the state count 4k - 2, and
+  // the clock arithmetic's 2k-modulus plus an offset below 2k).
+  if (diameter_bound > (std::numeric_limits<int>::max() - 8) / 12) {
+    throw std::invalid_argument("TurnSystem: diameter bound too large");
   }
   k_ = 3 * d_ + 2;
 }

@@ -13,6 +13,7 @@
 #include "core/signal.hpp"
 #include "graph/generators.hpp"
 #include "sched/scheduler.hpp"
+#include "support/reference_engine.hpp"
 
 namespace ssau::unison {
 namespace {
@@ -316,8 +317,7 @@ TEST(ByteStoreBoundary, SetAndSortPathsMatchLegacyOracle) {
         auto fast_sched = sched::make_scheduler(sched_name, g);
         auto legacy_sched = sched::make_scheduler(sched_name, g);
         core::Engine fast(g, alg, *fast_sched, c0, 43, opts);
-        core::Engine legacy(g, alg, *legacy_sched, c0, 43,
-                            core::EngineOptions{.fast_path = false});
+        oracle::ReferenceEngine legacy(g, alg, *legacy_sched, c0, 43);
         EXPECT_EQ(fast.compact_config(), states <= 256);
         for (int s = 0; s < 120; ++s) {
           fast.step();

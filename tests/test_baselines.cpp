@@ -71,6 +71,12 @@ TEST(ResetUnison, StateLayoutAndNames) {
   EXPECT_EQ(alg.state_name(alg.clock_id(2)), "2");
   EXPECT_THROW(ResetUnison(0, 8), std::invalid_argument);
   EXPECT_THROW(ResetUnison(3, 2), std::invalid_argument);
+  // The state count M + 2D + 1 and the clock sum c + M - 1 (c < M) must
+  // fit an int.
+  EXPECT_EQ(ResetUnison(1073741820, 5).state_count(), 2147483646u);
+  EXPECT_THROW(ResetUnison(1073741821, 5), std::invalid_argument);
+  EXPECT_EQ(ResetUnison(1, 1073741823).state_count(), 1073741826u);
+  EXPECT_THROW(ResetUnison(1, 1073741824), std::invalid_argument);
 }
 
 TEST(ResetUnison, TickAndDetect) {

@@ -3,10 +3,11 @@
 //
 // Two oracle notions cover the two halves of the refactor:
 //
-//   * TRAJECTORY oracle — the legacy interpreted engine (fast_path = false).
-//     It owns NO topology-derived state beyond the graph itself (no signal
-//     field, no scratch masks, no shard plan), so "legacy engine + the same
-//     in-place graph edits" is exactly a rebuilt-from-scratch engine that
+//   * TRAJECTORY oracle — the reference interpreter
+//     (tests/support/reference_engine.hpp). It owns NO topology-derived
+//     state beyond the graph itself (no signal field, no scratch masks, no
+//     shard plan), so "reference interpreter + the same in-place graph
+//     edits" is exactly a rebuilt-from-scratch engine that
 //     carried every piece of continuation state (time, rounds, rng streams)
 //     across each event. Any drift in the delta-patched fast/field/sharded
 //     engines — configs, time, round stamps, activation counts, listener
@@ -39,6 +40,7 @@
 #include "sync/simple_sync_algs.hpp"
 #include "unison/alg_au.hpp"
 #include "util/rng.hpp"
+#include "support/reference_engine.hpp"
 
 namespace ssau {
 namespace {
@@ -85,7 +87,7 @@ std::vector<graph::TopologyDelta> make_churn_script(const graph::Graph& base,
 }
 
 /// Drives a delta-patched engine (field forced on, tiny sparse threshold,
-/// `threads` shards) and the legacy oracle in lockstep through a churn
+/// `threads` shards) and the reference interpreter in lockstep through a churn
 /// script, asserting full observable equality after every step and every
 /// churn event.
 void expect_churn_matches_oracle(const graph::Graph& base,
@@ -103,8 +105,7 @@ void expect_churn_matches_oracle(const graph::Graph& base,
                         .thread_count = threads,
                         .sparse_activation_threshold = 2,
                         .signal_field = core::SignalFieldMode::kOn});
-  core::Engine legacy(legacy_g, alg, *legacy_sched, initial, seed,
-                      core::EngineOptions{.fast_path = false});
+  oracle::ReferenceEngine legacy(legacy_g, alg, *legacy_sched, initial, seed);
   ASSERT_TRUE(fast.signal_field_active());
 
   const std::vector<graph::TopologyDelta> script =
@@ -227,8 +228,7 @@ TEST(ChurnDifferential, DeltaCrossesTheDenseSparseFieldBoundary) {
   core::Engine fast(fast_g, alg, *fast_sched, c0, 433,
                     core::EngineOptions{
                         .signal_field = core::SignalFieldMode::kOn});
-  core::Engine legacy(legacy_g, alg, *legacy_sched, c0, 433,
-                      core::EngineOptions{.fast_path = false});
+  oracle::ReferenceEngine legacy(legacy_g, alg, *legacy_sched, c0, 433);
   ASSERT_TRUE(fast.signal_field_active());
   ASSERT_TRUE(fast.signal_field()->dense());
 
@@ -326,8 +326,7 @@ TEST(ChurnStateOracle, DeltaWhileFieldStaleRebuildsAgainstChurnedGraph) {
   core::Engine fast(fast_g, alg, *fast_sched, c0, 373,
                     core::EngineOptions{
                         .signal_field = core::SignalFieldMode::kOn});
-  core::Engine legacy(legacy_g, alg, *legacy_sched, c0, 373,
-                      core::EngineOptions{.fast_path = false});
+  oracle::ReferenceEngine legacy(legacy_g, alg, *legacy_sched, c0, 373);
   ASSERT_TRUE(fast.signal_field_active());
 
   auto lockstep = [&](int steps) {
@@ -375,10 +374,7 @@ TEST(ChurnDifferential, ListenerStreamsMatchOracleAcrossChurn) {
   };
   const auto script = make_churn_script(base, 4, 389);
   for (const char* sched_name : {"uniform-single", "synchronous", "wave"}) {
-    auto run = [&](core::EngineOptions opts) {
-      graph::Graph g = base;
-      auto sched = sched::make_scheduler(sched_name, g);
-      core::Engine engine(g, alg, *sched, c0, 397, opts);
+    const auto observe = [&](auto& engine) {
       std::vector<Event> events;
       std::vector<core::Signal> signals;
       engine.set_transition_listener(
@@ -394,11 +390,17 @@ TEST(ChurnDifferential, ListenerStreamsMatchOracleAcrossChurn) {
       for (int s = 0; s < 80; ++s) engine.step();
       return std::make_pair(events, signals);
     };
-    const auto [field_events, field_signals] =
-        run({.thread_count = 4,
-             .sparse_activation_threshold = 2,
-             .signal_field = core::SignalFieldMode::kOn});
-    const auto [legacy_events, legacy_signals] = run({.fast_path = false});
+    graph::Graph field_g = base;
+    auto field_sched = sched::make_scheduler(sched_name, field_g);
+    core::Engine field(field_g, alg, *field_sched, c0, 397,
+                       {.thread_count = 4,
+                        .sparse_activation_threshold = 2,
+                        .signal_field = core::SignalFieldMode::kOn});
+    graph::Graph legacy_g = base;
+    auto legacy_sched = sched::make_scheduler(sched_name, legacy_g);
+    oracle::ReferenceEngine legacy(legacy_g, alg, *legacy_sched, c0, 397);
+    const auto [field_events, field_signals] = observe(field);
+    const auto [legacy_events, legacy_signals] = observe(legacy);
     EXPECT_EQ(field_events, legacy_events) << sched_name;
     EXPECT_EQ(field_signals, legacy_signals) << sched_name;
     EXPECT_FALSE(field_events.empty()) << sched_name;
@@ -473,8 +475,8 @@ TEST(ChurnApi, WaveSchedulerFollowsTheChurnedTopology) {
 
 TEST(ChurnApi, PartitionAndHealScript) {
   // Scripted partition-and-heal: split a damaged clique, let AU run
-  // fragmented, heal, and verify the engine tracks the legacy oracle across
-  // both events (the heal delta is the partition delta's inverse).
+  // fragmented, heal, and verify the engine tracks the reference interpreter
+  // across both events (the heal delta is the partition delta's inverse).
   const unison::AlgAu alg(3);
   util::Rng rng(419);
   graph::Graph fast_g = graph::damaged_clique(14, 0.15, rng);
@@ -493,8 +495,7 @@ TEST(ChurnApi, PartitionAndHealScript) {
   core::Engine fast(fast_g, alg, *fast_sched, c0, 421,
                     core::EngineOptions{
                         .signal_field = core::SignalFieldMode::kOn});
-  core::Engine legacy(legacy_g, alg, *legacy_sched, c0, 421,
-                      core::EngineOptions{.fast_path = false});
+  oracle::ReferenceEngine legacy(legacy_g, alg, *legacy_sched, c0, 421);
   auto lockstep = [&](int steps) {
     for (int s = 0; s < steps; ++s) {
       fast.step();

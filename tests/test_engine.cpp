@@ -7,6 +7,7 @@
 #include "core/automaton.hpp"
 #include "graph/generators.hpp"
 #include "sched/scheduler.hpp"
+#include "support/reference_engine.hpp"
 #include "sync/simple_sync_algs.hpp"
 
 namespace ssau::core {
@@ -109,27 +110,31 @@ TEST(Engine, RoundIndexNowRoundsUpMidRound) {
 TEST(Engine, RoundIndexNowExactlyAtBoundaries) {
   // Satellite regression: at every time R(i) (including t = 0 = R(0)) the
   // round stamp must be exactly i — not i+1 — and strictly inside a round it
-  // must round up. Exercised over several consecutive rounds and under both
-  // engine paths.
-  for (const bool fast : {false, true}) {
-    const graph::Graph g = graph::path(3);
-    CounterAutomaton alg(100);
-    sched::RotatingSingleScheduler sched(3);
-    Engine engine(g, alg, sched, Configuration(3, 0), 1,
-                  EngineOptions{.fast_path = fast});
+  // must round up. Exercised over several consecutive rounds, on the engine
+  // and on the reference interpreter.
+  const auto check = [](auto& engine, const char* label) {
     EXPECT_EQ(engine.time(), 0u);
     EXPECT_EQ(engine.round_index_now(), 0u);  // t = 0 = R(0)
     for (std::uint64_t i = 1; i <= 4; ++i) {
       engine.step();  // node 0: round i begins
-      EXPECT_EQ(engine.round_index_now(), i) << "mid-round, fast=" << fast;
+      EXPECT_EQ(engine.round_index_now(), i) << "mid-round, " << label;
       engine.step();  // node 1: still mid-round
-      EXPECT_EQ(engine.round_index_now(), i) << "mid-round, fast=" << fast;
+      EXPECT_EQ(engine.round_index_now(), i) << "mid-round, " << label;
       engine.step();  // node 2: round i closes exactly now (time == R(i))
       EXPECT_EQ(engine.rounds_completed(), i);
       EXPECT_EQ(engine.time(), 3 * i);
-      EXPECT_EQ(engine.round_index_now(), i) << "boundary, fast=" << fast;
+      EXPECT_EQ(engine.round_index_now(), i) << "boundary, " << label;
     }
-  }
+  };
+  const graph::Graph g = graph::path(3);
+  CounterAutomaton alg(100);
+  sched::RotatingSingleScheduler sched(3);
+  Engine engine(g, alg, sched, Configuration(3, 0), 1);
+  check(engine, "engine");
+  sched::RotatingSingleScheduler reference_sched(3);
+  oracle::ReferenceEngine reference(g, alg, reference_sched,
+                                    Configuration(3, 0), 1);
+  check(reference, "reference");
 }
 
 TEST(Engine, RoundIndexNowSynchronousBoundaryEveryStep) {

@@ -1,7 +1,8 @@
-// Differential tests pinning the fast-path engine (SignalView scratch,
+// Differential tests pinning the engine's kernels (SignalView scratch,
 // step_mask bit kernels, CompiledAutomaton tables, batched synchronous
-// double-buffering) bit-for-bit to the legacy interpreted path
-// (Signal::from_states + Automaton::step per activation).
+// double-buffering) bit-for-bit to the reference interpreter
+// (tests/support/reference_engine.hpp: Signal::from_states +
+// Automaton::step per activation).
 //
 // AU, MIS, and LE run under the synchronous schedule and every scheduler in
 // async_scheduler_names() with fixed seeds; at every step the two engines
@@ -23,6 +24,7 @@
 #include "unison/alg_au.hpp"
 #include "unison/baselines.hpp"
 #include "util/rng.hpp"
+#include "support/reference_engine.hpp"
 
 namespace ssau {
 namespace {
@@ -41,10 +43,8 @@ void expect_identical_trajectories(const graph::Graph& g,
                                    std::uint64_t seed, int steps) {
   auto fast_sched = sched::make_scheduler(sched_name, g);
   auto legacy_sched = sched::make_scheduler(sched_name, g);
-  core::Engine fast(g, alg, *fast_sched, initial, seed,
-                    core::EngineOptions{.fast_path = true, .compile = true});
-  core::Engine legacy(g, alg, *legacy_sched, initial, seed,
-                      core::EngineOptions{.fast_path = false});
+  core::Engine fast(g, alg, *fast_sched, initial, seed);
+  oracle::ReferenceEngine legacy(g, alg, *legacy_sched, initial, seed);
   for (int s = 0; s < steps; ++s) {
     fast.step();
     legacy.step();
@@ -78,7 +78,7 @@ TEST(FastPathDifferential, AlgAuLargeDiameterSparsePath) {
   // D = 5, 16, 20: |Q| = 66, 198, 246 > 64 -> the byte store senses into
   // the exact 256-bit set and AlgAu's native step_set runs δ; on a dense
   // graph a random start populates every word it can, and every scheduler
-  // must still match the legacy oracle exactly.
+  // must still match the reference interpreter exactly.
   util::Rng rng(13);
   const graph::Graph g = graph::random_bounded_diameter(40, 3, rng);
   ASSERT_GE(g.avg_degree(), 8.0);
@@ -143,7 +143,8 @@ TEST(FastPathDifferential, ListenerSeesIdenticalTransitions) {
   // (rotating-single) or onto the logged-and-replayed synchronous kernel
   // (synchronous, serial engine: one [0, n) shard); the set kernel (D = 16)
   // emits from its own sense, rescanned or read from a forced-on field. The
-  // observed transition streams must match the legacy engine's exactly.
+  // observed transition streams must match the reference interpreter's
+  // exactly.
   util::Rng rng(29);
   const graph::Graph g = graph::cycle(8);
   struct Event {
@@ -159,11 +160,7 @@ TEST(FastPathDifferential, ListenerSeesIdenticalTransitions) {
     for (const core::SignalFieldMode field :
          {core::SignalFieldMode::kOff, core::SignalFieldMode::kOn}) {
       for (const char* sched_name : {"rotating-single", "synchronous"}) {
-        auto run = [&](bool fast_path) {
-          auto sched = sched::make_scheduler(sched_name, g);
-          core::Engine engine(g, alg, *sched, c0, 131,
-                              core::EngineOptions{.fast_path = fast_path,
-                                                  .signal_field = field});
+        const auto run = [&](auto& engine) {
           std::vector<Event> events;
           std::vector<core::Signal> signals;
           engine.set_transition_listener(
@@ -175,8 +172,13 @@ TEST(FastPathDifferential, ListenerSeesIdenticalTransitions) {
           for (int s = 0; s < 200; ++s) engine.step();
           return std::make_pair(events, signals);
         };
-        const auto [fast_events, fast_signals] = run(true);
-        const auto [legacy_events, legacy_signals] = run(false);
+        auto fast_sched = sched::make_scheduler(sched_name, g);
+        core::Engine fast(g, alg, *fast_sched, c0, 131,
+                          core::EngineOptions{.signal_field = field});
+        auto legacy_sched = sched::make_scheduler(sched_name, g);
+        oracle::ReferenceEngine legacy(g, alg, *legacy_sched, c0, 131);
+        const auto [fast_events, fast_signals] = run(fast);
+        const auto [legacy_events, legacy_signals] = run(legacy);
         EXPECT_EQ(fast_events, legacy_events) << sched_name << " D=" << d;
         EXPECT_EQ(fast_signals, legacy_signals) << sched_name << " D=" << d;
         EXPECT_FALSE(fast_events.empty()) << sched_name << " D=" << d;
@@ -187,7 +189,7 @@ TEST(FastPathDifferential, ListenerSeesIdenticalTransitions) {
 
 TEST(FastPathDifferential, ShardedKernelMatchesLegacyOracle) {
   // The sharded multi-threaded synchronous kernel must sit on the same
-  // trajectory as the interpreted oracle — for the deterministic AlgAu mask
+  // trajectory as the reference interpreter — for the deterministic AlgAu mask
   // kernel and for randomized MIS (per-node rng streams).
   util::Rng rng(31);
   const graph::Graph g = graph::random_bounded_diameter(60, 2, rng);
@@ -204,8 +206,7 @@ TEST(FastPathDifferential, ShardedKernelMatchesLegacyOracle) {
       auto legacy_sched = sched::make_scheduler("synchronous", g);
       core::Engine sharded(g, *alg, *sharded_sched, c0, 127,
                            core::EngineOptions{.thread_count = threads});
-      core::Engine legacy(g, *alg, *legacy_sched, c0, 127,
-                          core::EngineOptions{.fast_path = false});
+      oracle::ReferenceEngine legacy(g, *alg, *legacy_sched, c0, 127);
       ASSERT_EQ(sharded.shard_count(), threads);
       for (int s = 0; s < 120; ++s) {
         sharded.step();
@@ -228,8 +229,7 @@ TEST(FastPathDifferential, ShardedKernelMatchesLegacyOracle) {
     core::Engine sharded(
         g, au16, *sharded_sched, c16, 127,
         core::EngineOptions{.thread_count = 4, .signal_field = field});
-    core::Engine legacy(g, au16, *legacy_sched, c16, 127,
-                        core::EngineOptions{.fast_path = false});
+    oracle::ReferenceEngine legacy(g, au16, *legacy_sched, c16, 127);
     ASSERT_EQ(sharded.shard_count(), 4u);
     ASSERT_EQ(sharded.signal_field_active(),
               field == core::SignalFieldMode::kOn);
@@ -246,7 +246,7 @@ TEST(FastPathDifferential, ShardedKernelMatchesLegacyOracle) {
 TEST(FastPathDifferential, SparseKernelMatchesLegacyOracle) {
   // The sparse-activation sharded kernel (asynchronous daemons with large
   // A_t, phase 1 fanned out over the worker pool) must sit on the same
-  // trajectory as the interpreted oracle — for the deterministic AlgAu mask
+  // trajectory as the reference interpreter — for the deterministic AlgAu mask
   // kernel and for randomized MIS (per-node rng streams) under every daemon
   // routed into it.
   util::Rng rng(37);
@@ -267,8 +267,7 @@ TEST(FastPathDifferential, SparseKernelMatchesLegacyOracle) {
             g, *alg, *sparse_sched, c0, 137,
             core::EngineOptions{.thread_count = threads,
                                 .sparse_activation_threshold = 2});
-        core::Engine legacy(g, *alg, *legacy_sched, c0, 137,
-                            core::EngineOptions{.fast_path = false});
+        oracle::ReferenceEngine legacy(g, *alg, *legacy_sched, c0, 137);
         ASSERT_EQ(sparse.shard_count(), threads) << sched_name;
         for (int s = 0; s < 150; ++s) {
           sparse.step();
@@ -300,8 +299,7 @@ TEST(FastPathDifferential, SparseKernelMatchesLegacyOracle) {
           core::EngineOptions{.thread_count = 4,
                               .sparse_activation_threshold = 8,
                               .signal_field = field});
-      core::Engine legacy(g, au16, *legacy_sched, c16, 137,
-                          core::EngineOptions{.fast_path = false});
+      oracle::ReferenceEngine legacy(g, au16, *legacy_sched, c16, 137);
       ASSERT_EQ(sparse.shard_count(), 4u) << sched_name;
       ASSERT_EQ(sparse.signal_field_active(),
                 field == core::SignalFieldMode::kOn);
@@ -340,11 +338,6 @@ TEST(FastPathDifferential, EngineCompilesOnlyEligibleAutomata) {
   core::Engine e3(g, mis, sched,
                   core::uniform_configuration(4, mis.initial_state()), 1);
   EXPECT_EQ(e3.compiled(), nullptr);
-
-  // Opting out via EngineOptions.
-  core::Engine e4(g, reset, sched, core::uniform_configuration(4, 0), 1,
-                  core::EngineOptions{.compile = false});
-  EXPECT_EQ(e4.compiled(), nullptr);
 }
 
 }  // namespace

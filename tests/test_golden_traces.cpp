@@ -1,18 +1,43 @@
 // Golden-trace tests: hand-computed step-by-step executions of AlgAU and the
 // Restart module, locking the exact dynamics (any behavioural regression in
-// the transition functions shows up as a trace mismatch here).
+// the transition functions shows up as a trace mismatch here). Each trace
+// runs through the engine and through the reference interpreter the
+// differential suites judge the engine by, so that oracle is itself pinned
+// to hand-checked data.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "restart/restart.hpp"
 #include "sched/scheduler.hpp"
+#include "support/reference_engine.hpp"
 #include "unison/alg_au.hpp"
 
 namespace ssau {
 namespace {
 
 using core::Configuration;
+
+/// Runs C0 under the synchronous daemon on the engine and on the reference
+/// interpreter; after step i both must hold golden[i].
+void expect_trace(const graph::Graph& g, const core::Automaton& alg,
+                  const Configuration& c0, std::uint64_t seed,
+                  const std::vector<Configuration>& golden) {
+  const auto follow = [&](auto& e, const char* label) {
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+      e.step();
+      ASSERT_EQ(e.config(), golden[i]) << label << " diverged at step " << i;
+    }
+  };
+  sched::SynchronousScheduler sched(g.num_nodes());
+  core::Engine engine(g, alg, sched, c0, seed);
+  follow(engine, "engine");
+  sched::SynchronousScheduler reference_sched(g.num_nodes());
+  oracle::ReferenceEngine reference(g, alg, reference_sched, c0, seed);
+  follow(reference, "reference");
+}
 
 TEST(GoldenTrace, TwoNodeTearHealsExactlyAsAnalyzed) {
   // path(2), D = 1 (k = 5), synchronous. C0 = (able 1, able 5): the tear.
@@ -32,9 +57,6 @@ TEST(GoldenTrace, TwoNodeTearHealsExactlyAsAnalyzed) {
   const graph::Graph g = graph::path(2);
   const unison::AlgAu alg(1);
   const auto& ts = alg.turns();
-  sched::SynchronousScheduler sched(2);
-  core::Engine e(g, alg, sched, {ts.able_id(1), ts.able_id(5)}, 1);
-
   const std::vector<Configuration> golden = {
       {ts.able_id(1), ts.faulty_id(5)},  // after step 0
       {ts.able_id(1), ts.able_id(4)},
@@ -46,10 +68,7 @@ TEST(GoldenTrace, TwoNodeTearHealsExactlyAsAnalyzed) {
       {ts.able_id(3), ts.able_id(3)},  // synced ticking
       {ts.able_id(4), ts.able_id(4)},
   };
-  for (std::size_t i = 0; i < golden.size(); ++i) {
-    e.step();
-    ASSERT_EQ(e.config(), golden[i]) << "diverged at step " << i;
-  }
+  expect_trace(g, alg, {ts.able_id(1), ts.able_id(5)}, 1, golden);
 }
 
 TEST(GoldenTrace, OppositeSignsMeetAtPlusMinusOne) {
@@ -66,9 +85,6 @@ TEST(GoldenTrace, OppositeSignsMeetAtPlusMinusOne) {
   const graph::Graph g = graph::path(2);
   const unison::AlgAu alg(1);
   const auto& ts = alg.turns();
-  sched::SynchronousScheduler sched(2);
-  core::Engine e(g, alg, sched, {ts.able_id(-3), ts.able_id(3)}, 2);
-
   const std::vector<Configuration> golden = {
       {ts.faulty_id(-3), ts.faulty_id(3)},
       {ts.able_id(-2), ts.able_id(2)},
@@ -77,10 +93,7 @@ TEST(GoldenTrace, OppositeSignsMeetAtPlusMinusOne) {
       {ts.able_id(1), ts.able_id(1)},
       {ts.able_id(2), ts.able_id(2)},
   };
-  for (std::size_t i = 0; i < golden.size(); ++i) {
-    e.step();
-    ASSERT_EQ(e.config(), golden[i]) << "diverged at step " << i;
-  }
+  expect_trace(g, alg, {ts.able_id(-3), ts.able_id(3)}, 2, golden);
 }
 
 TEST(GoldenTrace, RestartWaveOnPathOfThree) {
@@ -96,10 +109,6 @@ TEST(GoldenTrace, RestartWaveOnPathOfThree) {
   //  t6: (σ4, σ4, σ4) -> exit -> all h0.
   const graph::Graph g = graph::path(3);
   const restart::StandaloneRestart alg(2, 2);
-  sched::SynchronousScheduler sched(3);
-  core::Engine e(g, alg, sched,
-                 {alg.sigma_id(0), alg.host_id(1), alg.host_id(1)}, 3);
-
   const std::vector<Configuration> golden = {
       {alg.sigma_id(0), alg.sigma_id(0), alg.host_id(1)},
       {alg.sigma_id(1), alg.sigma_id(0), alg.sigma_id(0)},
@@ -109,10 +118,8 @@ TEST(GoldenTrace, RestartWaveOnPathOfThree) {
       {alg.sigma_id(4), alg.sigma_id(4), alg.sigma_id(4)},
       {alg.host_id(0), alg.host_id(0), alg.host_id(0)},  // concurrent exit
   };
-  for (std::size_t i = 0; i < golden.size(); ++i) {
-    e.step();
-    ASSERT_EQ(e.config(), golden[i]) << "diverged at step " << i;
-  }
+  expect_trace(g, alg, {alg.sigma_id(0), alg.host_id(1), alg.host_id(1)}, 3,
+               golden);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Sharded multi-threaded synchronous kernel: partition correctness and the
 // engine's bit-identity guarantee — the parallel kernel at every thread
 // count must walk exactly the trajectory of the serial fast path and the
-// legacy oracle (configurations, time, rounds, activation counts, and
+// reference interpreter (configurations, time, rounds, activation counts, and
 // listener streams), for deterministic and randomized automata alike, under
 // full-activation and asynchronous schedulers. The shard pool underneath is
 // pinned directly too: every shard runs once per call, a throwing shard
@@ -27,6 +27,7 @@
 #include "unison/alg_au.hpp"
 #include "unison/au_invariants.hpp"
 #include "util/rng.hpp"
+#include "support/reference_engine.hpp"
 
 namespace ssau {
 namespace {
@@ -249,9 +250,9 @@ TEST(ParallelEnginePool, ResolveThreadCount) {
 
 /// Runs a reference engine (serial fast path) and one engine per thread count
 /// in lockstep; every aspect of the engine state must stay bit-identical.
-/// Also runs the legacy oracle when `against_legacy`. `sparse_threshold`
-/// forces the sparse-activation kernel onto small test instances (the
-/// default production threshold would keep them serial).
+/// Also runs the reference interpreter when `against_legacy`.
+/// `sparse_threshold` forces the sparse-activation kernel onto small test
+/// instances (the default production threshold would keep them serial).
 void expect_thread_count_invariance(const graph::Graph& g,
                                     const core::Automaton& alg,
                                     const core::Configuration& initial,
@@ -279,32 +280,41 @@ void expect_thread_count_invariance(const graph::Graph& g,
     c.label = "threads=" + std::to_string(threads);
     candidates.push_back(std::move(c));
   }
+  std::unique_ptr<sched::Scheduler> legacy_sched;
+  std::unique_ptr<oracle::ReferenceEngine> legacy;
   if (against_legacy) {
-    Candidate c;
-    c.sched = sched::make_scheduler(sched_name, g);
-    c.engine = std::make_unique<core::Engine>(
-        g, alg, *c.sched, initial, seed, EngineOptions{.fast_path = false});
-    c.label = "legacy";
-    candidates.push_back(std::move(c));
+    legacy_sched = sched::make_scheduler(sched_name, g);
+    legacy = std::make_unique<oracle::ReferenceEngine>(g, alg, *legacy_sched,
+                                                       initial, seed);
   }
 
+  const auto expect_same = [&](const auto& e, const std::string& label,
+                               int s) {
+    ASSERT_EQ(e.config(), reference.config())
+        << label << " diverged at step " << s << " (" << sched_name << ")";
+    ASSERT_EQ(e.time(), reference.time()) << label;
+    ASSERT_EQ(e.rounds_completed(), reference.rounds_completed()) << label;
+    ASSERT_EQ(e.round_index_now(), reference.round_index_now()) << label;
+  };
   for (int s = 0; s < steps; ++s) {
     reference.step();
     for (Candidate& c : candidates) {
       c.engine->step();
-      ASSERT_EQ(c.engine->config(), reference.config())
-          << c.label << " diverged at step " << s << " (" << sched_name << ")";
-      ASSERT_EQ(c.engine->time(), reference.time()) << c.label;
-      ASSERT_EQ(c.engine->rounds_completed(), reference.rounds_completed())
-          << c.label;
-      ASSERT_EQ(c.engine->round_index_now(), reference.round_index_now())
-          << c.label;
+      ASSERT_NO_FATAL_FAILURE(expect_same(*c.engine, c.label, s));
+    }
+    if (legacy) {
+      legacy->step();
+      ASSERT_NO_FATAL_FAILURE(expect_same(*legacy, "legacy", s));
     }
   }
   for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
     for (Candidate& c : candidates) {
       ASSERT_EQ(c.engine->activation_count(v), reference.activation_count(v))
           << c.label << " activation count drift at node " << v;
+    }
+    if (legacy) {
+      ASSERT_EQ(legacy->activation_count(v), reference.activation_count(v))
+          << "legacy activation count drift at node " << v;
     }
   }
 }
@@ -344,7 +354,7 @@ TEST(ParallelEngine, LazyMemoCompiledKernelBitIdentical) {
 
 TEST(ParallelEngine, AlgMisBitIdenticalSynchronousAndAsync) {
   // Randomized: per-node counter-based rng streams keep every thread count
-  // (and the legacy oracle) on the same trajectory; the uniform-single
+  // (and the reference interpreter) on the same trajectory; the uniform-single
   // scheduler additionally pins the scheduler's own rng stream.
   const mis::AlgMis alg({.diameter_bound = 2});
   util::Rng rng(53);
@@ -370,8 +380,8 @@ TEST(ParallelEngine, AlgLeBitIdenticalSynchronousAndAsync) {
 TEST(SparseActivationKernel, AlgAuLaggardBitIdentical) {
   // The laggard daemon activates n-1 nodes per step (then one): |A_t| sits
   // above the forced threshold, so phase 1 runs sharded over the activation
-  // list; trajectories must match the serial fast path and legacy oracle at
-  // every thread count.
+  // list; trajectories must match the serial fast path and the reference
+  // interpreter at every thread count.
   const unison::AlgAu alg(2);
   util::Rng rng(71);
   const graph::Graph g = graph::random_connected(300, 0.015, rng);
@@ -487,7 +497,7 @@ TEST(SparseActivationKernel, ZeroThresholdRunsEveryStepWithoutThrowing) {
 TEST(SparseActivationKernel, ListenerStreamBitIdentical) {
   // Workers log per-shard transitions during sharded phase 1; the replayed
   // stream (activation-list order, pre-step signals) must match the serial
-  // fast path and the legacy oracle exactly.
+  // fast path and the reference interpreter exactly.
   const unison::AlgAu alg(2);
   util::Rng rng(89);
   const graph::Graph g = graph::random_connected(140, 0.04, rng);
@@ -500,9 +510,7 @@ TEST(SparseActivationKernel, ListenerStreamBitIdentical) {
     core::Time t;
     bool operator==(const Event&) const = default;
   };
-  auto run = [&](EngineOptions options) {
-    auto sched = sched::make_scheduler("laggard", g);
-    core::Engine engine(g, alg, *sched, c0, 347, options);
+  const auto observe = [&](auto& engine) {
     std::vector<Event> events;
     std::vector<core::Signal> signals;
     engine.set_transition_listener(
@@ -513,6 +521,11 @@ TEST(SparseActivationKernel, ListenerStreamBitIdentical) {
         });
     for (int s = 0; s < 60; ++s) engine.step();
     return std::make_pair(events, signals);
+  };
+  const auto run = [&](EngineOptions options) {
+    auto sched = sched::make_scheduler("laggard", g);
+    core::Engine engine(g, alg, *sched, c0, 347, options);
+    return observe(engine);
   };
 
   const auto [serial_events, serial_signals] =
@@ -525,8 +538,9 @@ TEST(SparseActivationKernel, ListenerStreamBitIdentical) {
     EXPECT_EQ(events, serial_events) << "threads=" << threads;
     EXPECT_EQ(signals, serial_signals) << "threads=" << threads;
   }
-  const auto [legacy_events, legacy_signals] =
-      run(EngineOptions{.fast_path = false});
+  auto legacy_sched = sched::make_scheduler("laggard", g);
+  oracle::ReferenceEngine legacy(g, alg, *legacy_sched, c0, 347);
+  const auto [legacy_events, legacy_signals] = observe(legacy);
   EXPECT_EQ(legacy_events, serial_events);
   EXPECT_EQ(legacy_signals, serial_signals);
 }
@@ -534,7 +548,7 @@ TEST(SparseActivationKernel, ListenerStreamBitIdentical) {
 TEST(ParallelEngine, ListenerStreamBitIdentical) {
   // Workers log transitions per shard and the engine replays them in node
   // order: the observed (v, from, to, signal, t) stream must match the
-  // serial fast path and the legacy oracle exactly.
+  // serial fast path and the reference interpreter exactly.
   const unison::AlgAu alg(2);
   util::Rng rng(61);
   const graph::Graph g = graph::random_connected(160, 0.03, rng);
@@ -547,9 +561,7 @@ TEST(ParallelEngine, ListenerStreamBitIdentical) {
     core::Time t;
     bool operator==(const Event&) const = default;
   };
-  auto run = [&](EngineOptions options) {
-    auto sched = sched::make_scheduler("synchronous", g);
-    core::Engine engine(g, alg, *sched, c0, 271, options);
+  const auto observe = [&](auto& engine) {
     std::vector<Event> events;
     std::vector<core::Signal> signals;
     engine.set_transition_listener(
@@ -561,6 +573,11 @@ TEST(ParallelEngine, ListenerStreamBitIdentical) {
     for (int s = 0; s < 30; ++s) engine.step();
     return std::make_pair(events, signals);
   };
+  const auto run = [&](EngineOptions options) {
+    auto sched = sched::make_scheduler("synchronous", g);
+    core::Engine engine(g, alg, *sched, c0, 271, options);
+    return observe(engine);
+  };
 
   const auto [serial_events, serial_signals] =
       run(EngineOptions{.thread_count = 1});
@@ -570,8 +587,9 @@ TEST(ParallelEngine, ListenerStreamBitIdentical) {
     EXPECT_EQ(events, serial_events) << "threads=" << threads;
     EXPECT_EQ(signals, serial_signals) << "threads=" << threads;
   }
-  const auto [legacy_events, legacy_signals] =
-      run(EngineOptions{.fast_path = false});
+  auto legacy_sched = sched::make_scheduler("synchronous", g);
+  oracle::ReferenceEngine legacy(g, alg, *legacy_sched, c0, 271);
+  const auto [legacy_events, legacy_signals] = observe(legacy);
   EXPECT_EQ(legacy_events, serial_events);
   EXPECT_EQ(legacy_signals, serial_signals);
 }

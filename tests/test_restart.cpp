@@ -41,6 +41,9 @@ TEST(RestartRules, DecisionTable) {
   EXPECT_EQ(rules.decide(6, 6, false, true).kind,
             RestartDecision::Kind::kExit);
   EXPECT_THROW(RestartRules(0), std::invalid_argument);
+  // The largest D whose chain length 2D + 1 still fits an int.
+  EXPECT_EQ(RestartRules(1073741823).chain_length(), 2147483647);
+  EXPECT_THROW(RestartRules(1073741824), std::invalid_argument);
 }
 
 TEST(StandaloneRestart, StateLayout) {

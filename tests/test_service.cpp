@@ -147,6 +147,15 @@ TEST(Session, MalformedSpecsThrowInvalidArgument) {
   spec.graph = "complete:8";
   spec.initial = "uniform:100000";  // out of range for |Q|
   EXPECT_THROW(Session{spec}, std::invalid_argument);
+  // Diameter bounds whose derived int arithmetic (3D, D + 3, 2D + 1,
+  // M + 2D + 1) would overflow.
+  spec.initial = "random";
+  for (const char* automaton :
+       {"alg-au:800000000", "alg-mis:2147483647", "alg-mis:1100000000",
+        "alg-le:1100000000", "reset-unison:1100000000:5"}) {
+    spec.automaton = automaton;
+    EXPECT_THROW(Session{spec}, std::invalid_argument) << automaton;
+  }
 }
 
 // --- Session: churn capability (the typed logic_error replacement) ----------

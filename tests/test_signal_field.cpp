@@ -1,7 +1,7 @@
 // The signal-field layer (core/signal_field.hpp): unit-level equivalence of
 // delta maintenance to a fresh rebuild, engine routing policy, and the
 // differential suite pinning the field-sensed engine bit-identical to the
-// legacy interpreted oracle for AU + MIS + LE across ALL eight schedulers
+// reference interpreter for AU + MIS + LE across ALL eight schedulers
 // (including burst and permutation, which have no golden-trace coverage) at
 // thread counts {1, 2, 4, 8} — configurations, rounds, activation counts,
 // and listener streams.
@@ -21,6 +21,7 @@
 #include "sync/synchronizer.hpp"
 #include "unison/alg_au.hpp"
 #include "util/rng.hpp"
+#include "support/reference_engine.hpp"
 
 namespace ssau {
 namespace {
@@ -173,10 +174,6 @@ TEST(SignalFieldRouting, AutoEnablesOnlyTheSerialDaemonRegime) {
                       {.signal_field = core::SignalFieldMode::kOff}));
   EXPECT_TRUE(
       active("synchronous", {.signal_field = core::SignalFieldMode::kOn}));
-  // The legacy oracle never owns a field, even when forced.
-  EXPECT_FALSE(active("uniform-single",
-                      {.fast_path = false,
-                       .signal_field = core::SignalFieldMode::kOn}));
 }
 
 TEST(SignalFieldRouting, AutoAppliesTheMaskKernelDegreeFloor) {
@@ -246,7 +243,7 @@ TEST(SignalFieldRouting, AutoDeclinesSparseNeighborhoods) {
 // --- differential suite ------------------------------------------------------
 
 /// Field-sensed engine (signal_field forced ON, tiny sparse threshold so the
-/// large-set daemons shard) vs the legacy interpreted oracle, in lockstep.
+/// large-set daemons shard) vs the reference interpreter, in lockstep.
 void expect_field_matches_oracle(const graph::Graph& g,
                                  const core::Automaton& alg,
                                  const core::Configuration& initial,
@@ -260,8 +257,7 @@ void expect_field_matches_oracle(const graph::Graph& g,
                          .thread_count = threads,
                          .sparse_activation_threshold = 2,
                          .signal_field = core::SignalFieldMode::kOn});
-  core::Engine legacy(g, alg, *legacy_sched, initial, seed,
-                      core::EngineOptions{.fast_path = false});
+  oracle::ReferenceEngine legacy(g, alg, *legacy_sched, initial, seed);
   ASSERT_TRUE(field.signal_field_active());
   for (int s = 0; s < steps; ++s) {
     field.step();
@@ -338,7 +334,7 @@ TEST(SignalFieldDifferential, SparseRepresentationSynchronizerProduct) {
 TEST(SignalFieldDifferential, ListenerStreamsMatchOracle) {
   // The field-sensed listener path materializes signals from the field into
   // a reused scratch Signal; the observed streams (and signal contents) must
-  // equal the legacy engine's allocating path exactly.
+  // equal the reference interpreter's allocating path exactly.
   const unison::AlgAu alg(1);
   util::Rng rng(83);
   const graph::Graph g = graph::random_bounded_diameter(16, 2, rng);
@@ -351,9 +347,7 @@ TEST(SignalFieldDifferential, ListenerStreamsMatchOracle) {
     bool operator==(const Event&) const = default;
   };
   for (const char* sched_name : {"burst", "permutation", "uniform-single"}) {
-    auto run = [&](core::EngineOptions opts) {
-      auto sched = sched::make_scheduler(sched_name, g);
-      core::Engine engine(g, alg, *sched, c0, 233, opts);
+    const auto run = [&](auto& engine) {
       std::vector<Event> events;
       std::vector<core::Signal> signals;
       engine.set_transition_listener(
@@ -365,9 +359,13 @@ TEST(SignalFieldDifferential, ListenerStreamsMatchOracle) {
       for (int s = 0; s < 300; ++s) engine.step();
       return std::make_pair(events, signals);
     };
-    const auto [field_events, field_signals] =
-        run({.signal_field = core::SignalFieldMode::kOn});
-    const auto [legacy_events, legacy_signals] = run({.fast_path = false});
+    auto field_sched = sched::make_scheduler(sched_name, g);
+    core::Engine field(g, alg, *field_sched, c0, 233,
+                       {.signal_field = core::SignalFieldMode::kOn});
+    auto legacy_sched = sched::make_scheduler(sched_name, g);
+    oracle::ReferenceEngine legacy(g, alg, *legacy_sched, c0, 233);
+    const auto [field_events, field_signals] = run(field);
+    const auto [legacy_events, legacy_signals] = run(legacy);
     EXPECT_EQ(field_events, legacy_events) << sched_name;
     EXPECT_EQ(field_signals, legacy_signals) << sched_name;
     EXPECT_FALSE(field_events.empty()) << sched_name;
@@ -391,8 +389,7 @@ TEST(SignalFieldDifferential, InjectionsStayBitIdentical) {
   core::Engine field(g, alg, *field_sched, c0, 239,
                      core::EngineOptions{
                          .signal_field = core::SignalFieldMode::kOn});
-  core::Engine legacy(g, alg, *legacy_sched, c0, 239,
-                      core::EngineOptions{.fast_path = false});
+  oracle::ReferenceEngine legacy(g, alg, *legacy_sched, c0, 239);
   ASSERT_TRUE(field.signal_field_active());
   auto lockstep = [&](int steps) {
     for (int s = 0; s < steps; ++s) {

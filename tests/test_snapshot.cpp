@@ -111,6 +111,33 @@ struct TinyRun {
   }
 };
 
+/// TinyRun's engine over a BFS-reordered layout: the fixture run behind
+/// golden_engine_v3_reordered.snap.
+struct ReorderedRun {
+  graph::Graph g = graph::ring_of_cliques(3, 4);
+  unison::AlgAu alg{2};
+  std::unique_ptr<sched::Scheduler> sched =
+      sched::make_scheduler("permutation", g);
+  std::unique_ptr<core::Engine> engine;
+
+  ReorderedRun() {
+    util::Rng rng(5);
+    engine = std::make_unique<core::Engine>(
+        g, alg, *sched, core::random_configuration(alg, g.num_nodes(), rng),
+        99, core::EngineOptions{.reorder = core::ReorderMode::kBfs});
+    for (int i = 0; i < 100; ++i) engine->step();
+  }
+};
+
+std::string golden_path(const char* name) {
+  return std::string(SSAU_TEST_DATA_DIR) + "/" + name;
+}
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
 // --- binary_io ---------------------------------------------------------------
 
 TEST(BinaryIo, RoundTrip) {
@@ -616,8 +643,7 @@ TEST(Golden, V3FixtureLoads) {
   // The current-format fixture. Regenerate ONLY on a deliberate format break
   // (with a version bump and a new frozen fixture for the old version) via
   //   SSAU_REGEN_GOLDEN=1 ./test_snapshot --gtest_filter=Golden.*
-  const std::string path =
-      std::string(SSAU_TEST_DATA_DIR) + "/golden_engine_v3.snap";
+  const std::string path = golden_path("golden_engine_v3.snap");
   if (std::getenv("SSAU_REGEN_GOLDEN") != nullptr) {
     TinyRun run;
     core::snapshot::write_file(run.bytes, path);
@@ -631,46 +657,60 @@ TEST(Golden, V3ReorderedFixtureLoads) {
   // fixture engine ran over a BFS-reordered layout, so the file carries the
   // permutation and the restored graph must come back reordered(). Same
   // regeneration protocol as the main v3 fixture.
-  const std::string path =
-      std::string(SSAU_TEST_DATA_DIR) + "/golden_engine_v3_reordered.snap";
-  const auto make_live = [] {
-    struct Run {
-      graph::Graph g = graph::ring_of_cliques(3, 4);
-      unison::AlgAu alg{2};
-      std::unique_ptr<sched::Scheduler> sched =
-          sched::make_scheduler("permutation", g);
-      std::unique_ptr<core::Engine> engine;
-    };
-    auto run = std::make_unique<Run>();
-    util::Rng rng(5);
-    run->engine = std::make_unique<core::Engine>(
-        run->g, run->alg, *run->sched,
-        core::random_configuration(run->alg, run->g.num_nodes(), rng), 99,
-        core::EngineOptions{.reorder = core::ReorderMode::kBfs});
-    for (int i = 0; i < 100; ++i) run->engine->step();
-    return run;
-  };
+  const std::string path = golden_path("golden_engine_v3_reordered.snap");
   if (std::getenv("SSAU_REGEN_GOLDEN") != nullptr) {
-    auto live = make_live();
-    core::snapshot::write_file(save(*live->engine), path);
+    ReorderedRun live;
+    core::snapshot::write_file(save(*live.engine), path);
     GTEST_SKIP() << "regenerated " << path;
   }
-  auto live = make_live();
-  ASSERT_TRUE(live->g.reordered());
+  ReorderedRun live;
+  ASSERT_TRUE(live.g.reordered());
   const auto bytes = core::snapshot::read_file(path);
   graph::Graph g2 = restore_graph(bytes);
   ASSERT_TRUE(g2.reordered());
-  EXPECT_TRUE(std::equal(live->g.permutation().begin(),
-                         live->g.permutation().end(),
+  EXPECT_TRUE(std::equal(live.g.permutation().begin(),
+                         live.g.permutation().end(),
                          g2.permutation().begin(), g2.permutation().end()));
   auto sched2 = sched::make_scheduler("permutation", g2);
-  auto restored = restore(bytes, g2, live->alg, *sched2);
-  expect_engines_equal(*live->engine, *restored);
+  auto restored = restore(bytes, g2, live.alg, *sched2);
+  expect_engines_equal(*live.engine, *restored);
   for (int t = 0; t < 50; ++t) {
-    live->engine->step();
+    live.engine->step();
     restored->step();
   }
-  expect_engines_equal(*live->engine, *restored);
+  expect_engines_equal(*live.engine, *restored);
+}
+
+TEST(Golden, V3WritersReproduceTheFixturesByteForByte) {
+  // The write side of the format: today's save() of each fixture run must
+  // emit exactly the committed bytes.
+  const TinyRun tiny;
+  EXPECT_EQ(tiny.bytes, file_bytes(golden_path("golden_engine_v3.snap")));
+  const ReorderedRun reordered;
+  EXPECT_EQ(save(*reordered.engine),
+            file_bytes(golden_path("golden_engine_v3_reordered.snap")));
+}
+
+TEST(Golden, RetiredFastPathByteIsIgnored) {
+  // Section 1 opens with two retired bytes (the removed fast_path and
+  // compile switches). An engine that ran the interpreted path wrote
+  // fast_path = 0; such a file must restore into today's engine and step
+  // exactly like the fixture run.
+  auto bytes = file_bytes(golden_path("golden_engine_v3.snap"));
+  constexpr std::size_t kFastPathOffset = 24;  // first payload byte
+  ASSERT_EQ(bytes.at(kFastPathOffset), 1u);
+  bytes[kFastPathOffset] = 0;
+  refresh_crc(bytes);
+  TinyRun run;
+  graph::Graph g2 = restore_graph(bytes);
+  auto sched2 = sched::make_scheduler("permutation", g2);
+  auto restored = restore(bytes, g2, run.alg, *sched2);
+  expect_engines_equal(*run.engine, *restored);
+  for (int t = 0; t < 50; ++t) {
+    run.engine->step();
+    restored->step();
+  }
+  expect_engines_equal(*run.engine, *restored);
 }
 
 // --- scheduler state blobs ---------------------------------------------------
@@ -988,6 +1028,78 @@ TEST(CommandLog, RecordedTrajectoryReplaysBitIdentically) {
 
   std::filesystem::remove(snap_path);
   std::filesystem::remove(log_path);
+}
+
+/// The run behind golden_command_log_v2.cmdlog: TinyRun's engine (the state
+/// golden_engine_v3.snap holds) driven through every wire record type,
+/// each applied command recorded as it happens.
+void record_golden_log(core::Engine& engine, const std::string& path) {
+  core::ReplayHeader header;
+  header.automaton = "alg-au:2";
+  header.scheduler = "permutation";
+  header.seed = engine.seed();
+  header.options = engine.options();
+  core::CommandLogWriter log(path, header);
+  const auto steps = [&](int count) {
+    for (int t = 0; t < count; ++t) {
+      engine.step();
+      log.record_steps(1);
+    }
+  };
+  steps(30);
+  log.record_expect_hash(engine);
+  engine.inject_state(5, 3);
+  log.record_inject_state(5, 3);
+  graph::TopologyDelta cut;
+  cut.remove.push_back({0, 1});
+  const graph::TopologyDelta applied = engine.apply_topology_delta(cut);
+  log.record_topology_delta(applied);
+  steps(20);
+  log.record_expect_hash(engine);
+  log.record_topology_delta(engine.apply_topology_delta(applied.inverse()));
+  core::Configuration config(engine.config().size());
+  for (std::size_t v = 0; v < config.size(); ++v) {
+    config[v] = (7 * v) % engine.automaton().state_count();
+  }
+  engine.inject_configuration(config);
+  log.record_inject_configuration(config);
+  steps(25);
+  log.record_expect_hash(engine);
+  log.flush();
+}
+
+TEST(CommandLog, GoldenLogReplaysAndWriterReproducesIt) {
+  // A command log recorded by an earlier build (regenerate only on a
+  // deliberate format break, like the snapshot fixtures:
+  //   SSAU_REGEN_GOLDEN=1 ./test_snapshot --gtest_filter=CommandLog.Golden*).
+  const std::string path = golden_path("golden_command_log_v2.cmdlog");
+  if (std::getenv("SSAU_REGEN_GOLDEN") != nullptr) {
+    TinyRun run;
+    record_golden_log(*run.engine, path);
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  // Replayed from the snapshot fixture, every recorded hash must match.
+  const auto bytes =
+      core::snapshot::read_file(golden_path("golden_engine_v3.snap"));
+  graph::Graph g2 = restore_graph(bytes);
+  auto sched2 = sched::make_scheduler("permutation", g2);
+  const unison::AlgAu alg(2);
+  auto restored = restore(bytes, g2, alg, *sched2);
+  const auto log = core::read_command_log(path);
+  EXPECT_FALSE(log.truncated_tail);
+  EXPECT_EQ(log.header.automaton, "alg-au:2");
+  const auto result = core::replay_commands(*restored, log.commands);
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(result.hash_checks, 3u);
+  EXPECT_EQ(result.steps, 75u);
+
+  // Today's writer, fed the same run, emits the same bytes.
+  const std::string rewrite = "test_snapshot_golden_rewrite.cmdlog";
+  TinyRun run;
+  record_golden_log(*run.engine, rewrite);
+  EXPECT_EQ(file_bytes(rewrite), file_bytes(path));
+  expect_engines_equal(*run.engine, *restored);
+  std::filesystem::remove(rewrite);
 }
 
 // --- the edges() lazy-cache tripwire -----------------------------------------

@@ -34,6 +34,11 @@ TEST(TurnSystem, StateCountIsLinearInD) {
 TEST(TurnSystem, RejectsBadDiameter) {
   EXPECT_THROW(TurnSystem(0), std::invalid_argument);
   EXPECT_THROW(TurnSystem(-2), std::invalid_argument);
+  // The largest D whose 4k = 12D + 8 still fits an int, and one past it.
+  const TurnSystem largest(178956969);
+  EXPECT_EQ(largest.state_count(), core::StateId{2147483634});
+  EXPECT_THROW(TurnSystem(178956970), std::invalid_argument);
+  EXPECT_THROW(TurnSystem(800000000), std::invalid_argument);
 }
 
 class TurnSystemP : public ::testing::TestWithParam<int> {};
