@@ -113,8 +113,9 @@ class Graph {
   /// Re-materialized lazily after a mutation (O(n + m) on the first call,
   /// cached until the next mutation) — NOT safe to call concurrently with
   /// itself right after a mutation; the engine hot paths never read it, and
-  /// the snapshot serializer walks the CSR slots via neighbors() instead
-  /// (see debug_forbid_lazy_edges).
+  /// the snapshot serializer and the legitimacy predicates
+  /// (core/row_walk.hpp) walk the CSR slots via neighbors() instead (see
+  /// debug_forbid_lazy_edges).
   [[nodiscard]] std::span<const std::pair<NodeId, NodeId>> edges() const;
 
   /// Debug guard for code that must never trigger the lazy edges() rebuild

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/row_walk.hpp"
 #include "util/strings.hpp"
 
 namespace ssau::mis {
@@ -258,20 +259,17 @@ std::string AlgMis::state_name(core::StateId q) const {
   return "?";
 }
 
-bool mis_legitimate(const AlgMis& alg, const graph::Graph& g,
-                    const core::Configuration& c) {
-  for (const core::StateId q : c) {
-    const MisState s = alg.decode(q);
-    if (s.mode != MisState::Mode::kIn && s.mode != MisState::Mode::kOut) {
-      return false;
-    }
-  }
-  return mis_outputs_correct(alg, g, c);
-}
+namespace {
 
-bool mis_outputs_correct(const AlgMis& alg, const graph::Graph& g,
-                         const core::Configuration& c) {
-  std::vector<bool> in(c.size());
+/// The MIS over `c`'s outputs (user ids), read along g's rows: every node
+/// decided, no edge joining two IN nodes, and an IN neighbour for every OUT
+/// node.
+bool outputs_form_mis(const AlgMis& alg, const graph::Graph& g,
+                      const core::Configuration& user_c, const char* who) {
+  core::check_configuration(g, user_c, alg.state_count(), who);
+  core::Configuration buffer;
+  const core::Configuration& c = core::layout_order(g, user_c, buffer);
+  std::vector<std::uint8_t> in(c.size());
   for (core::NodeId v = 0; v < c.size(); ++v) {
     const MisState s = alg.decode(c[v]);
     if (s.mode != MisState::Mode::kIn && s.mode != MisState::Mode::kOut) {
@@ -279,23 +277,32 @@ bool mis_outputs_correct(const AlgMis& alg, const graph::Graph& g,
     }
     in[v] = s.mode == MisState::Mode::kIn;
   }
-  // Independence.
-  for (const auto& [u, v] : g.edges()) {
-    if (in[u] && in[v]) return false;
-  }
-  // Maximality: every OUT node has an IN neighbor.
+  const bool independent = core::for_each_upper_row(
+      g, [&](core::NodeId v, std::span<const core::NodeId> upper) {
+        return !in[v] || std::none_of(upper.begin(), upper.end(),
+                                      [&](core::NodeId u) { return in[u]; });
+      });
+  if (!independent) return false;
   for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (in[v]) continue;
-    bool dominated = false;
-    for (const core::NodeId u : g.neighbors(v)) {
-      if (in[u]) {
-        dominated = true;
-        break;
-      }
+    const auto nb = g.neighbors(v);
+    if (!in[v] && std::none_of(nb.begin(), nb.end(),
+                               [&](core::NodeId u) { return in[u]; })) {
+      return false;
     }
-    if (!dominated) return false;
   }
   return true;
+}
+
+}  // namespace
+
+bool mis_legitimate(const AlgMis& alg, const graph::Graph& g,
+                    const core::Configuration& c) {
+  return outputs_form_mis(alg, g, c, "mis_legitimate");
+}
+
+bool mis_outputs_correct(const AlgMis& alg, const graph::Graph& g,
+                         const core::Configuration& c) {
+  return outputs_form_mis(alg, g, c, "mis_outputs_correct");
 }
 
 core::Configuration mis_adversarial_configuration(const std::string& kind,

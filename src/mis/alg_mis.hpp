@@ -95,6 +95,11 @@ class AlgMis final : public core::Automaton {
 /// adjacent to an IN node (equivalently: IN maximal). Absorbing along real
 /// executions (IN/OUT states change only through Restart, and detection is
 /// sound).
+///
+/// Both predicates take `c` in user ids (Engine::config()) over any graph,
+/// reordered or not, and walk its CSR rows (core/row_walk.hpp), never the
+/// graph's lazy edge list. They throw std::invalid_argument unless `c` holds
+/// one state per node of `g`, each below state_count().
 [[nodiscard]] bool mis_legitimate(const AlgMis& alg, const graph::Graph& g,
                                   const core::Configuration& c);
 

@@ -1,6 +1,8 @@
 #include "service/session.hpp"
 
+#include <charconv>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -23,6 +25,23 @@ namespace {
 // pure function of (seed, id)).
 constexpr std::uint64_t kGraphStream = 0x6772'6170'6800'0001ULL;
 constexpr std::uint64_t kInitStream = 0x696E'6974'0000'0002ULL;
+
+/// parts[i] of `spec` as a T. The whole token must be one number that fits
+/// T: no sign on an unsigned T, no leading blanks, no trailing characters;
+/// anything else is a malformed `kind` spec (std::invalid_argument).
+template <typename T>
+T spec_number(const std::vector<std::string>& parts, std::size_t i,
+              const std::string& spec, const char* kind) {
+  T value{};
+  const std::string& token = parts.at(i);
+  const char* last = token.data() + token.size();
+  const auto [end, ec] = std::from_chars(token.data(), last, value);
+  if (ec != std::errc() || end != last) {
+    throw std::invalid_argument(std::string("malformed ") + kind +
+                                " spec: " + spec);
+  }
+  return value;
+}
 
 std::vector<std::string> split_spec(const std::string& spec) {
   std::vector<std::string> parts;
@@ -50,12 +69,7 @@ core::Configuration make_initial(const std::string& spec,
   }
   const auto parts = split_spec(spec);
   if (parts[0] == "uniform" && parts.size() == 2) {
-    core::StateId q0 = 0;
-    try {
-      q0 = static_cast<core::StateId>(std::stoull(parts[1]));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("malformed initial spec: " + spec);
-    }
+    const auto q0 = spec_number<core::StateId>(parts, 1, spec, "initial");
     if (q0 >= states) {
       throw std::invalid_argument("initial state " + parts[1] +
                                   " out of range for |Q|=" +
@@ -157,11 +171,7 @@ const char* status_name(Status s) {
 std::unique_ptr<core::Automaton> make_automaton(const std::string& spec) {
   const auto parts = split_spec(spec);
   const auto arg = [&](std::size_t i) {
-    try {
-      return std::stoi(parts.at(i));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("malformed automaton spec: " + spec);
-    }
+    return spec_number<int>(parts, i, spec, "automaton");
   };
   if (parts[0] == "alg-au" && parts.size() == 2) {
     return std::make_unique<unison::AlgAu>(arg(1));
@@ -170,8 +180,9 @@ std::unique_ptr<core::Automaton> make_automaton(const std::string& spec) {
     return std::make_unique<unison::ResetUnison>(arg(1), arg(2));
   }
   if (parts[0] == "min-prop" && parts.size() == 2) {
-    return std::make_unique<sync::MinPropagation>(
-        static_cast<core::StateId>(arg(1)));
+    const auto m = spec_number<unsigned>(parts, 1, spec, "automaton");
+    if (m == 0) throw std::invalid_argument("min-prop needs |Q| >= 1: " + spec);
+    return std::make_unique<sync::MinPropagation>(m);
   }
   if (parts[0] == "alg-mis" && parts.size() == 2) {
     return std::make_unique<mis::AlgMis>(
@@ -185,19 +196,11 @@ std::unique_ptr<core::Automaton> make_automaton(const std::string& spec) {
 
 graph::Graph make_graph(const std::string& spec, std::uint64_t seed) {
   const auto parts = split_spec(spec);
-  const auto n = [&](std::size_t i) -> graph::NodeId {
-    try {
-      return static_cast<graph::NodeId>(std::stoul(parts.at(i)));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("malformed graph spec: " + spec);
-    }
+  const auto n = [&](std::size_t i) {
+    return spec_number<graph::NodeId>(parts, i, spec, "graph");
   };
-  const auto p = [&](std::size_t i) -> double {
-    try {
-      return std::stod(parts.at(i));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("malformed graph spec: " + spec);
-    }
+  const auto p = [&](std::size_t i) {
+    return spec_number<double>(parts, i, spec, "graph");
   };
   util::Rng rng = util::Rng::stream(seed, kGraphStream);
   if (parts[0] == "random" && parts.size() == 3) {

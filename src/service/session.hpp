@@ -137,6 +137,10 @@ struct Result {
 /// Everything needed to build (or rebuild) a session's collaborators from
 /// strings — the factory half of the replay header, plus a graph family.
 struct SessionSpec {
+  /// Every numeric parameter below must be a whole token that fits its type
+  /// (int for D and M, unsigned for m >= 1 and node counts, a decimal for
+  /// probabilities): "3junk", "-1" for a count, or "1x" is malformed.
+  ///
   /// Automaton spec (colon-separated parameters):
   ///   alg-au:<D> | reset-unison:<D>:<M> | min-prop:<m> | alg-mis:<D> |
   ///   alg-le:<D>

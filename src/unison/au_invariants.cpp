@@ -5,6 +5,45 @@
 
 namespace ssau::unison {
 
+namespace {
+
+/// graph_protected on a validated, layout-order `c`: every edge's clocks
+/// within cyclic distance 1 mod 2k. With no faulty turn the ids themselves
+/// are the clocks rotated by k.
+bool all_edges_protected(const TurnSystem& ts, const graph::Graph& g,
+                         const core::Configuration& c, bool all_able) {
+  const auto m = static_cast<core::StateId>(2 * ts.k());
+  if (all_able) {
+    return core::all_edges(g, c, [m](core::StateId a, core::StateId b) {
+      return core::cyclic_adjacent(a, b, m);
+    });
+  }
+  return core::all_edges(g, c, [&](core::StateId a, core::StateId b) {
+    return core::cyclic_adjacent(ts.clock_of(a), ts.clock_of(b), m);
+  });
+}
+
+/// Per-node "protected" flags of a validated, layout-order `c`.
+std::vector<std::uint8_t> protected_flags(const TurnSystem& ts,
+                                          const graph::Graph& g,
+                                          const core::Configuration& c) {
+  const auto m = static_cast<core::StateId>(2 * ts.k());
+  std::vector<std::uint8_t> flags(g.num_nodes(), 1);
+  core::for_each_upper_row(
+      g, [&](core::NodeId v, std::span<const core::NodeId> upper) {
+        const int kv = ts.clock_of(c[v]);
+        for (const core::NodeId u : upper) {
+          if (!core::cyclic_adjacent(kv, ts.clock_of(c[u]), m)) {
+            flags[v] = flags[u] = 0;
+          }
+        }
+        return true;
+      });
+  return flags;
+}
+
+}  // namespace
+
 std::vector<Level> levels_of(const TurnSystem& ts,
                              const core::Configuration& c) {
   std::vector<Level> l(c.size());
@@ -44,54 +83,53 @@ bool node_out_protected(const TurnSystem& ts, const graph::Graph& g,
   return true;
 }
 
-const core::Configuration& layout_order(const graph::Graph& g,
-                                        const core::Configuration& c,
-                                        core::Configuration& buffer) {
-  if (!g.reordered()) return c;
-  buffer.resize(c.size());
-  for (core::NodeId i = 0; i < g.num_nodes(); ++i) buffer[i] = c[g.to_user(i)];
-  return buffer;
-}
-
 bool graph_protected(const TurnSystem& ts, const graph::Graph& g,
                      const core::Configuration& user_c) {
+  const core::StateId max = core::check_configuration(
+      g, user_c, ts.state_count(), "graph_protected");
   core::Configuration buffer;
-  const core::Configuration& c = layout_order(g, user_c, buffer);
-  for (const auto& [u, v] : g.edges()) {
-    if (!edge_protected(ts, c, u, v)) return false;
-  }
-  return true;
+  return all_edges_protected(ts, g, layout_order(g, user_c, buffer),
+                             ts.is_able(max));
 }
 
 bool graph_good(const TurnSystem& ts, const graph::Graph& g,
-                const core::Configuration& c) {
-  for (const core::StateId q : c) {
-    if (ts.is_faulty(q)) return false;
-  }
-  return graph_protected(ts, g, c);
+                const core::Configuration& user_c) {
+  const core::StateId max = core::check_configuration(
+      g, user_c, ts.state_count(), "graph_good");
+  if (!ts.is_able(max)) return false;
+  core::Configuration buffer;
+  return all_edges_protected(ts, g, layout_order(g, user_c, buffer), true);
 }
 
 bool graph_out_protected(const TurnSystem& ts, const graph::Graph& g,
                          const core::Configuration& user_c) {
+  core::check_configuration(g, user_c, ts.state_count(), "graph_out_protected");
   core::Configuration buffer;
-  const core::Configuration& c = layout_order(g, user_c, buffer);
-  for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!node_out_protected(ts, g, c, v)) return false;
-  }
-  return true;
+  return core::all_edges(g, layout_order(g, user_c, buffer),
+                         [&](core::StateId a, core::StateId b) {
+                           const Level la = ts.level_of(a);
+                           const Level lb = ts.level_of(b);
+                           return !ts.far_outwards(la, lb) &&
+                                  !ts.far_outwards(lb, la);
+                         });
 }
 
 bool graph_l_out_protected(const TurnSystem& ts, const graph::Graph& g,
                            const core::Configuration& user_c, Level l) {
+  core::check_configuration(g, user_c, ts.state_count(),
+                            "graph_l_out_protected");
   core::Configuration buffer;
-  const core::Configuration& c = layout_order(g, user_c, buffer);
-  for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (ts.weakly_outwards(ts.level_of(c[v]), l) &&
-        !node_out_protected(ts, g, c, v)) {
-      return false;
-    }
-  }
-  return true;
+  // Edge {a, b} breaks the predicate iff one end lies in Ψ≥(ℓ) and the
+  // other is far outwards of it.
+  return core::all_edges(g, layout_order(g, user_c, buffer),
+                         [&](core::StateId a, core::StateId b) {
+                           const Level la = ts.level_of(a);
+                           const Level lb = ts.level_of(b);
+                           return !(ts.weakly_outwards(la, l) &&
+                                    ts.far_outwards(lb, la)) &&
+                                  !(ts.weakly_outwards(lb, l) &&
+                                    ts.far_outwards(la, lb));
+                         });
 }
 
 bool justifiably_faulty(const TurnSystem& ts, const graph::Graph& g,
@@ -109,6 +147,10 @@ bool justifiably_faulty(const TurnSystem& ts, const graph::Graph& g,
 
 bool graph_justified(const TurnSystem& ts, const graph::Graph& g,
                      const core::Configuration& user_c) {
+  // Only faulty nodes can be unjustified: without one, no row is read.
+  const core::StateId max = core::check_configuration(
+      g, user_c, ts.state_count(), "graph_justified");
+  if (ts.is_able(max)) return true;
   core::Configuration buffer;
   const core::Configuration& c = layout_order(g, user_c, buffer);
   for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -119,13 +161,11 @@ bool graph_justified(const TurnSystem& ts, const graph::Graph& g,
 
 std::vector<bool> grounded_nodes(const TurnSystem& ts, const graph::Graph& g,
                                  const core::Configuration& user_c) {
+  core::check_configuration(g, user_c, ts.state_count(), "grounded_nodes");
   core::Configuration buffer;
   const core::Configuration& c = layout_order(g, user_c, buffer);
   const core::NodeId n = g.num_nodes();
-  std::vector<bool> is_protected(n);
-  for (core::NodeId v = 0; v < n; ++v) {
-    is_protected[v] = node_protected(ts, g, c, v);
-  }
+  const std::vector<std::uint8_t> is_protected = protected_flags(ts, g, c);
   // Multi-source BFS of depth D inside the protected-induced subgraph from
   // protected nodes at level ±1.
   constexpr auto kUnreached = std::numeric_limits<std::uint32_t>::max();

@@ -1,23 +1,39 @@
 // Configuration predicates from the analysis of AlgAU (paper §2.3).
 //
-// These implement, verbatim, the definitions the proofs revolve around:
-// protected edges/nodes, good nodes, out-protected nodes, ℓ-out-protected
-// graphs, justifiably/unjustifiably faulty nodes, and grounded nodes. The
-// property tests replay Observations 2.1–2.9 and Lemmas 2.10/2.16 against
-// random executions; the monitors use "graph good" as the stabilization
-// criterion (Lem 2.10/2.11/2.18 establish that good ⟹ stabilized).
+// These implement the definitions the proofs revolve around: protected
+// edges/nodes, good nodes, out-protected nodes, ℓ-out-protected graphs,
+// justifiably/unjustifiably faulty nodes, and grounded nodes. The property
+// tests replay Observations 2.1–2.9 and Lemmas 2.10/2.16 against random
+// executions; the monitors use "graph good" as the stabilization criterion
+// (Lem 2.10/2.11/2.18 establish that good ⟹ stabilized).
 //
-// Id spaces: a configuration is indexed by USER id, as Engine::config()
-// returns it, while a reordered graph (graph::reorder) walks its edges in
-// layout ids. The graph-level predicates (graph_*, grounded_nodes,
-// au_safety_holds) bridge the two through layout_order, once per call. The
-// node- and edge-level predicates index `c` and take node ids in the
-// graph's own id space; on an unreordered graph both spaces coincide.
+// Id spaces: the graph-level predicates (graph_*, grounded_nodes,
+// au_safety_holds, measure_potential) take `c` in USER ids, as
+// Engine::config() returns it, and any graph, reordered or not; the result
+// of grounded_nodes is indexed by user id too. The node- and edge-level
+// predicates index `c` with node ids in the graph's own id space; on an
+// unreordered graph both spaces coincide.
+//
+// The walk (core/row_walk.hpp): each graph-level predicate validates `c`
+// once, reads it in layout order (`c` itself on an unreordered graph, one
+// permuted copy otherwise) and visits every edge once, as the tail of its
+// lower endpoint's sorted CSR row, stopping after the first row that
+// fails; the graph's lazy edge list is never read. An edge test is
+// arithmetic on state ids (TurnSystem::clock_of, core::cyclic_adjacent): once
+// graph_good has found no faulty turn, an edge is protected iff its two
+// ids lie within cyclic distance 1 mod 2k. Cost: O(n) for the validation
+// plus O(m) for the walk (O(n) more for the copy on a reordered graph);
+// graph_justified reads only the rows of faulty nodes.
+//
+// Errors: every graph-level predicate throws std::invalid_argument when
+// `c` does not hold exactly one state per node of `g`, or holds a state
+// >= |Q|, whatever its verdict would have been.
 #pragma once
 
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/row_walk.hpp"
 #include "graph/graph.hpp"
 #include "unison/alg_au.hpp"
 
@@ -25,9 +41,7 @@ namespace ssau::unison {
 
 /// `c` (user-id order) in the graph's layout order: `c` itself when the
 /// graph carries no permutation, otherwise its permuted copy in `buffer`.
-[[nodiscard]] const core::Configuration& layout_order(
-    const graph::Graph& g, const core::Configuration& c,
-    core::Configuration& buffer);
+using core::layout_order;
 
 /// λ_v for every node.
 [[nodiscard]] std::vector<Level> levels_of(const TurnSystem& ts,

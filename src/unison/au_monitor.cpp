@@ -24,10 +24,12 @@ PostStabilizationReport verify_post_stabilization(core::Engine& engine,
   std::vector<std::uint64_t> ticks(n, 0);
   std::vector<Level> prev = levels_of(ts, engine.config());
 
+  // graph_protected validates c (one state per node, each in range) and
+  // walks the edges; AlgAU's outputs are exactly its able turns.
   auto check_config = [&](const core::Configuration& c) {
     if (!graph_protected(ts, g, c)) report.safety_ok = false;
     for (const core::StateId q : c) {
-      if (!alg.is_output(q)) report.outputs_ok = false;
+      if (!ts.is_able(q)) report.outputs_ok = false;
     }
   };
   check_config(engine.config());

@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/row_walk.hpp"
 #include "util/strings.hpp"
 
 namespace ssau::unison {
@@ -19,12 +20,12 @@ core::StateId MinPlusOneUnison::step_fast(core::StateId /*q*/,
 
 bool MinPlusOneUnison::legitimate(const graph::Graph& g,
                                   const core::Configuration& c) const {
-  for (const auto& [u, v] : g.edges()) {
-    const auto a = c[u];
-    const auto b = c[v];
-    if ((a > b ? a - b : b - a) > 1) return false;
-  }
-  return true;
+  core::check_configuration(g, c, cap_, "MinPlusOneUnison::legitimate");
+  core::Configuration buffer;
+  return core::all_edges(g, core::layout_order(g, c, buffer),
+                         [](core::StateId a, core::StateId b) {
+                           return (a > b ? a - b : b - a) <= 1;
+                         });
 }
 
 ResetUnison::ResetUnison(int diameter_bound, int modulus)
@@ -102,16 +103,17 @@ std::string ResetUnison::state_name(core::StateId q) const {
 
 bool ResetUnison::legitimate(const graph::Graph& g,
                              const core::Configuration& c) const {
-  for (const core::StateId q : c) {
-    if (is_sigma(q)) return false;
+  // σ ids sit above every clock id, and a clock id is its clock value.
+  if (is_sigma(core::check_configuration(g, c, state_count(),
+                                         "ResetUnison::legitimate"))) {
+    return false;
   }
-  for (const auto& [u, v] : g.edges()) {
-    const int a = value_of(c[u]);
-    const int b = value_of(c[v]);
-    const int diff = ((a - b) % m_ + m_) % m_;
-    if (diff > 1 && diff < m_ - 1) return false;
-  }
-  return true;
+  const auto m = static_cast<core::StateId>(m_);
+  core::Configuration buffer;
+  return core::all_edges(g, core::layout_order(g, c, buffer),
+                         [m](core::StateId a, core::StateId b) {
+                           return core::cyclic_adjacent(a, b, m);
+                         });
 }
 
 }  // namespace ssau::unison

@@ -13,6 +13,11 @@
 //   the synchronous schedule (Thm 3.1 makes all nodes exit the reset wave
 //   concurrently); under asynchronous daemons it exhibits exactly the
 //   pathology Appendix A warns about.
+//
+// Both legitimate() predicates take `c` in user ids (Engine::config()) over
+// any graph, reordered or not, walk its CSR rows (core/row_walk.hpp) rather
+// than the graph's lazy edge list, and throw std::invalid_argument unless
+// `c` holds one state per node of `g`, each below state_count().
 #pragma once
 
 #include "core/automaton.hpp"

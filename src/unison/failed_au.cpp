@@ -3,6 +3,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "core/row_walk.hpp"
 #include "util/strings.hpp"
 
 namespace ssau::unison {
@@ -90,17 +91,17 @@ std::string FailedAu::state_name(core::StateId q) const {
 
 bool FailedAu::legitimate(const graph::Graph& g,
                           const core::Configuration& c) const {
-  const int m = cd_ + 1;
-  for (const core::StateId q : c) {
-    if (is_reset(q)) return false;
+  // Resets sit above every able id, and an able id is its turn value.
+  if (is_reset(core::check_configuration(g, c, state_count(),
+                                         "FailedAu::legitimate"))) {
+    return false;
   }
-  for (const auto& [u, v] : g.edges()) {
-    const int a = value_of(c[u]);
-    const int b = value_of(c[v]);
-    const int diff = ((a - b) % m + m) % m;
-    if (diff > 1 && diff < m - 1) return false;
-  }
-  return true;
+  const auto m = static_cast<core::StateId>(cd_ + 1);
+  core::Configuration buffer;
+  return core::all_edges(g, core::layout_order(g, c, buffer),
+                         [m](core::StateId a, core::StateId b) {
+                           return core::cyclic_adjacent(a, b, m);
+                         });
 }
 
 core::Configuration figure2a_configuration(const FailedAu& alg) {

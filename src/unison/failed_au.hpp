@@ -55,7 +55,10 @@ class FailedAu final : public core::Automaton {
   [[nodiscard]] std::string state_name(core::StateId q) const override;
 
   /// Legitimate AU configuration for this algorithm: all able, every edge's
-  /// turns within cyclic distance 1 (mod cD+1).
+  /// turns within cyclic distance 1 (mod cD+1). `c` is in user ids over any
+  /// graph, reordered or not; throws std::invalid_argument unless it holds
+  /// one state per node of `g`, each below state_count() (the rules of
+  /// baselines.hpp).
   [[nodiscard]] bool legitimate(const graph::Graph& g,
                                 const core::Configuration& c) const;
 

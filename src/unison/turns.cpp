@@ -34,22 +34,8 @@ core::StateId TurnSystem::faulty_id(Level l) const {
   return static_cast<core::StateId>(2 * k_ + idx);
 }
 
-bool TurnSystem::is_able(core::StateId q) const {
-  return q < static_cast<core::StateId>(2 * k_);
-}
-
-bool TurnSystem::is_faulty(core::StateId q) const {
-  return q >= static_cast<core::StateId>(2 * k_) && q < state_count();
-}
-
-Level TurnSystem::level_of(core::StateId q) const {
-  if (q >= state_count()) throw std::invalid_argument("level_of: bad state");
-  if (is_able(q)) {
-    const int idx = static_cast<int>(q);
-    return idx < k_ ? idx - k_ : idx - k_ + 1;
-  }
-  const int idx = static_cast<int>(q) - 2 * k_;
-  return idx <= k_ - 2 ? idx - k_ : idx - (k_ - 1) + 2;
+void TurnSystem::throw_bad_state() {
+  throw std::invalid_argument("level_of: bad state");
 }
 
 Level TurnSystem::forward(Level l) const {
@@ -90,18 +76,6 @@ Level TurnSystem::outwards(Level l, int j) const {
   const int mag = std::abs(l) + j;
   if (mag < 1 || mag > k_) throw std::invalid_argument("outwards: j out of range");
   return l > 0 ? mag : -mag;
-}
-
-bool TurnSystem::strictly_outwards(Level a, Level b) const {
-  return (a > 0) == (b > 0) && std::abs(a) > std::abs(b);
-}
-
-bool TurnSystem::far_outwards(Level a, Level b) const {
-  return (a > 0) == (b > 0) && std::abs(a) > std::abs(b) + 1;
-}
-
-bool TurnSystem::weakly_outwards(Level a, Level b) const {
-  return (a > 0) == (b > 0) && std::abs(a) >= std::abs(b);
 }
 
 std::string TurnSystem::turn_name(core::StateId q) const {

@@ -14,6 +14,7 @@
 // exactly as defined in §2.2.
 #pragma once
 
+#include <cstdlib>
 #include <string>
 
 #include "core/types.hpp"
@@ -46,9 +47,31 @@ class TurnSystem {
   [[nodiscard]] core::StateId able_id(Level l) const;
   /// Requires |l| >= 2 (faulty turns exist only for such levels).
   [[nodiscard]] core::StateId faulty_id(Level l) const;
-  [[nodiscard]] bool is_able(core::StateId q) const;
-  [[nodiscard]] bool is_faulty(core::StateId q) const;
-  [[nodiscard]] Level level_of(core::StateId q) const;
+  [[nodiscard]] bool is_able(core::StateId q) const {
+    return q < static_cast<core::StateId>(2 * k_);
+  }
+  [[nodiscard]] bool is_faulty(core::StateId q) const {
+    return q >= static_cast<core::StateId>(2 * k_) && q < state_count();
+  }
+  /// Throws std::invalid_argument for q >= state_count().
+  [[nodiscard]] Level level_of(core::StateId q) const {
+    if (q >= state_count()) throw_bad_state();
+    const int i = static_cast<int>(q);
+    if (i < 2 * k_) return i < k_ ? i - k_ : i - k_ + 1;
+    const int f = i - 2 * k_;
+    return f <= k_ - 2 ? f - k_ : f - k_ + 3;
+  }
+  /// κ(λ_q), read off the id (requires q < state_count(); unchecked). Able
+  /// ids are the clock order rotated by k, κ = (q + k) mod 2k, so two able
+  /// ids lie within cyclic distance 1 mod 2k iff their levels are
+  /// adjacent. Faulty ids hold −k..−2 (κ = f + k) and then 2..k
+  /// (κ = f − k + 2), for f = q − 2k.
+  [[nodiscard]] int clock_of(core::StateId q) const {
+    const int i = static_cast<int>(q);
+    if (i < 2 * k_) return i < k_ ? i + k_ : i - k_;
+    const int f = i - 2 * k_;
+    return f <= k_ - 2 ? f + k_ : f - k_ + 2;
+  }
   /// True iff a faulty turn exists at level l (|l| >= 2).
   [[nodiscard]] bool has_faulty(Level l) const {
     return valid_level(l) && (l >= 2 || l <= -2);
@@ -74,16 +97,24 @@ class TurnSystem {
   /// ψ_j(ℓ): same sign, |result| = |ℓ| + j. Requires −|ℓ| < j <= k − |ℓ|.
   [[nodiscard]] Level outwards(Level l, int j) const;
   /// a ∈ Ψ>(b): same sign and |a| > |b|.
-  [[nodiscard]] bool strictly_outwards(Level a, Level b) const;
+  [[nodiscard]] bool strictly_outwards(Level a, Level b) const {
+    return (a > 0) == (b > 0) && std::abs(a) > std::abs(b);
+  }
   /// a ∈ Ψ≫(b): same sign and |a| > |b| + 1.
-  [[nodiscard]] bool far_outwards(Level a, Level b) const;
+  [[nodiscard]] bool far_outwards(Level a, Level b) const {
+    return (a > 0) == (b > 0) && std::abs(a) > std::abs(b) + 1;
+  }
   /// a ∈ Ψ≥(b): same sign and |a| >= |b|.
-  [[nodiscard]] bool weakly_outwards(Level a, Level b) const;
+  [[nodiscard]] bool weakly_outwards(Level a, Level b) const {
+    return (a > 0) == (b > 0) && std::abs(a) >= std::abs(b);
+  }
 
   /// "ℓ̄" / "ℓ̂"-style display name of a turn.
   [[nodiscard]] std::string turn_name(core::StateId q) const;
 
  private:
+  [[noreturn]] static void throw_bad_state();
+
   int d_;
   int k_;
 };

@@ -38,6 +38,8 @@
 #include "unison/alg_au.hpp"
 #include "unison/au_monitor.hpp"
 #include "unison/au_potential.hpp"
+#include "unison/baselines.hpp"
+#include "unison/failed_au.hpp"
 #include "util/binary_io.hpp"
 #include "util/rng.hpp"
 
@@ -818,6 +820,103 @@ TEST(EngineReorder, AuChecksAgreeAcrossLayouts) {
   EXPECT_GT(unprotected_edges[0], 0u);
   EXPECT_EQ(unprotected_edges[0], unprotected_edges[1]);
   EXPECT_EQ(grounded[0], grounded[1]);
+}
+
+// The MIS and baseline predicates read a user-id configuration, like the
+// AU checks above. Randomized automata do not share trajectories across
+// layouts, so each check judges an injected configuration, one legitimate
+// and one not, built in user ids on the unreordered graph; on a kBfs engine
+// it must give the same verdicts over engine.graph() and engine.config().
+template <typename Legit>
+void expect_verdicts_survive_reorder(const Graph& g0,
+                                     const core::Automaton& alg,
+                                     const Configuration& legit,
+                                     const Configuration& illegit,
+                                     Legit&& check) {
+  ASSERT_TRUE(check(g0, legit));
+  ASSERT_FALSE(check(g0, illegit));
+  Graph g = g0;
+  auto sched = sched::make_scheduler("synchronous", g);
+  Engine e(g, alg, *sched, illegit, 3,
+           EngineOptions{.reorder = ReorderMode::kBfs});
+  ASSERT_TRUE(g.reordered());
+  e.inject_configuration(legit);
+  ASSERT_EQ(e.config(), legit);
+  EXPECT_TRUE(check(e.graph(), e.config()));
+  e.inject_configuration(illegit);
+  EXPECT_FALSE(check(e.graph(), e.config()));
+}
+
+TEST(EngineReorder, MisAndBaselineChecksAgreeAcrossLayouts) {
+  const Graph g0 = random_graph(600, 6.0, 31);
+  const std::vector<std::uint32_t> dist = graph::bfs_distances(g0, 0);
+  const NodeId n = g0.num_nodes();
+  const NodeId far = static_cast<NodeId>(
+      std::max_element(dist.begin(), dist.end()) - dist.begin());
+
+  {  // Greedy MIS in user ids; then an adjacent IN pair.
+    const mis::AlgMis alg(mis::AlgMisParams{.diameter_bound = 12});
+    const core::StateId in = alg.encode({.mode = mis::MisState::Mode::kIn});
+    const core::StateId out = alg.encode({.mode = mis::MisState::Mode::kOut});
+    Configuration legit(n, out);
+    for (NodeId v = 0; v < n; ++v) {
+      const auto nb = g0.neighbors(v);
+      if (std::none_of(nb.begin(), nb.end(),
+                       [&](NodeId u) { return legit[u] == in; })) {
+        legit[v] = in;
+      }
+    }
+    Configuration illegit = legit;
+    illegit[g0.neighbors(0).front()] = in;  // node 0 is IN (greedy order)
+    expect_verdicts_survive_reorder(
+        g0, alg, legit, illegit, [&](const Graph& g, const Configuration& c) {
+          return mis::mis_outputs_correct(alg, g, c);
+        });
+    expect_verdicts_survive_reorder(
+        g0, alg, legit, illegit, [&](const Graph& g, const Configuration& c) {
+          return mis::mis_legitimate(alg, g, c);
+        });
+  }
+  // The unison baselines: clocks = BFS distance from node 0, which every
+  // edge changes by at most 1; then the farthest node pushed 3 ticks ahead.
+  {
+    const unison::MinPlusOneUnison alg;
+    const Configuration legit(dist.begin(), dist.end());
+    Configuration illegit = legit;
+    illegit[far] += 3;
+    expect_verdicts_survive_reorder(
+        g0, alg, legit, illegit, [&](const Graph& g, const Configuration& c) {
+          return alg.legitimate(g, c);
+        });
+  }
+  {
+    const unison::ResetUnison alg(4, 11);
+    Configuration legit(n);
+    for (NodeId v = 0; v < n; ++v) {
+      legit[v] = alg.clock_id(static_cast<int>(dist[v]) % alg.modulus());
+    }
+    Configuration illegit = legit;
+    illegit[far] =
+        alg.clock_id((static_cast<int>(dist[far]) + 3) % alg.modulus());
+    expect_verdicts_survive_reorder(
+        g0, alg, legit, illegit, [&](const Graph& g, const Configuration& c) {
+          return alg.legitimate(g, c);
+        });
+  }
+  {
+    const unison::FailedAu alg(5);  // turns 0..10
+    Configuration legit(n);
+    for (NodeId v = 0; v < n; ++v) {
+      legit[v] = alg.able_id(static_cast<int>(dist[v]) % alg.num_turns());
+    }
+    Configuration illegit = legit;
+    illegit[far] =
+        alg.able_id((static_cast<int>(dist[far]) + 3) % alg.num_turns());
+    expect_verdicts_survive_reorder(
+        g0, alg, legit, illegit, [&](const Graph& g, const Configuration& c) {
+          return alg.legitimate(g, c);
+        });
+  }
 }
 
 }  // namespace

@@ -156,6 +156,26 @@ TEST(Session, MalformedSpecsThrowInvalidArgument) {
     spec.automaton = automaton;
     EXPECT_THROW(Session{spec}, std::invalid_argument) << automaton;
   }
+  // Numbers must be whole tokens that fit their type: trailing junk is not
+  // ignored, and a negative |Q| does not wrap to 2^64 - 1.
+  struct Spec {
+    const char* automaton;
+    const char* graph;
+    const char* initial;
+  };
+  for (const Spec& bad : {Spec{"alg-au:3junk", "complete:8", "random"},
+                          Spec{"alg-au:3", "complete:8junk", "random"},
+                          Spec{"min-prop:-1", "complete:8", "random"},
+                          Spec{"min-prop:0", "complete:8", "random"},
+                          Spec{"alg-au:3", "complete:8", "uniform:1x"},
+                          Spec{"alg-au:3", "random:64:0.1junk", "random"},
+                          Spec{"alg-au:3", "complete:4294967296", "random"}}) {
+    spec.automaton = bad.automaton;
+    spec.graph = bad.graph;
+    spec.initial = bad.initial;
+    EXPECT_THROW(Session{spec}, std::invalid_argument)
+        << bad.automaton << " " << bad.graph << " " << bad.initial;
+  }
 }
 
 // --- Session: churn capability (the typed logic_error replacement) ----------

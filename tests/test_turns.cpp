@@ -7,6 +7,8 @@
 #include <set>
 #include <vector>
 
+#include "core/row_walk.hpp"
+
 namespace ssau::unison {
 namespace {
 
@@ -181,6 +183,28 @@ TEST_P(TurnSystemP, PsiSetPredicates) {
   EXPECT_FALSE(ts.far_outwards(3, 2));  // exactly one unit is not "far"
   EXPECT_TRUE(ts.weakly_outwards(2, 2));
   EXPECT_FALSE(ts.weakly_outwards(1, 2));
+}
+
+TEST_P(TurnSystemP, ClockOfReadsTheClockOffEveryStateId) {
+  // clock_of and cyclic distance 1 mod 2k are the id arithmetic the
+  // graph-level predicates walk with; they must agree with
+  // clock(level_of(q)) and adjacent() on every state and pair of states,
+  // and on able ids the ids themselves must do.
+  const TurnSystem ts(GetParam());
+  const auto m = static_cast<core::StateId>(2 * ts.k());
+  for (core::StateId q = 0; q < ts.state_count(); ++q) {
+    ASSERT_EQ(ts.clock_of(q), ts.clock(ts.level_of(q))) << q;
+    for (core::StateId r = 0; r < ts.state_count(); ++r) {
+      const bool adjacent = ts.adjacent(ts.level_of(q), ts.level_of(r));
+      ASSERT_EQ(core::cyclic_adjacent(ts.clock_of(q), ts.clock_of(r), m),
+                adjacent)
+          << q << " " << r;
+      if (ts.is_able(q) && ts.is_able(r)) {
+        ASSERT_EQ(core::cyclic_adjacent(q, r, m), adjacent) << q << " " << r;
+      }
+    }
+  }
+  EXPECT_THROW((void)ts.level_of(ts.state_count()), std::invalid_argument);
 }
 
 TEST_P(TurnSystemP, TurnNames) {
