@@ -1,7 +1,7 @@
 // Shared helpers for the reproduction benches: standard instance batteries
 // and formatting. Each bench binary regenerates one table/figure/theorem
-// artifact (see DESIGN.md experiment index) and prints rows suitable for
-// EXPERIMENTS.md.
+// artifact and prints its rows; DESIGN.md's experiment index lists them
+// (E1-E15).
 #pragma once
 
 #include <iostream>

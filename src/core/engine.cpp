@@ -82,7 +82,6 @@ Engine::Engine(const graph::Graph& g, const Automaton& alg,
       sched_rng_(rng_.fork()),
       seed_(seed),
       options_(options),
-      stepper_(&alg),
       pending_(g.num_nodes(), 1),
       pending_count_(g.num_nodes()) {
   if (initial.size() != graph_.num_nodes()) {
@@ -116,7 +115,6 @@ Engine::Engine(const graph::Graph& g, const Automaton& alg,
   if (CompiledAutomaton::compilable(automaton_) &&
       !automaton_.native_mask_kernel()) {
     compiled_ = std::make_unique<CompiledAutomaton>(automaton_);
-    stepper_ = compiled_.get();
     if (compiled_->dense()) {
       dense_table_ = compiled_->dense_table().data();
       dense_shift_ = automaton_.state_count();
@@ -124,7 +122,6 @@ Engine::Engine(const graph::Graph& g, const Automaton& alg,
   }
   full_activation_ = scheduler_.full_activation();
   if (full_activation_) next_store_.reset_zero(graph_.num_nodes(), narrow);
-  scratch_.reserve(graph_.max_degree() + 1);
 
   unsigned threads =
       ParallelEngine::resolve_thread_count(options_.thread_count);
@@ -143,30 +140,30 @@ Engine::Engine(const graph::Graph& g, const Automaton& alg,
       shardable && !full_activation_ &&
       scheduler_.max_activation_hint() >= options_.sparse_activation_threshold;
   if (shardable && (full_activation_ || sparse_eligible_)) {
-    sync_shards_ = make_shards(graph_, threads);
+    // No more participants than nodes. The synchronous plan cuts
+    // kShardsPerParticipant shards per participant (fewer on tiny graphs),
+    // claimed from the pool's cursor.
     pool_ = std::make_unique<ParallelEngine>(
-        static_cast<unsigned>(sync_shards_.size()));
+        static_cast<unsigned>(std::min<NodeId>(threads, graph_.num_nodes())));
+    if (full_activation_) {
+      sync_shards_ = make_shards(
+          graph_, pool_->participants() * kShardsPerParticipant);
+    }
+    shard_ws_.resize(pool_->participants() * kShardsPerParticipant);
   } else if (full_activation_) {
     // Serial synchronous engines run the shared shard body on one shard.
     sync_shards_.push_back({0, graph_.num_nodes()});
+    shard_ws_.resize(1);
   }
-  if (!sync_shards_.empty()) {
-    shard_ws_.resize(sync_shards_.size());
-    for (std::size_t i = 0; i < shard_ws_.size(); ++i) {
-      ShardWorkspace& ws = shard_ws_[i];
-      ws.scratch.reserve(graph_.max_degree() + 1);
-      if (compiled_ && !compiled_->dense() && i != 0) {
-        // Lazy-memo kernels are single-threaded; every shard but 0 gets
-        // its own instance. During a sharded step only shard 0's body
-        // uses the engine-level memo (whichever participant claims it),
-        // and serial steps run between run() calls — so shard 0 shares
-        // it: one warm cache for both the serial and sharded steps of a
-        // threshold-straddling run.
-        ws.compiled = std::make_unique<CompiledAutomaton>(automaton_);
-        ws.stepper = ws.compiled.get();
-      } else {
-        ws.stepper = stepper_;
-      }
+  participant_ws_.resize(pool_ ? pool_->participants() : 1);
+  for (std::size_t p = 0; p < participant_ws_.size(); ++p) {
+    ParticipantWorkspace& pw = participant_ws_[p];
+    pw.scratch.reserve(graph_.max_degree() + 1);
+    if (p != 0 && compiled_ && !compiled_->dense()) {
+      pw.compiled = std::make_unique<CompiledAutomaton>(automaton_);
+      pw.stepper = pw.compiled.get();
+    } else {
+      pw.stepper = compiled_ ? compiled_.get() : &automaton_;
     }
   }
   if (sparse_eligible_) {
@@ -275,9 +272,8 @@ graph::TopologyDelta Engine::apply_topology_delta(
   }
 
   // Sense scratches must hold max_degree + 1 states; grow if churn raised it.
-  scratch_.reserve(graph_.max_degree() + 1);
-  for (ShardWorkspace& ws : shard_ws_) {
-    ws.scratch.reserve(graph_.max_degree() + 1);
+  for (ParticipantWorkspace& pw : participant_ws_) {
+    pw.scratch.reserve(graph_.max_degree() + 1);
   }
   // Degree weights shifted: the synchronous kernel re-balances its node
   // partition lazily at the next parallel step (a serial engine's single
@@ -383,12 +379,13 @@ void Engine::step() {
 // bodies cannot drift out of lockstep (bit-identity depends on them staying
 // identical).
 template <typename T, typename NodeOf, typename Emit>
-void Engine::shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
+void Engine::shard_phase1(const Shard& shard, ParticipantWorkspace& pw,
+                          ShardWorkspace& ws, const T* cfg,
                           const bool log_transitions, const NodeOf& node_of,
                           const Emit& emit) {
   std::vector<TransitionRec>& log = ws.transitions;
   log.clear();
-  const Automaton& kernel = *ws.stepper;
+  const Automaton& kernel = *pw.stepper;
   if (mask_kernel_) {
     if (dense_table_ != nullptr && !log_transitions) {
       // Vectorized table application: the SIMD mask gather feeds one
@@ -409,7 +406,7 @@ void Engine::shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
       const NodeId v = node_of(i);
       const StateId cur = cfg[v];
       const StateId next = kernel.step_mask(
-          cur, neighborhood_mask(graph_, cfg, v), shard_rng(ws, v));
+          cur, neighborhood_mask(graph_, cfg, v), draw_rng(pw, v));
       if (log_transitions && next != cur) {
         log.push_back({v, cur, next});
       }
@@ -420,7 +417,7 @@ void Engine::shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
       const NodeId v = node_of(i);
       const StateId cur = cfg[v];
       const StateId next = kernel.step_set(
-          cur, neighborhood_set(graph_, cfg, v), shard_rng(ws, v));
+          cur, neighborhood_set(graph_, cfg, v), draw_rng(pw, v));
       if (log_transitions && next != cur) {
         log.push_back({v, cur, next});
       }
@@ -429,9 +426,9 @@ void Engine::shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
   } else {
     for (NodeId i = shard.begin; i < shard.end; ++i) {
       const NodeId v = node_of(i);
-      const SignalView sig = ws.scratch.sense(graph_, cfg, v);
+      const SignalView sig = pw.scratch.sense(graph_, cfg, v);
       const StateId cur = cfg[v];
-      const StateId next = kernel.step_fast(cur, sig, shard_rng(ws, v));
+      const StateId next = kernel.step_fast(cur, sig, draw_rng(pw, v));
       if (log_transitions && next != cur) {
         log.push_back({v, cur, next});
       }
@@ -444,13 +441,14 @@ void Engine::shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
 // the double buffer in one pass (no update list, no pending-bitmap churn)
 // and every step closes exactly one round. Phase 1 runs the shared shard
 // body over sync_shards_: on the pool when the engine has one (each shard
-// computes its contiguous node range against its own workspace, and the
-// join in ParallelEngine::run makes every write visible before the tail),
-// inline on the single [0, n) shard otherwise. Serial and sharded
-// steps then share one serial tail: listener replay and field patches from
-// the per-shard logs (shards are contiguous and ascending, so shard-order
-// concatenation IS node order — the order a per-activation loop over
-// A_t = V emits), the buffer swap, and the round close.
+// computes its contiguous node range into its own log, with the scratch of
+// whichever participant claimed it, and the join in ParallelEngine::run
+// makes every write visible before the tail), inline on the single [0, n)
+// shard otherwise. Serial and sharded steps then share one serial tail:
+// listener replay and field patches from the per-shard logs (shards are
+// contiguous and ascending, so shard-order concatenation IS node order —
+// the order a per-activation loop over A_t = V emits), the buffer swap,
+// and the round close.
 void Engine::step_synchronous() {
   // The synchronous kernel never *senses* through the signal field, but a
   // live forced-on field must stay consistent across the step. Shards
@@ -472,7 +470,8 @@ void Engine::step_synchronous() {
     // Signals materialize from the pre-step configuration, still in store_.
     for (const ShardWorkspace& ws : shard_ws_) {
       for (const TransitionRec& tr : ws.transitions) {
-        const SignalView sig = sense_current(scratch_, tr.v);
+        const SignalView sig =
+            sense_current(participant_ws_[0].scratch, tr.v);
         emit_listener(tr.v, tr.from, tr.to, sig);
       }
     }
@@ -502,25 +501,28 @@ void Engine::step_synchronous() {
 
 template <typename T>
 void Engine::sync_phase1(const T* cur, T* next, const bool log_transitions) {
-  const auto body = [&](const Shard& shard, unsigned shard_index) {
+  const auto body = [&](const Shard& shard, unsigned shard_index,
+                        unsigned participant) {
     ShardWorkspace& ws = shard_ws_[shard_index];
     shard_phase1(
-        shard, ws, cur, log_transitions, [](NodeId i) { return i; },
+        shard, participant_ws_[participant], ws, cur, log_transitions,
+        [](NodeId i) { return i; },
         [&](NodeId, NodeId v, StateId nextq) {
           next[v] = static_cast<T>(nextq);
           bump_act(v, ws.act_saturated);
         });
   };
   if (!pool_) {
-    body(sync_shards_.front(), 0);
+    body(sync_shards_.front(), 0, 0);
     return;
   }
   if (sync_shards_dirty_) {
     // Topology churn shifted the degree weights: re-balance the node
-    // partition before fanning out (same shard count — the pool's
-    // workers are fixed).
+    // partition before fanning out, into as many shards as construction cut
+    // (the pool and n are fixed, so the per-shard workspaces still line up).
     make_weighted_shards_into(
-        sync_shards_, graph_.num_nodes(), pool_->participants(),
+        sync_shards_, graph_.num_nodes(),
+        pool_->participants() * kShardsPerParticipant,
         [&](NodeId v) { return static_cast<std::uint64_t>(graph_.degree(v)) + 1; });
     sync_shards_dirty_ = false;
   }
@@ -577,6 +579,8 @@ void Engine::step_async() {
 
 template <typename T>
 void Engine::async_phase1(const T* cfg) {
+  ParticipantWorkspace& ws = participant_ws_[0];
+  const Automaton& kernel = *ws.stepper;
   if (field_) {
     // Field-sensed serial path — the signal-field fast path this layer
     // exists for: an O(1) presence-mask lookup (or O(distinct) span) per
@@ -587,17 +591,16 @@ void Engine::async_phase1(const T* cfg) {
     ensure_field_fresh();
     field_senses_ += active_.size();
     if (mask_kernel_ && !listener_ && field_->mask_exact()) {
-      const Automaton& kernel = *stepper_;
       for (const NodeId v : active_) {
         const StateId cur = cfg[v];
-        updates_.push(v,
-                      kernel.step_mask(cur, field_->mask_of(v), step_rng(v)));
+        updates_.push(
+            v, kernel.step_mask(cur, field_->mask_of(v), draw_rng(ws, v)));
       }
     } else if (set_kernel_) {
       for (const NodeId v : active_) {
         const StateSet set = field_->set_of(v);
         const StateId cur = cfg[v];
-        const StateId next = stepper_->step_set(cur, set, step_rng(v));
+        const StateId next = kernel.step_set(cur, set, draw_rng(ws, v));
         if (next != cur && listener_) {
           emit_listener(v, cur, next, unpack_set(set, field_scratch_));
         }
@@ -607,7 +610,7 @@ void Engine::async_phase1(const T* cfg) {
       for (const NodeId v : active_) {
         const SignalView sig = field_->sense(v, field_scratch_);
         const StateId cur = cfg[v];
-        const StateId next = stepper_->step_fast(cur, sig, step_rng(v));
+        const StateId next = kernel.step_fast(cur, sig, draw_rng(ws, v));
         if (next != cur && listener_) emit_listener(v, cur, next, sig);
         updates_.push(v, next);
       }
@@ -622,29 +625,28 @@ void Engine::async_phase1(const T* cfg) {
             v, table[(static_cast<std::size_t>(cfg[v]) << shift) | mask]);
       }
     } else {
-      const Automaton& kernel = *stepper_;
       for (const NodeId v : active_) {
         const StateId cur = cfg[v];
         updates_.push(v, kernel.step_mask(
                              cur, neighborhood_mask(graph_, cfg, v),
-                             step_rng(v)));
+                             draw_rng(ws, v)));
       }
     }
   } else if (set_kernel_) {
     for (const NodeId v : active_) {
       const StateId cur = cfg[v];
-      const StateId next = stepper_->step_set(
-          cur, neighborhood_set(graph_, cfg, v), step_rng(v));
+      const StateId next = kernel.step_set(
+          cur, neighborhood_set(graph_, cfg, v), draw_rng(ws, v));
       if (next != cur && listener_) {
-        emit_listener(v, cur, next, scratch_.sense(graph_, cfg, v));
+        emit_listener(v, cur, next, ws.scratch.sense(graph_, cfg, v));
       }
       updates_.push(v, next);
     }
   } else {
     for (const NodeId v : active_) {
-      const SignalView sig = scratch_.sense(graph_, cfg, v);
+      const SignalView sig = ws.scratch.sense(graph_, cfg, v);
       const StateId cur = cfg[v];
-      const StateId next = stepper_->step_fast(cur, sig, step_rng(v));
+      const StateId next = kernel.step_fast(cur, sig, draw_rng(ws, v));
       if (next != cur && listener_) emit_listener(v, cur, next, sig);
       updates_.push(v, next);
     }
@@ -673,10 +675,11 @@ void Engine::async_phase1(const T* cfg) {
 // sharded phase 1 and the serial apply loop.
 template <typename T>
 void Engine::sparse_phase1(const T* cfg, const bool log_transitions) {
-  pool_->run(sparse_shards_, [&](const Shard& shard, unsigned shard_index) {
+  pool_->run(sparse_shards_, [&](const Shard& shard, unsigned shard_index,
+                                 unsigned participant) {
     shard_phase1(
-        shard, shard_ws_[shard_index], cfg, log_transitions,
-        [&](NodeId i) { return active_[i]; },
+        shard, participant_ws_[participant], shard_ws_[shard_index], cfg,
+        log_transitions, [&](NodeId i) { return active_[i]; },
         [&](NodeId i, NodeId v, StateId next) { updates_.set(i, v, next); });
   });
 }
@@ -698,7 +701,8 @@ void Engine::step_sparse_parallel() {
   const auto count = static_cast<NodeId>(active_.size());
   updates_.resize(count);
   make_weighted_shards_into(
-      sparse_shards_, count, pool_->participants(), [&](NodeId i) {
+      sparse_shards_, count, pool_->participants() * kShardsPerParticipant,
+      [&](NodeId i) {
         return static_cast<std::uint64_t>(graph_.degree(active_[i])) + 1;
       });
 
@@ -715,7 +719,8 @@ void Engine::step_sparse_parallel() {
     // serial apply loop.
     for (std::size_t s = 0; s < sparse_shards_.size(); ++s) {
       for (const TransitionRec& tr : shard_ws_[s].transitions) {
-        const SignalView sig = sense_current(scratch_, tr.v);
+        const SignalView sig =
+            sense_current(participant_ws_[0].scratch, tr.v);
         emit_listener(tr.v, tr.from, tr.to, sig);
       }
     }
@@ -723,7 +728,8 @@ void Engine::step_sparse_parallel() {
     return;
   }
 
-  pool_->run(sparse_shards_, [&](const Shard& shard, unsigned shard_index) {
+  pool_->run(sparse_shards_, [&](const Shard& shard, unsigned shard_index,
+                                 unsigned) {
     ShardWorkspace& ws = shard_ws_[shard_index];
     std::uint64_t newly_done = 0;
     for (NodeId i = shard.begin; i < shard.end; ++i) {
@@ -870,23 +876,26 @@ void Engine::inject_state(NodeId v, StateId q) {
 std::size_t Engine::dynamic_memory_usage() const {
   std::size_t total =
       store_.dynamic_memory_usage() + next_store_.dynamic_memory_usage() +
-      updates_.dynamic_memory_usage() + scratch_.dynamic_memory_usage() +
-      util::DynamicUsage(pending_) + util::DynamicUsage(act32_) +
-      util::DynamicUsage(act64_) + util::DynamicUsage(active_) +
-      util::DynamicUsage(field_scratch_) + util::DynamicUsage(user_view_) +
-      util::DynamicUsage(sync_shards_) + util::DynamicUsage(sparse_shards_);
+      updates_.dynamic_memory_usage() + util::DynamicUsage(pending_) +
+      util::DynamicUsage(act32_) + util::DynamicUsage(act64_) +
+      util::DynamicUsage(active_) + util::DynamicUsage(field_scratch_) +
+      util::DynamicUsage(user_view_) + util::DynamicUsage(sync_shards_) +
+      util::DynamicUsage(sparse_shards_);
   if (compiled_) {
     total += sizeof(CompiledAutomaton) + compiled_->dynamic_memory_usage();
   }
   if (field_) total += sizeof(SignalField) + field_->dynamic_memory_usage();
   if (pool_) total += sizeof(ParallelEngine) + pool_->dynamic_memory_usage();
+  total += participant_ws_.capacity() * sizeof(ParticipantWorkspace);
+  for (const ParticipantWorkspace& pw : participant_ws_) {
+    total += pw.scratch.dynamic_memory_usage();
+    if (pw.compiled) {
+      total += sizeof(CompiledAutomaton) + pw.compiled->dynamic_memory_usage();
+    }
+  }
   total += shard_ws_.capacity() * sizeof(ShardWorkspace);
   for (const ShardWorkspace& ws : shard_ws_) {
-    total += util::DynamicUsage(ws.transitions) +
-             ws.scratch.dynamic_memory_usage();
-    if (ws.compiled) {
-      total += sizeof(CompiledAutomaton) + ws.compiled->dynamic_memory_usage();
-    }
+    total += util::DynamicUsage(ws.transitions);
   }
   return total;
 }

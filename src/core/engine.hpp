@@ -49,7 +49,13 @@
 //   * all sharded execution runs on the fork-join shard pool
 //     (core/parallel_engine.hpp): each run() call executes one body over a
 //     shard list, the caller claiming shards alongside the workers, and
-//     returns once every shard finished;
+//     returns once every shard finished. Plans over-decompose: P
+//     participants share P * kShardsPerParticipant shards (core/shard.hpp),
+//     so one slow participant no longer holds up the whole join. Scratch
+//     that a body mutates lives per participant (sense scratch, lazy memo,
+//     rng scratch; participant 0 is the calling thread, whose workspace
+//     also serves the serial paths), results live per shard (transition
+//     log, counter-saturation flag, pending tally);
 //   * under a full-activation scheduler the double-buffered synchronous step
 //     is sharded over contiguous degree-weighted node ranges (core/shard.hpp);
 //     every node reads the previous buffer and writes only its own slot, so
@@ -225,11 +231,13 @@ struct EngineOptions {
   /// core::recommended_shard_count, which scales the worker fleet to the
   /// graph's scan footprint — small instances stay serial (or lightly
   /// sharded) rather than paying barrier overhead across idle workers; an
-  /// explicit N is always honored as given. N > 1 = N degree-weighted
-  /// shards on the fork-join shard pool. Full-activation schedulers shard
-  /// the synchronous kernel; asynchronous daemons with large activation
-  /// sets shard both phases of the sparse-activation kernel. Every setting
-  /// produces bit-identical trajectories.
+  /// explicit N is always honored as given (up to one thread per node).
+  /// N > 1 = N participants (the caller plus N - 1 workers) on the
+  /// fork-join shard pool, claiming N * kShardsPerParticipant
+  /// degree-weighted shards per parallel phase. Full-activation schedulers
+  /// shard the synchronous kernel; asynchronous daemons with large
+  /// activation sets shard both phases of the sparse-activation kernel.
+  /// Every setting produces bit-identical trajectories.
   unsigned thread_count = 1;
   /// Minimum |A_t| for the sparse-activation sharded kernel. Steps with
   /// smaller activation sets (and daemons whose max_activation_hint() never
@@ -563,10 +571,13 @@ class Engine {
   /// work is deferred to the paths that would actually read it.
   [[nodiscard]] bool signal_field_stale() const { return field_stale_; }
 
-  /// Shard count of the parallel kernels (synchronous or sparse-activation),
+  /// Threads that step the parallel kernels (synchronous or
+  /// sparse-activation): the shard pool's participants, caller included —
   /// or 1 when the engine runs serial (thread_count 1, a daemon whose
   /// activation sets stay below the sparse threshold, or a parallel-unsafe
-  /// automaton).
+  /// automaton). Each parallel phase cuts up to kShardsPerParticipant times
+  /// as many shards; this counts the threads that share them, which is what
+  /// divides a step's work.
   [[nodiscard]] unsigned shard_count() const {
     return pool_ ? pool_->participants() : 1;
   }
@@ -662,6 +673,7 @@ class Engine {
   void load_state(util::BinaryReader& r, std::uint32_t version = 2);
 
  private:
+  struct ParticipantWorkspace;
   struct ShardWorkspace;
   using TransitionRec = Transition;  // core/signal_field.hpp
 
@@ -697,19 +709,21 @@ class Engine {
   /// in lockstep or bit-identity silently breaks: computes the next state
   /// of every index in [shard.begin, shard.end) against the raw current
   /// store `cfg` (templated on the element type so the byte-compact and
-  /// wide storage modes share one body), mapping indices to nodes via
-  /// `node_of` (identity for the synchronous kernel, the activation list
-  /// for the sparse kernel) and handing results to `emit(i, v, next)`
-  /// (double-buffer slot vs update-list slot). Logs transitions into
-  /// ws.transitions when `log_transitions`.
+  /// wide storage modes share one body) with the running participant's
+  /// scratch `pw`, mapping indices to nodes via `node_of` (identity for the
+  /// synchronous kernel, the activation list for the sparse kernel) and
+  /// handing results to `emit(i, v, next)` (double-buffer slot vs
+  /// update-list slot). Logs transitions into ws.transitions when
+  /// `log_transitions`.
   template <typename T, typename NodeOf, typename Emit>
-  void shard_phase1(const Shard& shard, ShardWorkspace& ws, const T* cfg,
-                    bool log_transitions, const NodeOf& node_of,
-                    const Emit& emit);
+  void shard_phase1(const Shard& shard, ParticipantWorkspace& pw,
+                    ShardWorkspace& ws, const T* cfg, bool log_transitions,
+                    const NodeOf& node_of, const Emit& emit);
 
   /// The synchronous kernel's phase 1: every shard of sync_shards_ computes
-  /// its node range of `next` from `cur` — fanned out over the pool when
-  /// the engine has one, run inline on the single [0, n) shard otherwise.
+  /// its node range of `next` from `cur` — claimed by the pool's
+  /// participants when the engine has a pool, run inline on the single
+  /// [0, n) shard otherwise.
   template <typename T>
   void sync_phase1(const T* cur, T* next, bool log_transitions);
   /// The sparse kernel's phase 1: one pool run() over sparse_shards_, each
@@ -751,25 +765,23 @@ class Engine {
   /// near the 32-bit ceiling since the last check.
   void maybe_promote_acts();
 
-  /// The rng stream for an activation of node v: derived on the spot from
+  /// The rng stream for an activation of node v, materialized into the
+  /// running participant's scratch generator: derived on the spot from
   /// (seed, v, activation count) for randomized automata (see the RNG-
-  /// discipline note — no per-node generator is stored), the never-consulted
-  /// engine stream for deterministic ones. Must be called BEFORE the
-  /// activation's bump_act.
-  [[nodiscard]] util::Rng& step_rng(NodeId v) {
-    if (!randomized_) return rng_;
-    draw_rng_ = util::Rng::activation_stream(seed_, v, act_now(v));
-    return draw_rng_;
-  }
-
-  /// shard_phase1's rng source: same derivation, but into the calling
-  /// shard's workspace scratch generator (one run() hands each shard index
-  /// to exactly one participant, so this never races).
-  [[nodiscard]] util::Rng& shard_rng(ShardWorkspace& ws, NodeId v) {
+  /// discipline note — no per-node generator is stored), left untouched and
+  /// never consulted for deterministic ones. A participant runs one body at
+  /// a time, so this never races. Must be called BEFORE the activation's
+  /// bump_act.
+  ///
+  /// Forced inline: every kernel loop calls it once per activation, and
+  /// left to itself GCC made it an out-of-line call there, deterministic
+  /// automata included.
+  [[nodiscard, gnu::always_inline]] util::Rng& draw_rng(
+      ParticipantWorkspace& pw, NodeId v) {
     if (randomized_) {
-      ws.scratch_rng = util::Rng::activation_stream(seed_, v, act_now(v));
+      pw.scratch_rng = util::Rng::activation_stream(seed_, v, act_now(v));
     }
-    return ws.scratch_rng;
+    return pw.scratch_rng;
   }
 
   /// The current configuration translated back to USER id order (reordered
@@ -813,7 +825,6 @@ class Engine {
 
   // Kernel state.
   std::unique_ptr<CompiledAutomaton> compiled_;
-  const Automaton* stepper_;       // compiled_ if present, else &automaton_
   bool full_activation_ = false;   // scheduler guarantees A_t = V
   bool mask_kernel_ = false;       // |Q| <= 64: step_mask drives the hot loop
   bool set_kernel_ = false;        // 64 < |Q| <= 256: step_set, byte store
@@ -823,32 +834,37 @@ class Engine {
   // table is immutable and shared by every shard.
   const std::uint8_t* dense_table_ = nullptr;
   StateId dense_shift_ = 0;
-  SignalScratch scratch_;
 
   // Randomized automata draw from lazily derived (seed, node, activation)
   // counter streams (see the RNG-discipline note above); deterministic ones
-  // never draw at all. draw_rng_ is the serial paths' scratch generator the
-  // derived stream is materialized into.
+  // never draw at all.
   bool randomized_ = false;
-  util::Rng draw_rng_{0};
 
-  // Shard kernel state: one workspace per shard — a single one for a serial
-  // synchronous engine, none for a serial asynchronous one — and the pool
-  // (null when running serial).
-  struct ShardWorkspace {
+  // What a kernel body mutates besides its outputs, one per thread that
+  // runs bodies. Workers write scratch_rng (and, on the wide-store path, the
+  // sense scratch) once per activation, so line_gap keeps neighbouring
+  // entries of participant_ws_ a cache line apart. Padding, not
+  // alignas(64): the over-aligned allocation raised stabilize-1m's peak RSS
+  // by 4 MB (the heap's layout across its repeated set-ups).
+  struct ParticipantWorkspace {
     SignalScratch scratch;
+    // Lazy-memo compiled kernels are single-threaded: each worker gets its
+    // own instance, while the caller's workspace steps through the engine's
+    // compiled_ (one warm memo for the serial and sharded steps of a
+    // threshold-straddling run). Dense tables are immutable and shared.
+    std::unique_ptr<CompiledAutomaton> compiled;
+    const Automaton* stepper = nullptr;  // compiled_/compiled, else automaton_
+    // Randomized automata: the derived per-activation stream is materialized
+    // here (see draw_rng); deterministic automata never consult it.
+    util::Rng scratch_rng{0};
+    char line_gap[64]{};
+  };
+  // One shard's results of one run(); one run() hands each shard index to
+  // exactly one participant. Read serially after the join, in shard order.
+  struct ShardWorkspace {
     // This step's transitions of the shard, in iteration order (filled only
     // when the step logs: listener replay or field patching).
     std::vector<TransitionRec> transitions;
-    // Lazy-memo compiled kernels are single-threaded; each shard gets its own
-    // instance (dense tables are immutable after construction and shared).
-    // One run() hands each shard index to exactly one participant, so at
-    // most one thread uses a workspace at a time.
-    std::unique_ptr<CompiledAutomaton> compiled;
-    const Automaton* stepper = nullptr;
-    // Randomized automata: the derived per-activation stream is materialized
-    // here (see shard_rng); deterministic automata never consult it.
-    util::Rng scratch_rng{0};
     // Set when this shard pushed a 32-bit activation counter near the
     // ceiling; the next serial point promotes (see maybe_promote_acts).
     bool act_saturated = false;
@@ -856,18 +872,27 @@ class Engine {
     // the pending set this step (summed serially in shard order afterwards).
     std::uint64_t newly_done = 0;
   };
+  // The shard pool (null when running serial) and the workspaces, indexed
+  // by participant and by shard. participant_ws_ has one entry per pool
+  // participant, or one for a serial engine; entry 0 is the calling
+  // thread's, which the serial paths use too. shard_ws_ has one entry per
+  // shard a plan can cut (participants * kShardsPerParticipant; entries a
+  // small graph's plan leaves unused stay empty): a single one for a serial
+  // synchronous engine, none for a serial asynchronous one.
   std::unique_ptr<ParallelEngine> pool_;
+  std::vector<ParticipantWorkspace> participant_ws_;
   std::vector<ShardWorkspace> shard_ws_;
   // Sparse-activation kernel: true when the pool may shard asynchronous
   // steps (the scheduler's hint reaches the threshold); the actual |A_t| is
   // still checked every step.
   bool sparse_eligible_ = false;
   std::vector<Shard> sparse_shards_;  // per-step index partition of active_
-  // The synchronous kernel's node partition: degree-weighted over the
-  // pool's shards, or the single [0, n) shard of a serial engine. Topology
-  // churn shifts the weights, so apply_topology_delta marks a pooled
-  // partition dirty and the next synchronous step re-balances it (lazy: the
-  // sparse kernel never reads it).
+  // The synchronous kernel's node partition: participants *
+  // kShardsPerParticipant degree-weighted ranges (at most n), or the single
+  // [0, n) shard of a serial engine. Topology churn shifts the weights, so
+  // apply_topology_delta marks a pooled partition dirty and the next
+  // synchronous step re-balances it into the same number of shards (lazy:
+  // the sparse kernel never reads it).
   std::vector<Shard> sync_shards_;
   bool sync_shards_dirty_ = false;
 

@@ -14,7 +14,7 @@ ParallelEngine::ParallelEngine(unsigned participants) {
   workers_.reserve(participants - 1);
   try {
     for (unsigned i = 1; i < participants; ++i) {
-      workers_.emplace_back(&ParallelEngine::worker_loop, this);
+      workers_.emplace_back(&ParallelEngine::worker_loop, this, i);
     }
   } catch (...) {
     // A failed spawn (std::system_error) must not destroy joinable threads
@@ -35,7 +35,8 @@ void ParallelEngine::stop_workers() {
   for (std::thread& w : workers_) w.join();
 }
 
-void ParallelEngine::claim_shards(std::unique_lock<std::mutex>& lock) {
+void ParallelEngine::claim_shards(std::unique_lock<std::mutex>& lock,
+                                  const unsigned participant) {
   while (next_shard_ < shard_count_) {
     const auto index = static_cast<unsigned>(next_shard_++);
     const Shard shard = shards_[index];
@@ -43,7 +44,7 @@ void ParallelEngine::claim_shards(std::unique_lock<std::mutex>& lock) {
     lock.unlock();
     std::exception_ptr error;
     try {
-      fn(shard, index);
+      fn(shard, index, participant);
     } catch (...) {  // finish every shard; run() rethrows the first error
       error = std::current_exception();
     }
@@ -58,13 +59,13 @@ void ParallelEngine::claim_shards(std::unique_lock<std::mutex>& lock) {
 }
 
 void ParallelEngine::run(const std::vector<Shard>& shards, ShardFnRef fn) {
-  if (shards.empty() || shards.size() > participants()) {
-    throw std::invalid_argument(
-        "ParallelEngine: shard list must have 1..participants() entries");
+  if (shards.empty()) {
+    throw std::invalid_argument("ParallelEngine: shard list must be non-empty");
   }
   if (shards.size() == 1) {
-    // Single shard: plain serial execution, zero synchronization.
-    fn(shards[0], 0);
+    // Single shard: plain serial execution on the caller, zero
+    // synchronization.
+    fn(shards[0], 0, 0);
     return;
   }
   std::unique_lock<std::mutex> lock(mu_);
@@ -78,7 +79,7 @@ void ParallelEngine::run(const std::vector<Shard>& shards, ShardFnRef fn) {
   // and that second wake-up would land on every step's critical path.
   work_ready_.notify_all();
   lock.lock();
-  claim_shards(lock);
+  claim_shards(lock, 0);
   if (unfinished_ != 0) {
     const auto blocked_from = std::chrono::steady_clock::now();
     all_done_.wait(lock, [this] { return unfinished_ == 0; });
@@ -93,14 +94,14 @@ void ParallelEngine::run(const std::vector<Shard>& shards, ShardFnRef fn) {
   }
 }
 
-void ParallelEngine::worker_loop() {
+void ParallelEngine::worker_loop(const unsigned participant) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     work_ready_.wait(lock, [this] {
       return stopping_ || next_shard_ < shard_count_;
     });
     if (stopping_) return;
-    claim_shards(lock);
+    claim_shards(lock, participant);
   }
 }
 

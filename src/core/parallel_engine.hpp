@@ -1,12 +1,19 @@
 // Fork-join shard pool driving the sharded engine kernels.
 //
-// run(shards, fn) executes fn(shards[i], i) once per shard and returns when
-// all of them finished. The caller and the workers claim shards from one
-// cursor under one mutex: a worker that wakes late has its shard taken by
-// whoever is free, and the caller blocks only once every shard is claimed.
-// Shards are many microseconds of automaton stepping, so one lock per claim
-// is noise, and the mutex orders every shard's writes before run() returns
+// run(shards, fn) executes fn(shards[i], i, participant) once per shard and
+// returns when all of them finished. The shard list may be any non-empty
+// length: the engine cuts kShardsPerParticipant shards per participant
+// (core/shard.hpp), so a participant that wakes late or sits on a slow vCPU
+// simply claims fewer of them. The caller (participant 0) and the workers
+// (participants 1..P-1) claim shards from one cursor under one mutex, and
+// the caller blocks only once every shard is claimed. Shards are many
+// microseconds of automaton stepping, so one lock per claim is noise, and
+// the mutex orders every shard's writes before run() returns
 // (ThreadSanitizer-clean by construction).
+//
+// The participant index names the thread running the body: a participant
+// runs one body at a time, so state indexed by it (the engine's sense
+// scratch and lazy memo) is never shared between concurrent bodies.
 //
 // Exception contract: a throwing shard never terminates a worker and never
 // lets the caller unwind while other shards still execute. Every shard of
@@ -37,23 +44,27 @@ class ParallelEngine {
   /// Non-owning shard callback (capture-free function pointer + context):
   /// no std::function, no per-step allocation on the hot path.
   struct ShardFnRef {
-    using Fn = void (*)(void* ctx, const Shard& shard, unsigned shard_index);
+    using Fn = void (*)(void* ctx, const Shard& shard, unsigned shard_index,
+                        unsigned participant);
     Fn fn = nullptr;
     void* ctx = nullptr;
 
-    /// Wraps a callable lvalue taking (const Shard&, unsigned); `f` must
-    /// outlive every execution of the returned ref.
+    /// Wraps a callable lvalue taking (const Shard&, unsigned shard_index,
+    /// unsigned participant); `f` must outlive every execution of the
+    /// returned ref.
     template <typename F>
     [[nodiscard]] static ShardFnRef of(F& f) {
-      return {+[](void* ctx, const Shard& shard, unsigned shard_index) {
-                (*static_cast<F*>(ctx))(shard, shard_index);
+      return {+[](void* ctx, const Shard& shard, unsigned shard_index,
+                  unsigned participant) {
+                (*static_cast<F*>(ctx))(shard, shard_index, participant);
               },
               const_cast<void*>(
                   static_cast<const void*>(std::addressof(f)))};
     }
 
-    void operator()(const Shard& shard, unsigned shard_index) const {
-      fn(ctx, shard, shard_index);
+    void operator()(const Shard& shard, unsigned shard_index,
+                    unsigned participant) const {
+      fn(ctx, shard, shard_index, participant);
     }
   };
 
@@ -67,10 +78,14 @@ class ParallelEngine {
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
-  /// Executes fn(shards[i], i) for every i. `shards` must have
-  /// 1..participants() entries and stay alive until run returns; memory
-  /// effects of every shard happen-before the return. Rethrows the first
-  /// exception any shard raised, after all of them finished.
+  /// Executes fn(shards[i], i, participant) exactly once for every i, where
+  /// `participant` < participants() names the thread running that body
+  /// (0 = the caller, 1..participants() - 1 = the workers); no participant
+  /// ever runs two bodies at once. `shards` must be non-empty (any length)
+  /// and stay alive until run returns; memory effects of every shard
+  /// happen-before the return. A one-shard list runs inline on the caller.
+  /// Rethrows the first exception any shard raised, after all of them
+  /// finished.
   void run(const std::vector<Shard>& shards, ShardFnRef fn);
 
   /// Wraps any callable via ShardFnRef::of; it only needs to live through
@@ -83,7 +98,7 @@ class ParallelEngine {
     run(shards, ShardFnRef::of(ref));
   }
 
-  /// The most shards one run() accepts: the workers plus the caller.
+  /// The threads that run shards: the workers plus the caller.
   [[nodiscard]] unsigned participants() const {
     return static_cast<unsigned>(workers_.size()) + 1;
   }
@@ -115,10 +130,11 @@ class ParallelEngine {
   }
 
  private:
-  void worker_loop();
-  /// Claims and executes shards of the current call until none is left
-  /// unclaimed, capturing the first exception. mu_ held on entry and exit.
-  void claim_shards(std::unique_lock<std::mutex>& lock);
+  void worker_loop(unsigned participant);
+  /// Claims and executes shards of the current call as `participant` until
+  /// none is left unclaimed, capturing the first exception. mu_ held on
+  /// entry and exit.
+  void claim_shards(std::unique_lock<std::mutex>& lock, unsigned participant);
   void stop_workers();
 
   std::mutex mu_;

@@ -11,11 +11,14 @@
 // Work per index is dominated by the neighborhood scan, so shards are
 // balanced by a caller-supplied weight (deg(v) + 1 in both kernels): on
 // skewed graphs an equal-count split would leave the hub shard the straggler
-// of every barrier. The synchronous kernel partitions the node range [0, n)
-// once at engine construction (a serial engine uses the whole range as its
-// one shard); the sparse-activation kernel re-partitions the index range
-// [0, |A_t|) of the activation list every step (two O(|A_t|) passes into a
-// reused buffer).
+// of every barrier. A plan over P participants has P * kShardsPerParticipant
+// shards (fewer when there are fewer indices), which the participants claim
+// from the pool's cursor: a participant on a slow or shared core holds up
+// the join by at most about one small shard, not by a 1/P share of the step.
+// The synchronous kernel partitions the node range [0, n) once at engine
+// construction (a serial engine uses the whole range as its one shard); the
+// sparse-activation kernel re-partitions the index range [0, |A_t|) of the
+// activation list every step (two O(|A_t|) passes into a reused buffer).
 #pragma once
 
 #include <algorithm>
@@ -26,6 +29,14 @@
 #include "graph/graph.hpp"
 
 namespace ssau::core {
+
+/// Shards per pool participant in a sharded kernel's plan. Chosen on the
+/// repository benchmark's stabilize-1m (1M nodes, 4 threads, a shared
+/// 4-vCPU host): one shard per participant left the caller idle at the join
+/// for 25-29% of the traced step time; 4, 8 and 16 per participant cut that
+/// to 11-14%, 5-6% and 3-4%. Untraced, 8 gave the lowest time per round
+/// (median 22.9 ms, against 23.8 ms at 4, 24.5 ms at 16 and 25.5 ms at 1).
+inline constexpr unsigned kShardsPerParticipant = 8;
 
 /// A contiguous index range [begin, end); shards partition [0, count).
 struct Shard {
@@ -84,20 +95,22 @@ inline void make_weighted_shards_into(std::vector<Shard>& out, NodeId count,
   return shards;
 }
 
-/// Floor on the per-shard working set before another worker pays for
-/// itself: below ~256 KiB of configuration + adjacency traffic per shard,
-/// the pool's fork and join dominate the phase-1 work being split.
+/// Floor on the per-participant working set before another thread pays for
+/// itself: below ~256 KiB of configuration + adjacency traffic per
+/// participant, the pool's fork and join dominate the phase-1 work being
+/// split.
 inline constexpr std::uint64_t kMinShardFootprintBytes = std::uint64_t{1}
                                                          << 18;
 
-/// How many shards (= parallel workers) this graph can usefully feed, given
-/// a thread budget: the full budget once every shard's share of the scan
-/// footprint clears kMinShardFootprintBytes, fewer on small graphs whose
-/// whole working set fits in cache anyway. The footprint model charges each
-/// node its double-buffered state bytes plus activation counter and each
-/// CSR half-edge its 4-byte id — the actual traffic of one synchronous
-/// phase-1 pass. The engine applies this only when resolving an AUTO thread
-/// count; an explicit thread_count is honored as given.
+/// How many pool participants (threads, caller included) this graph can
+/// usefully feed, given a thread budget: the full budget once every
+/// participant's share of the scan footprint clears
+/// kMinShardFootprintBytes, fewer on small graphs whose whole working set
+/// fits in cache anyway. The footprint model charges each node its
+/// double-buffered state bytes plus activation counter and each CSR
+/// half-edge its 4-byte id — the actual traffic of one synchronous phase-1
+/// pass. The engine applies this only when resolving an AUTO thread count;
+/// an explicit thread_count is honored as given.
 [[nodiscard]] inline unsigned recommended_shard_count(const graph::Graph& g,
                                                       unsigned thread_budget) {
   if (thread_budget <= 1) return 1;

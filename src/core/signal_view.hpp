@@ -74,9 +74,11 @@ struct StateSet {
 /// configuration buffer `c` — the one definition of set sensing shared by
 /// SignalScratch and the engine's step_set kernels. Caller guarantees every
 /// state is < StateSet::kBits (byte-per-node stores, by construction).
+/// Forced inline: the kernel loops call it once per activation, and GCC has
+/// left it out of line there after unrelated edits to the engine.
 template <typename T>
-[[nodiscard]] inline StateSet neighborhood_set(const graph::Graph& g,
-                                               const T* c, NodeId v) {
+[[nodiscard, gnu::always_inline]] inline StateSet neighborhood_set(
+    const graph::Graph& g, const T* c, NodeId v) {
   StateSet set;
   set.insert(c[v]);
   simd::accumulate_set(g.neighbors(v), c, set.words);

@@ -1,8 +1,6 @@
 #include "service/session.hpp"
 
-#include <charconv>
 #include <stdexcept>
-#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -15,6 +13,7 @@
 #include "unison/baselines.hpp"
 #include "util/binary_io.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace ssau::service {
 
@@ -26,21 +25,14 @@ namespace {
 constexpr std::uint64_t kGraphStream = 0x6772'6170'6800'0001ULL;
 constexpr std::uint64_t kInitStream = 0x696E'6974'0000'0002ULL;
 
-/// parts[i] of `spec` as a T. The whole token must be one number that fits
-/// T: no sign on an unsigned T, no leading blanks, no trailing characters;
+/// parts[i] of `spec` as a T, parsed strictly (util::parse_number);
 /// anything else is a malformed `kind` spec (std::invalid_argument).
 template <typename T>
 T spec_number(const std::vector<std::string>& parts, std::size_t i,
               const std::string& spec, const char* kind) {
-  T value{};
-  const std::string& token = parts.at(i);
-  const char* last = token.data() + token.size();
-  const auto [end, ec] = std::from_chars(token.data(), last, value);
-  if (ec != std::errc() || end != last) {
-    throw std::invalid_argument(std::string("malformed ") + kind +
-                                " spec: " + spec);
-  }
-  return value;
+  if (const auto value = util::parse_number<T>(parts.at(i))) return *value;
+  throw std::invalid_argument(std::string("malformed ") + kind +
+                              " spec: " + spec);
 }
 
 std::vector<std::string> split_spec(const std::string& spec) {

@@ -1,6 +1,6 @@
 // Minimal table builder: the benches print the paper's tables/series as
-// aligned plain-text and optionally as CSV, so EXPERIMENTS.md rows can be
-// copied verbatim from bench output.
+// aligned plain-text and optionally as CSV, so result rows can be copied
+// verbatim from bench output.
 #pragma once
 
 #include <iosfwd>

@@ -17,9 +17,11 @@
 //     engine, and the live signal field's counters/masks/senses against a
 //     freshly constructed SignalField(graph, |Q|, config).
 //
-// The matrix: AU + MIS + LE x all 8 schedulers x threads {1, 2, 4, 8}, with
-// the signal field forced on and a tiny sparse threshold so the large-set
-// daemons route through the sharded sparse-activation kernel mid-churn.
+// The matrix: AU + MIS + LE x all 8 schedulers x threads {1, 2, 3, 4, 8},
+// with the signal field forced on and a tiny sparse threshold so the
+// large-set daemons route through the sharded sparse-activation kernel
+// mid-churn. Under the synchronous daemon every pooled engine re-balances its
+// over-decomposed shard plan after each event, keeping its shard count.
 // Dense AND sparse field representations are churned, as is a delta applied
 // while the field is stale (pending its post-injection lazy rebuild).
 #include <gtest/gtest.h>
@@ -144,7 +146,7 @@ TEST(ChurnDifferential, AlgAuAllSchedulersAllThreadCounts) {
   const core::Configuration c0 =
       unison::au_adversarial_configuration("random", alg, g, rng);
   for (const std::string& sched_name : all_scheduler_names()) {
-    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    for (const unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
       expect_churn_matches_oracle(g, alg, c0, sched_name, threads, 311,
                                   /*steps_per_segment=*/120, /*events=*/5);
     }
@@ -160,7 +162,7 @@ TEST(ChurnDifferential, AlgMisAllSchedulersAllThreadCounts) {
   const core::Configuration c0 =
       mis::mis_adversarial_configuration("random", alg, g, rng);
   for (const std::string& sched_name : all_scheduler_names()) {
-    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    for (const unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
       expect_churn_matches_oracle(g, alg, c0, sched_name, threads, 313,
                                   /*steps_per_segment=*/120, /*events=*/5);
     }
@@ -174,7 +176,7 @@ TEST(ChurnDifferential, AlgLeAllSchedulersAllThreadCounts) {
   const core::Configuration c0 =
       le::le_adversarial_configuration("random", alg, g, rng);
   for (const std::string& sched_name : all_scheduler_names()) {
-    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    for (const unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
       expect_churn_matches_oracle(g, alg, c0, sched_name, threads, 331,
                                   /*steps_per_segment=*/120, /*events=*/5);
     }

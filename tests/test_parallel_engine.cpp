@@ -4,10 +4,13 @@
 // reference interpreter (configurations, time, rounds, activation counts, and
 // listener streams), for deterministic and randomized automata alike, under
 // full-activation and asynchronous schedulers. The shard pool underneath is
-// pinned directly too: every shard runs once per call, a throwing shard
-// still lets the call finish, and a failed thread spawn throws cleanly.
+// pinned directly too: every shard runs once per call (also on shard lists
+// longer than the pool, which the engine's over-decomposed plans pass), no
+// participant runs two bodies at once, a throwing shard still lets the call
+// finish, and a failed thread spawn throws cleanly.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <stdexcept>
@@ -155,7 +158,7 @@ TEST(ParallelEnginePool, RunsEveryShardEveryCall) {
   std::vector<int> hits(3, 0);
   std::vector<core::NodeId> begins(3, 0);
   for (int call = 0; call < 50; ++call) {
-    pool.run(shards, [&](const Shard& s, unsigned idx) {
+    pool.run(shards, [&](const Shard& s, unsigned idx, unsigned) {
       ++hits[idx];  // each index claimed by exactly one participant per call
       begins[idx] = s.begin;
     });
@@ -173,7 +176,7 @@ TEST(ParallelEnginePool, ShorterShardListsLeaveParticipantsIdle) {
   std::vector<Shard> seen(4);
   const std::vector<Shard> two = {{0, 7}, {7, 13}};
   for (int call = 0; call < 50; ++call) {
-    pool.run(two, [&](const Shard& s, unsigned idx) {
+    pool.run(two, [&](const Shard& s, unsigned idx, unsigned) {
       ++hits[idx];
       seen[idx] = s;
     });
@@ -186,19 +189,65 @@ TEST(ParallelEnginePool, ShorterShardListsLeaveParticipantsIdle) {
 
   // Full-width and shorter calls interleave cleanly.
   const std::vector<Shard> four = {{0, 10}, {10, 20}, {20, 30}, {30, 40}};
-  pool.run(four, [&](const Shard& s, unsigned idx) {
+  pool.run(four, [&](const Shard& s, unsigned idx, unsigned) {
     ++hits[idx];
     seen[idx] = s;
   });
   EXPECT_EQ(hits, (std::vector<int>{51, 51, 1, 1}));
   EXPECT_EQ(seen[3].begin, 30u);
   EXPECT_EQ(seen[3].end, 40u);
+}
 
-  // An over-long or empty shard list is rejected.
-  const std::vector<Shard> five(5, Shard{0, 1});
-  EXPECT_THROW(pool.run(five, [](const Shard&, unsigned) {}),
-               std::invalid_argument);
-  EXPECT_THROW(pool.run(std::vector<Shard>{}, [](const Shard&, unsigned) {}),
+TEST(ParallelEnginePool, LongerShardListsRunOnceOnExclusiveParticipants) {
+  // The engine cuts kShardsPerParticipant shards per participant, so run()
+  // takes lists longer than the pool: every shard must run exactly once per
+  // call, every body must see a participant index below P, and a
+  // participant must never be inside two bodies at once (the engine indexes
+  // its sense scratch and lazy memo by it).
+  constexpr unsigned kP = 4;
+  core::ParallelEngine pool(kP);
+  std::vector<Shard> shards;
+  for (core::NodeId i = 0; i < 3 * kP + 1; ++i) {
+    shards.push_back({10 * i, 10 * i + 10});
+  }
+  std::vector<int> hits(shards.size(), 0);
+  std::vector<Shard> seen(shards.size());
+  std::array<std::atomic<bool>, kP> inside{};
+  std::atomic<int> bad_participant{0};
+  std::atomic<int> reentered{0};
+  std::atomic<unsigned> spin{0};
+  for (int call = 0; call < 200; ++call) {
+    pool.run(shards, [&](const Shard& s, unsigned idx, unsigned participant) {
+      if (participant >= kP) {
+        ++bad_participant;
+        return;
+      }
+      if (inside[participant].exchange(true)) ++reentered;
+      ++hits[idx];
+      seen[idx] = s;
+      for (int i = 0; i < 200; ++i) spin.fetch_add(1, std::memory_order_relaxed);
+      inside[participant].store(false);
+    });
+  }
+  EXPECT_EQ(bad_participant.load(), 0);
+  EXPECT_EQ(reentered.load(), 0);
+  EXPECT_EQ(hits, std::vector<int>(shards.size(), 200));
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    EXPECT_EQ(seen[i].begin, shards[i].begin) << "shard " << i;
+    EXPECT_EQ(seen[i].end, shards[i].end) << "shard " << i;
+  }
+
+  // A one-shard list runs inline on the caller, participant 0.
+  unsigned single_participant = kP;
+  pool.run(std::vector<Shard>{{0, 5}},
+           [&](const Shard&, unsigned, unsigned participant) {
+             single_participant = participant;
+           });
+  EXPECT_EQ(single_participant, 0u);
+
+  // The empty list is still rejected.
+  EXPECT_THROW(pool.run(std::vector<Shard>{},
+                        [](const Shard&, unsigned, unsigned) {}),
                std::invalid_argument);
 }
 
@@ -213,7 +262,7 @@ TEST(ParallelEnginePool, ShardExceptionCompletesBarrierAndRethrows) {
     // Alternate which shard throws — including shards the caller claims.
     const unsigned thrower = static_cast<unsigned>(call % 3);
     EXPECT_THROW(
-        pool.run(shards, [&](const Shard&, unsigned idx) {
+        pool.run(shards, [&](const Shard&, unsigned idx, unsigned) {
           if (idx == thrower) throw std::runtime_error("shard failure");
           ++completed;
         }),
@@ -222,7 +271,7 @@ TEST(ParallelEnginePool, ShardExceptionCompletesBarrierAndRethrows) {
   EXPECT_EQ(completed.load(), 20 * 2);  // the two non-throwing shards ran
   // The pool remains usable after failed calls.
   std::vector<int> hits(3, 0);
-  pool.run(shards, [&](const Shard&, unsigned idx) { ++hits[idx]; });
+  pool.run(shards, [&](const Shard&, unsigned idx, unsigned) { ++hits[idx]; });
   EXPECT_EQ(hits, (std::vector<int>{1, 1, 1}));
 }
 
@@ -250,6 +299,8 @@ TEST(ParallelEnginePool, ResolveThreadCount) {
 
 /// Runs a reference engine (serial fast path) and one engine per thread count
 /// in lockstep; every aspect of the engine state must stay bit-identical.
+/// The counts include 3 and 5, whose shard plans (kShardsPerParticipant
+/// shards per participant) do not divide n.
 /// Also runs the reference interpreter when `against_legacy`.
 /// `sparse_threshold` forces the sparse-activation kernel onto small test
 /// instances (the default production threshold would keep them serial).
@@ -270,7 +321,7 @@ void expect_thread_count_invariance(const graph::Graph& g,
     std::string label;
   };
   std::vector<Candidate> candidates;
-  for (const unsigned threads : {0u, 2u, 4u, 8u}) {
+  for (const unsigned threads : {0u, 2u, 3u, 4u, 5u, 8u}) {
     Candidate c;
     c.sched = sched::make_scheduler(sched_name, g);
     c.engine = std::make_unique<core::Engine>(
@@ -373,6 +424,26 @@ TEST(ParallelEngine, AlgLeBitIdenticalSynchronousAndAsync) {
       le::le_adversarial_configuration("random", alg, g, rng);
   expect_thread_count_invariance(g, alg, c0, "synchronous", 233, 40);
   expect_thread_count_invariance(g, alg, c0, "uniform-single", 233, 600);
+}
+
+TEST(ParallelEngine, FewerNodesThanShardsBitIdentical) {
+  // 5 nodes: every pooled plan asks for more shards than there are nodes
+  // (2 threads already want 2 * kShardsPerParticipant), and 8 threads want
+  // more participants than nodes. The plan clamps to one node per shard and
+  // the pool to one participant per node.
+  const unison::AlgAu alg(2);
+  util::Rng rng(101);
+  const graph::Graph g = graph::random_connected(5, 0.5, rng);
+  const core::Configuration c0 =
+      unison::au_adversarial_configuration("random", alg, g, rng);
+  expect_thread_count_invariance(g, alg, c0, "synchronous", 401, 40);
+  expect_thread_count_invariance(g, alg, c0, "laggard", 403, 60,
+                                 /*against_legacy=*/true,
+                                 /*sparse_threshold=*/2);
+  sched::SynchronousScheduler sync_sched(g.num_nodes());
+  core::Engine engine(g, alg, sync_sched, c0, 1,
+                      EngineOptions{.thread_count = 8});
+  EXPECT_EQ(engine.shard_count(), 5u);
 }
 
 // --- sparse-activation kernel ----------------------------------------------

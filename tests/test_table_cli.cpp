@@ -1,9 +1,13 @@
-// Unit tests for the table builder and CLI flag parser.
+// Unit tests for the table builder, the CLI flag parser and the strict
+// number parser behind user-typed numbers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
+#include "graph/graph.hpp"
 #include "util/cli.hpp"
+#include "util/strings.hpp"
 #include "util/table.hpp"
 
 namespace ssau::util {
@@ -71,6 +75,43 @@ TEST(Cli, PositionalArguments) {
   ASSERT_EQ(cli.positional().size(), 2u);
   EXPECT_EQ(cli.positional()[0], "file1");
   EXPECT_EQ(cli.positional()[1], "file2");
+}
+
+TEST(ParseNumber, AcceptsWholeTokensThatFit) {
+  EXPECT_EQ(parse_number<std::uint64_t>("0"), 0u);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"),
+            UINT64_MAX);
+  EXPECT_EQ(parse_number<unsigned>("4"), 4u);
+  EXPECT_EQ(parse_number<graph::NodeId>("4294967295"), 4294967295u);
+  EXPECT_EQ(parse_number<int>("-3"), -3);
+  EXPECT_EQ(parse_number<std::uint64_t>("ff", 16), 255u);
+  EXPECT_EQ(parse_number<std::uint64_t>("00000000DEADBEEF", 16), 0xDEADBEEFu);
+  EXPECT_EQ(parse_number<double>("0.25"), 0.25);
+  EXPECT_EQ(parse_number<double>("1e-3"), 1e-3);
+}
+
+TEST(ParseNumber, RejectsJunkSignsAndOverflow) {
+  // Trailing characters, the lenient std::sto* forms, and empty tokens.
+  EXPECT_FALSE(parse_number<std::uint64_t>("1junk"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("3x"));
+  EXPECT_FALSE(parse_number<std::uint64_t>(""));
+  EXPECT_FALSE(parse_number<std::uint64_t>(" 7"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("7 "));
+  EXPECT_FALSE(parse_number<std::uint64_t>("+7"));
+  EXPECT_FALSE(parse_number<double>("0.5x"));
+  EXPECT_FALSE(parse_number<double>(""));
+  // A sign on an unsigned type never wraps.
+  EXPECT_FALSE(parse_number<std::uint64_t>("-1"));
+  EXPECT_FALSE(parse_number<unsigned>("-1"));
+  // Out of the target type's range: no truncating cast to 32-bit ids.
+  EXPECT_FALSE(parse_number<graph::NodeId>("4294967296"));
+  EXPECT_FALSE(parse_number<graph::NodeId>("4294967297"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("18446744073709551616"));
+  EXPECT_FALSE(parse_number<int>("2147483648"));
+  // Hex digests: digits of base 16 only, no prefix.
+  EXPECT_FALSE(parse_number<std::uint64_t>("zz12", 16));
+  EXPECT_FALSE(parse_number<std::uint64_t>("0x12", 16));
+  EXPECT_FALSE(parse_number<std::uint64_t>("1g", 16));
 }
 
 }  // namespace

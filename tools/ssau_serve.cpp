@@ -23,8 +23,11 @@
 //   drain
 //
 // <sid> is a caller-chosen session name mapped to a service session id by
-// `open`. Exit status: 0 all commands ok, 1 any command produced a non-ok
-// Result, 2 protocol/usage errors.
+// `open`. Every number (flags included) must be one whole token that fits
+// its type — decimal, except the hex digest; a malformed one is a protocol
+// error naming its line. Exit status: 0 all commands ok, 1 any command
+// produced a non-ok Result (a well-formed node id beyond the graph, say),
+// 2 protocol/usage errors.
 #include <cstdio>
 #include <fstream>
 #include <future>
@@ -36,6 +39,7 @@
 
 #include "service/service.hpp"
 #include "util/cli.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -44,6 +48,13 @@ using namespace ssau;
 struct ProtocolError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+/// `token` as a T (util::parse_number), or a ProtocolError naming `what`.
+template <typename T>
+T number(const std::string& token, const char* what, int base = 10) {
+  if (const auto value = util::parse_number<T>(token, base)) return *value;
+  throw ProtocolError(std::string("malformed ") + what + " '" + token + "'");
+}
 
 std::vector<std::string> tokenize(const std::string& line) {
   std::istringstream in(line);
@@ -78,8 +89,8 @@ std::vector<std::pair<graph::NodeId, graph::NodeId>> parse_edges(
     if (dash == std::string::npos) {
       throw ProtocolError("expected u-v edge, got '" + pair + "'");
     }
-    edges.push_back({static_cast<graph::NodeId>(std::stoul(pair.substr(0, dash))),
-                     static_cast<graph::NodeId>(std::stoul(pair.substr(dash + 1)))});
+    edges.push_back({number<graph::NodeId>(pair.substr(0, dash), "node id"),
+                     number<graph::NodeId>(pair.substr(dash + 1), "node id")});
   }
   return edges;
 }
@@ -97,9 +108,14 @@ int main(int argc, char** argv) {
   const std::string script = cli.get("script", "");
   const bool quiet = cli.get_bool("quiet", false);
   service::ServiceOptions options;
-  options.workers = static_cast<unsigned>(cli.get_int("workers", 0));
-  options.queue_capacity =
-      static_cast<std::size_t>(cli.get_int("queue", 4096));
+  try {
+    options.workers = number<unsigned>(cli.get("workers", "0"), "--workers");
+    options.queue_capacity =
+        number<std::size_t>(cli.get("queue", "4096"), "--queue");
+  } catch (const ProtocolError& e) {
+    std::fprintf(stderr, "ssau_serve: %s\n", e.what());
+    return 2;
+  }
 
   std::ifstream file;
   if (!script.empty()) {
@@ -185,9 +201,9 @@ int main(int argc, char** argv) {
         spec.scheduler = get("scheduler", spec.scheduler);
         spec.graph = get("graph", spec.graph);
         spec.initial = get("init", spec.initial);
-        spec.seed = std::stoull(get("seed", "0"));
-        spec.subset_p = std::stod(get("subset-p", "0.5"));
-        spec.burst = static_cast<unsigned>(std::stoul(get("burst", "4")));
+        spec.seed = number<std::uint64_t>(get("seed", "0"), "seed");
+        spec.subset_p = number<double>(get("subset-p", "0.5"), "subset-p");
+        spec.burst = number<unsigned>(get("burst", "4"), "burst");
         const auto id = svc.open_session(spec);
         ids[sid] = id;
         const std::string record = get("record", "");
@@ -207,19 +223,20 @@ int main(int argc, char** argv) {
       service::Command command;
       if (verb == "step") {
         command = service::cmd::step(
-            tokens.size() > 2 ? std::stoull(tokens[2]) : 1);
+            tokens.size() > 2 ? number<std::uint64_t>(tokens[2], "step count")
+                              : 1);
       } else if (verb == "run-rounds" && tokens.size() == 3) {
-        command = service::cmd::run_rounds(std::stoull(tokens[2]));
+        command = service::cmd::run_rounds(
+            number<std::uint64_t>(tokens[2], "round count"));
       } else if (verb == "inject-state" && tokens.size() == 4) {
         command = service::cmd::inject_state(
-            static_cast<core::NodeId>(std::stoul(tokens[2])),
-            static_cast<core::StateId>(std::stoull(tokens[3])));
+            number<core::NodeId>(tokens[2], "node id"),
+            number<core::StateId>(tokens[3], "state"));
       } else if (verb == "inject-config" && tokens.size() == 3) {
         if (tokens[2].rfind("uniform:", 0) != 0) {
           throw ProtocolError("inject-config expects uniform:<q>");
         }
-        const auto q =
-            static_cast<core::StateId>(std::stoull(tokens[2].substr(8)));
+        const auto q = number<core::StateId>(tokens[2].substr(8), "state");
         const auto id = session_id(sid);
         // Sizing the configuration needs the node count; engine() reads are
         // only safe when the session is idle, so drain first.
@@ -247,7 +264,8 @@ int main(int argc, char** argv) {
       } else if (verb == "hash") {
         command = service::cmd::query_hash();
       } else if (verb == "expect-hash" && tokens.size() == 3) {
-        command = service::cmd::expect_hash(std::stoull(tokens[2], nullptr, 16));
+        command = service::cmd::expect_hash(
+            number<std::uint64_t>(tokens[2], "hex digest", 16));
       } else {
         throw ProtocolError("unknown or malformed command '" + line + "'");
       }
