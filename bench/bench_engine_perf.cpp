@@ -10,12 +10,12 @@
 //              (tests/support/reference_engine.hpp): per-activation
 //              Signal::from_states + virtual Automaton::step
 //
-// Writes BENCH_engine.json (machine-readable, schema below) so the perf
-// trajectory is tracked from PR to PR, and prints a table with the per-cell
-// fast/legacy speedup. Trajectory equality of the modes — including the
-// sharded multi-threaded kernel — is asserted here on a small instance (the
-// full differential matrix lives in tests/test_fastpath_differential.cpp and
-// tests/test_parallel_engine.cpp).
+// Writes BENCH_engine.json (machine-readable, schema below), which
+// scripts/bench_gate.py checks against the rules in bench/gates.txt, and
+// prints a table with the per-cell fast/legacy speedup. Trajectory equality
+// of the modes — including the sharded multi-threaded kernel — is asserted
+// here on a small instance (the full differential matrix lives in
+// tests/test_fastpath_differential.cpp and tests/test_parallel_engine.cpp).
 //
 // The thread sweep re-times every workload at each thread count in --threads,
 // emitting per-thread-count throughput and scaling-vs-serial into the
@@ -23,7 +23,9 @@
 // double-buffered kernel) and under every asynchronous daemon with large
 // activation sets (laggard, random-subset, wave: the sparse-activation
 // sharded kernel, which fans phase 1 of any |A_t| above the engine's sparse
-// threshold out over the worker pool).
+// threshold out over the worker pool). Each sweep row also carries
+// barrier_frac, the share of its wall clock the calling thread spent idle at
+// the shard pool's join (omitted when the row took no measurable time).
 //
 // Every timed cell is run --repeats times and the best throughput is kept —
 // run-to-run noise only ever slows a run down, so best-of-N is the stable
@@ -36,8 +38,8 @@
 // once with the field forced on (delta-maintained O(1) senses) and once
 // forced off (the pre-signal-field serial path: an O(deg) neighborhood
 // rescan per sense — the PR 3 baseline code path, measured in-run so the
-// ratio is machine-independent). The per-cell field_over_rescan ratio is
-// what CI gates via bench_compare.py --min-speedup.
+// ratio is machine-independent). CI gates the per-cell field_over_rescan
+// ratio.
 //
 // The churn table measures the dynamic-topology layer: the per-event cost of
 // a single-edge link failure/repair handled by Engine::apply_topology_delta
@@ -45,24 +47,24 @@
 // versus the pre-delta-API pattern of rebuilding everything (fresh Graph
 // from the edited edge list + fresh Engine with its O(n + m) field init —
 // measured in-run, so the patch_over_rebuild ratio is machine-independent).
-// CI gates the ratio via bench_compare.py --min-churn.
+// CI gates the ratio.
 //
 // The service table drives --service-sessions concurrent sessions of mixed
 // command traffic (steps, rounds, injections, topology deltas, queries)
 // through one SimulationService worker pool and reports aggregate
 // sessions/sec, commands/sec, and queue+execute command latency percentiles.
-// CI gates the concurrency level via bench_compare.py --min-sessions.
+// CI gates the concurrency level.
 //
 // The memory table measures the scale pass: a --mem-nodes instance (default
 // 1M, average degree ~8) is streamed through the two-pass GraphBuilder and
 // loaded into a compact-configuration engine, and the recursive
 // dynamic_memory_usage() accounting (util/memusage.hpp) is reported as
-// bytes-per-node / bytes-per-edge — the columns bench_compare.py
-// --max-bytes-per-node gates. The build_speedup column re-measures, at
-// --mem-ref-nodes (default 100k), the streaming builder against the
-// pre-streaming pattern (O(n^2) per-pair Bernoulli sweep into an
-// intermediate edge vector, kept bench-local below) — both sides in-run, so
-// the ratio is machine-independent like the churn and restore ratios.
+// bytes-per-node / bytes-per-edge; CI gates bytes-per-node. The
+// build_speedup column re-measures, at --mem-ref-nodes (default 100k), the
+// streaming builder against the pre-streaming pattern (O(n^2) per-pair
+// Bernoulli sweep into an intermediate edge vector, kept bench-local below)
+// — both sides in-run, so the ratio is machine-independent like the churn
+// and restore ratios.
 // --mem-nodes=0 skips the table; --mem-ref-nodes=0 skips just the speedup
 // reference (the CI smoke run, where the O(n^2) side would dominate the
 // budget).
@@ -78,8 +80,8 @@
 // trajectory (same user-id initial configuration, same seeds), so the
 // reorder_on_over_off ratio isolates exactly what the locality pass buys the
 // gather kernels; the per-cell gather cost is also reported as
-// ns-per-half-edge-scanned. CI gates the ratio via bench_compare.py
-// --min-locality. --locality-nodes=0 skips the table.
+// ns-per-half-edge-scanned. CI gates the ratio. --locality-nodes=0 skips
+// the table.
 //
 // Usage: bench_engine_perf [--nodes=10000] [--edge-p=0.0008]
 //                          [--sync-steps=100] [--single-steps=200000]
@@ -1259,6 +1261,10 @@ int main(int argc, char** argv) {
     jw.key("seconds").value(p.seconds);
     jw.key("barrier_wait_ns").value(p.barrier_wait_ns);
     jw.key("apply_phase_ns").value(p.apply_phase_ns);
+    if (p.seconds > 0) {
+      jw.key("barrier_frac")
+          .value(static_cast<double>(p.barrier_wait_ns) / (p.seconds * 1e9));
+    }
     jw.end_object();
   }
   jw.end_array();
@@ -1361,8 +1367,8 @@ int main(int argc, char** argv) {
   os << "\n";
   os.flush();
   if (!os.good()) {
-    // A silently truncated benchmark artifact would poison every future
-    // bench_compare run; fail loudly instead.
+    // A silently truncated benchmark artifact would poison every later gate
+    // run; fail loudly instead.
     std::cerr << "error: write to " << json_path << " failed (disk full?)\n";
     return 1;
   }

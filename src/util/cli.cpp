@@ -1,8 +1,23 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
+#include <stdexcept>
+
+#include "util/strings.hpp"
 
 namespace ssau::util {
+
+namespace {
+
+/// The flag's value as a T (util::parse_number), or std::invalid_argument
+/// naming the flag: `--n=8junk` must not run as `--n=8`.
+template <typename T>
+T flag_number(const std::string& name, const std::string& value) {
+  if (const auto parsed = parse_number<T>(value)) return *parsed;
+  throw std::invalid_argument("--" + name + ": malformed number '" + value +
+                              "'");
+}
+
+}  // namespace
 
 Cli::Cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -34,12 +49,13 @@ std::string Cli::get(const std::string& name,
 std::int64_t Cli::get_int(const std::string& name,
                           std::int64_t fallback) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  return it == flags_.end() ? fallback
+                            : flag_number<std::int64_t>(name, it->second);
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  return it == flags_.end() ? fallback : flag_number<double>(name, it->second);
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {

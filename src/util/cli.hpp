@@ -1,7 +1,9 @@
 // Tiny command-line flag parser shared by benches and examples.
 //
 // Supports "--name=value" and "--name value" forms plus boolean "--name".
-// Unknown flags are reported so bench invocations stay honest.
+// Numbers are read strictly (util::parse_number): get_int and get_double
+// throw std::invalid_argument naming the flag unless its whole value is one
+// number that fits. Unknown flags are not reported.
 #pragma once
 
 #include <cstdint>

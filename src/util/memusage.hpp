@@ -14,7 +14,7 @@
 // introduces it.
 //
 // The numbers feed bytes_per_node / bytes_per_edge columns in
-// BENCH_engine.json and the bench_compare.py --max-bytes-per-node CI gate,
+// BENCH_engine.json and the bytes-per-node CI gate (bench/gates.txt),
 // so they must stay exact for the vector-backed containers that dominate the
 // footprint (std::deque is approximated by its element bytes — its block
 // bookkeeping is implementation-defined and negligible at engine scale).

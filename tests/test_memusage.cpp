@@ -1,7 +1,7 @@
 // Recursive dynamic-memory accounting tests — util/memusage.hpp primitives
 // against hand-computed byte counts, then the engine-layer
 // dynamic_memory_usage() methods whose numbers feed the bytes_per_node CI
-// gate (scripts/bench_compare.py --max-bytes-per-node).
+// gate (bench/gates.txt).
 #include "util/memusage.hpp"
 
 #include <gtest/gtest.h>

@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "graph/graph.hpp"
 #include "util/cli.hpp"
@@ -67,6 +69,31 @@ TEST(Cli, FallbacksApply) {
   EXPECT_EQ(cli.get_int("n", 7), 7);
   EXPECT_DOUBLE_EQ(cli.get_double("p", 0.25), 0.25);
   EXPECT_FALSE(cli.get_bool("x", false));
+}
+
+TEST(Cli, NumbersAreWholeTokens) {
+  const char* argv[] = {"prog", "--n=8", "--neg=-3", "--p=0.5"};
+  Cli cli(4, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_int("n", 0), 8);
+  EXPECT_EQ(cli.get_int("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(cli.get_double("p", 0.0), 0.5);
+}
+
+TEST(Cli, MalformedNumbersThrowNamingTheFlag) {
+  const char* argv[] = {"prog", "--a=8junk", "--b=", "--c=0x10", "--d= 8"};
+  Cli cli(5, const_cast<char**>(argv));
+  for (const char* flag : {"a", "b", "c", "d"}) {
+    try {
+      (void)cli.get_int(flag, 0);
+      ADD_FAILURE() << "get_int accepted --" << flag;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + flag),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW((void)cli.get_double(flag, 0.0), std::invalid_argument)
+        << "--" << flag;
+  }
 }
 
 TEST(Cli, PositionalArguments) {

@@ -14,7 +14,7 @@
 //   run-rounds <sid> <rounds>
 //   inject-state <sid> <node> <state>
 //   inject-config <sid> uniform:<q>
-//   delta <sid> [remove=u-v,...] [add=u-v,...]
+//   delta <sid> [remove=u-v,...] [add=u-v,...]   (at least one of the two)
 //   snapshot <sid> <path>
 //   config <sid>
 //   stats <sid>
@@ -23,17 +23,22 @@
 //   drain
 //
 // <sid> is a caller-chosen session name mapped to a service session id by
-// `open`. Every number (flags included) must be one whole token that fits
-// its type — decimal, except the hex digest; a malformed one is a protocol
-// error naming its line. Exit status: 0 all commands ok, 1 any command
+// `open`. Every verb takes exactly the tokens shown, and `open` and `delta`
+// take only the keys shown, each at most once. Every number (flags
+// included) must be one whole token that fits its type — decimal, except
+// the hex digest. A line that breaks any of these is a protocol error naming
+// its line. Exit status: 0 all commands ok, 1 any command
 // produced a non-ok Result (a well-formed node id beyond the graph, say),
 // 2 protocol/usage errors.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <initializer_list>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -64,16 +69,25 @@ std::vector<std::string> tokenize(const std::string& line) {
   return tokens;
 }
 
-/// Splits "key=value" tokens into a map; bare tokens are rejected.
+/// Splits "key=value" tokens into a map. Bare tokens, keys outside `known`
+/// and repeated keys are rejected: a typo such as `sed=5` must not fall back
+/// to the default seed.
 std::unordered_map<std::string, std::string> keyvals(
-    const std::vector<std::string>& tokens, std::size_t from) {
+    const std::vector<std::string>& tokens, std::size_t from,
+    std::initializer_list<std::string_view> known) {
   std::unordered_map<std::string, std::string> kv;
   for (std::size_t i = from; i < tokens.size(); ++i) {
     const std::size_t eq = tokens[i].find('=');
     if (eq == std::string::npos) {
       throw ProtocolError("expected key=value, got '" + tokens[i] + "'");
     }
-    kv[tokens[i].substr(0, eq)] = tokens[i].substr(eq + 1);
+    std::string key = tokens[i].substr(0, eq);
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw ProtocolError("unknown key '" + key + "'");
+    }
+    if (!kv.emplace(std::move(key), tokens[i].substr(eq + 1)).second) {
+      throw ProtocolError("repeated key in '" + tokens[i] + "'");
+    }
   }
   return kv;
 }
@@ -180,7 +194,7 @@ int main(int argc, char** argv) {
       if (tokens.empty() || tokens[0][0] == '#') continue;
       const std::string& verb = tokens[0];
 
-      if (verb == "drain") {
+      if (verb == "drain" && tokens.size() == 1) {
         svc.drain();
         flush_pending();
         continue;
@@ -191,7 +205,10 @@ int main(int argc, char** argv) {
       const std::string& sid = tokens[1];
 
       if (verb == "open") {
-        const auto kv = keyvals(tokens, 2);
+        const auto kv =
+            keyvals(tokens, 2,
+                    {"automaton", "scheduler", "graph", "init", "seed",
+                     "subset-p", "burst", "record"});
         service::SessionSpec spec;
         const auto get = [&](const char* key, const std::string& fallback) {
           const auto it = kv.find(key);
@@ -221,7 +238,7 @@ int main(int argc, char** argv) {
       }
 
       service::Command command;
-      if (verb == "step") {
+      if (verb == "step" && (tokens.size() == 2 || tokens.size() == 3)) {
         command = service::cmd::step(
             tokens.size() > 2 ? number<std::uint64_t>(tokens[2], "step count")
                               : 1);
@@ -245,8 +262,8 @@ int main(int argc, char** argv) {
         const core::Configuration config(
             svc.session(id).engine().graph().num_nodes(), q);
         command = service::cmd::inject_configuration(config);
-      } else if (verb == "delta") {
-        const auto kv = keyvals(tokens, 2);
+      } else if (verb == "delta" && tokens.size() > 2) {
+        const auto kv = keyvals(tokens, 2, {"remove", "add"});
         graph::TopologyDelta delta;
         if (const auto it = kv.find("remove"); it != kv.end()) {
           delta.remove = parse_edges(it->second);
@@ -257,11 +274,11 @@ int main(int argc, char** argv) {
         command = service::cmd::topology_delta(std::move(delta));
       } else if (verb == "snapshot" && tokens.size() == 3) {
         command = service::cmd::snapshot(tokens[2]);
-      } else if (verb == "config") {
+      } else if (verb == "config" && tokens.size() == 2) {
         command = service::cmd::query_config();
-      } else if (verb == "stats") {
+      } else if (verb == "stats" && tokens.size() == 2) {
         command = service::cmd::query_stats();
-      } else if (verb == "hash") {
+      } else if (verb == "hash" && tokens.size() == 2) {
         command = service::cmd::query_hash();
       } else if (verb == "expect-hash" && tokens.size() == 3) {
         command = service::cmd::expect_hash(
