@@ -45,7 +45,8 @@ struct VariantResult {
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int seeds = static_cast<int>(cli.get_int("seeds", 4));
+  const int seeds = cli.get_count<int>("seeds", 4);
+  cli.reject_unread();
   util::Rng meta(1107);
 
   bench::header("E11 — ablation of AlgAU's transition guards");

@@ -54,7 +54,8 @@ std::string fmt(const util::Summary& s, std::size_t attempted) {
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int seeds = static_cast<int>(cli.get_int("seeds", 6));
+  const int seeds = cli.get_count<int>("seeds", 6);
+  cli.reject_unread();
   util::Rng meta(510);
 
   bench::header("E10 / §5 — unison design points compared");

@@ -25,7 +25,8 @@ using namespace ssau;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int seeds = static_cast<int>(cli.get_int("seeds", 4));
+  const int seeds = cli.get_count<int>("seeds", 4);
+  cli.reject_unread();
   util::Rng meta(1202);
 
   bench::header("E8 / Cor 1.2 — synchronizer state space & overhead");

@@ -313,36 +313,35 @@ graph::Graph random_connected_edgelist(graph::NodeId n, double p,
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const auto n = static_cast<core::NodeId>(cli.get_int("nodes", 10000));
+  const auto n = cli.get_count<core::NodeId>("nodes", 10000);
   const double edge_p = cli.get_double("edge-p", 0.0008);
-  const auto sync_steps =
-      static_cast<std::uint64_t>(cli.get_int("sync-steps", 100));
+  const auto sync_steps = cli.get_count<std::uint64_t>("sync-steps", 100);
   const auto single_steps =
-      static_cast<std::uint64_t>(cli.get_int("single-steps", 200000));
+      cli.get_count<std::uint64_t>("single-steps", 200000);
   const auto single_act_steps =
-      static_cast<std::uint64_t>(cli.get_int("single-act-steps", 200000));
+      cli.get_count<std::uint64_t>("single-act-steps", 200000);
   const double single_act_edge_p = cli.get_double("single-act-edge-p", 0.02);
-  const int churn_events = cli.get_int("churn-events", 64);
-  const int churn_rebuild_events = cli.get_int("churn-rebuild-events", 12);
+  const int churn_events = cli.get_count<int>("churn-events", 64);
+  const int churn_rebuild_events =
+      cli.get_count<int>("churn-rebuild-events", 12);
   const auto snapshot_steps =
-      static_cast<std::uint64_t>(cli.get_int("snapshot-steps", 1000000));
+      cli.get_count<std::uint64_t>("snapshot-steps", 1000000);
   const auto service_sessions =
-      static_cast<std::uint64_t>(cli.get_int("service-sessions", 1000));
-  const auto service_workers =
-      static_cast<unsigned>(cli.get_int("service-workers", 0));
-  const auto mem_nodes =
-      static_cast<graph::NodeId>(cli.get_int("mem-nodes", 1000000));
+      cli.get_count<std::uint64_t>("service-sessions", 1000);
+  const auto service_workers = cli.get_count<unsigned>("service-workers", 0);
+  const auto mem_nodes = cli.get_count<graph::NodeId>("mem-nodes", 1000000);
   const auto mem_ref_nodes =
-      static_cast<graph::NodeId>(cli.get_int("mem-ref-nodes", 100000));
+      cli.get_count<graph::NodeId>("mem-ref-nodes", 100000);
   const auto locality_nodes =
-      static_cast<graph::NodeId>(cli.get_int("locality-nodes", 1000000));
+      cli.get_count<graph::NodeId>("locality-nodes", 1000000);
   const auto locality_steps =
-      static_cast<std::uint64_t>(cli.get_int("locality-steps", 60));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
+      cli.get_count<std::uint64_t>("locality-steps", 60);
+  const auto seed = cli.get_count<std::uint64_t>("seed", 7);
   const std::string json_path = cli.get("json", "BENCH_engine.json");
   const std::vector<unsigned> thread_list =
       parse_thread_list(cli.get("threads", "1,2,4,8"));
-  const int repeats = std::max<int>(1, cli.get_int("repeats", 3));
+  const int repeats = std::max(1, cli.get_count<int>("repeats", 3));
+  cli.reject_unread();
 
   util::Rng rng(seed);
   const graph::Graph g = graph::random_connected(n, edge_p, rng);

@@ -24,8 +24,8 @@ using namespace ssau;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const auto bursts =
-      static_cast<std::size_t>(cli.get_int("bursts", 8));
+  const auto bursts = cli.get_count<std::size_t>("bursts", 8);
+  cli.reject_unread();
 
   bench::header("E13 (extension) — recovery from transient fault bursts");
 

@@ -74,6 +74,8 @@ void emit_dot(const unison::AlgAu& alg, std::ostream& os) {
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
+  const int dot_d = cli.get_count<int>("dot-d", 1);
+  cli.reject_unread();
   bench::header("E1 / Figure 1 — AlgAU turn diagram & thin state space");
 
   util::Table table({"D", "k=3D+2", "able |T|", "faulty |T^|", "total |Q|",
@@ -100,7 +102,6 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper claim (Thm 1.1): state space O(D), exactly 2k able + "
                "2k-2 faulty turns with k = 3D+2.\n";
 
-  const int dot_d = static_cast<int>(cli.get_int("dot-d", 1));
   std::cout << "\n-- Figure 1 as DOT (D = " << dot_d << ") --\n";
   emit_dot(unison::AlgAu(dot_d), std::cout);
   return 0;

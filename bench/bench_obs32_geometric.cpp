@@ -19,7 +19,8 @@ using namespace ssau;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int trials = static_cast<int>(cli.get_int("trials", 400));
+  const int trials = cli.get_count<int>("trials", 400);
+  cli.reject_unread();
   util::Rng rng(32);
 
   bench::header("E9 / Obs 3.2 — max of n Geom(p) is Theta(log n)");

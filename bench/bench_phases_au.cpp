@@ -22,7 +22,8 @@ using namespace ssau;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int seeds = static_cast<int>(cli.get_int("seeds", 3));
+  const int seeds = cli.get_count<int>("seeds", 3);
+  cli.reject_unread();
   util::Rng meta(1523);
 
   bench::header("E15 (extension) — AlgAU's three-phase convergence (§2.3)");

@@ -22,8 +22,10 @@ using namespace ssau;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int d_max = static_cast<int>(cli.get_int("dmax", 8));
-  const int seeds = static_cast<int>(cli.get_int("seeds", 3));
+  const int d_max = cli.get_count<int>("dmax", 8);
+  const int seeds = cli.get_count<int>("seeds", 3);
+  const bool csv = cli.get_bool("csv", false);
+  cli.reject_unread();
 
   bench::header("E4 / Thm 1.1 — AlgAU stabilization rounds vs D");
 
@@ -80,7 +82,7 @@ int main(int argc, char** argv) {
     maxima.push_back(std::max(s.max, 1.0));
   }
   table.print(std::cout);
-  if (cli.get_bool("csv", false)) table.print_csv(std::cout);
+  if (csv) table.print_csv(std::cout);
 
   const auto fit = util::power_fit(ds, maxima);
   std::cout << "\nGrowth fit of worst-case rounds: ~ " << fit.coefficient
@@ -137,7 +139,7 @@ int main(int argc, char** argv) {
     means2.push_back(std::max(s.mean, 0.01));
   }
   t2.print(std::cout);
-  if (cli.get_bool("csv", false)) t2.print_csv(std::cout);
+  if (csv) t2.print_csv(std::cout);
   const auto nfit = util::power_fit(ns2, means2);
   std::cout << "\npower fit vs n at fixed D: exponent " << nfit.exponent
             << " (paper: independent of n => near 0)\n";

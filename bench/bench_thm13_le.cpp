@@ -40,7 +40,9 @@ double measure(const graph::Graph& g, const le::AlgLe& alg,
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int seeds = static_cast<int>(cli.get_int("seeds", 8));
+  const int seeds = cli.get_count<int>("seeds", 8);
+  const bool csv = cli.get_bool("csv", false);
+  cli.reject_unread();
   util::Rng meta(511);
 
   bench::header("E5 / Thm 1.3 — LE stabilization (synchronous rounds)");
@@ -78,7 +80,7 @@ int main(int argc, char** argv) {
     means.push_back(util::summarize(all).mean);
   }
   t1.print(std::cout);
-  if (cli.get_bool("csv", false)) t1.print_csv(std::cout);
+  if (csv) t1.print_csv(std::cout);
   const auto fit1 = util::log_fit(ns, means);
   std::cout << "\nlog fit: mean rounds ~ " << fit1.intercept << " + "
             << fit1.slope << " * log2(n)   (O(log n) shape => positive "
@@ -114,7 +116,7 @@ int main(int argc, char** argv) {
     dmeans.push_back(sum.mean);
   }
   t2.print(std::cout);
-  if (cli.get_bool("csv", false)) t2.print_csv(std::cout);
+  if (csv) t2.print_csv(std::cout);
   const auto fit2 = util::power_fit(dsweep, dmeans);
   std::cout << "\npower fit vs D: exponent " << fit2.exponent
             << " (O(D log n) with n = 2D => slightly above 1)\n";

@@ -40,7 +40,9 @@ double measure(const graph::Graph& g, const mis::AlgMis& alg,
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int seeds = static_cast<int>(cli.get_int("seeds", 8));
+  const int seeds = cli.get_count<int>("seeds", 8);
+  const bool csv = cli.get_bool("csv", false);
+  cli.reject_unread();
   util::Rng meta(1402);
 
   bench::header("E6 / Thm 1.4 — MIS stabilization (synchronous rounds)");
@@ -70,7 +72,7 @@ int main(int argc, char** argv) {
     means.push_back(sum.mean);
   }
   t1.print(std::cout);
-  if (cli.get_bool("csv", false)) t1.print_csv(std::cout);
+  if (csv) t1.print_csv(std::cout);
   const auto pfit = util::power_fit(ns, means);
   std::cout << "\npower fit vs n: exponent " << pfit.exponent
             << " (polylog growth => well below 1)\n";
@@ -103,7 +105,7 @@ int main(int argc, char** argv) {
     dmeans.push_back(sum.mean);
   }
   t2.print(std::cout);
-  if (cli.get_bool("csv", false)) t2.print_csv(std::cout);
+  if (csv) t2.print_csv(std::cout);
   const auto dfit = util::power_fit(dsweep, dmeans);
   std::cout << "\npower fit vs D: exponent " << dfit.exponent
             << " (O(D log n) => close to 1)\n";
@@ -132,7 +134,7 @@ int main(int argc, char** argv) {
     }
   }
   t3.print(std::cout);
-  if (cli.get_bool("csv", false)) t3.print_csv(std::cout);
+  if (csv) t3.print_csv(std::cout);
 
   std::cout << "\nPaper claim (Thm 1.4): O(D) states, O((D + log n) log n) "
                "rounds in expectation and whp.\n";

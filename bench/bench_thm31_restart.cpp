@@ -49,7 +49,8 @@ ExitResult run_one(const graph::Graph& g, const restart::StandaloneRestart& alg,
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int seeds = static_cast<int>(cli.get_int("seeds", 6));
+  const int seeds = cli.get_count<int>("seeds", 6);
+  cli.reject_unread();
   util::Rng meta(31);
 
   bench::header("E7 / Thm 3.1 — Restart concurrent exit vs the 3D bound");

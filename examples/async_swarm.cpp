@@ -24,9 +24,10 @@ using namespace ssau;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const auto n = static_cast<core::NodeId>(cli.get_int("n", 6));
+  const auto n = cli.get_count<core::NodeId>("n", 6);
   const std::string sched_name = cli.get("scheduler", "laggard");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 5));
+  const auto seed = cli.get_count<std::uint64_t>("seed", 5);
+  cli.reject_unread();
 
   util::Rng rng(seed);
   const graph::Graph g = graph::damaged_clique(n, 0.3, rng);

@@ -48,9 +48,10 @@ void show_roles(const le::AlgLe& alg, const core::Engine& engine) {
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const auto n = static_cast<core::NodeId>(cli.get_int("n", 12));
+  const auto n = cli.get_count<core::NodeId>("n", 12);
   const double drop = cli.get_double("drop", 0.35);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 11));
+  const auto seed = cli.get_count<std::uint64_t>("seed", 11);
+  cli.reject_unread();
 
   util::Rng rng(seed);
   const graph::Graph g = graph::damaged_clique(n, drop, rng);

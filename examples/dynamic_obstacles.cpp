@@ -31,12 +31,13 @@ using namespace ssau;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const auto n = static_cast<core::NodeId>(cli.get_int("n", 24));
-  const int d_bound = cli.get_int("d-bound", 3);
-  const int events = cli.get_int("events", 8);
+  const auto n = cli.get_count<core::NodeId>("n", 24);
+  const int d_bound = cli.get_count<int>("d-bound", 3);
+  const int events = cli.get_count<int>("events", 8);
   const double fail_p = cli.get_double("fail-p", 0.15);
   const double heal_p = cli.get_double("heal-p", 0.35);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
+  const auto seed = cli.get_count<std::uint64_t>("seed", 42);
+  cli.reject_unread();
 
   // The fully connected network the paper starts from...
   graph::Graph g = graph::complete(n);

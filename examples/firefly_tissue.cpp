@@ -53,9 +53,11 @@ std::string render_phases(const unison::AlgAu& alg,
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const auto cliques = static_cast<core::NodeId>(cli.get_int("cliques", 6));
-  const auto csize = static_cast<core::NodeId>(cli.get_int("clique-size", 4));
-  const int show_rounds = static_cast<int>(cli.get_int("rounds", 40));
+  const auto cliques = cli.get_count<core::NodeId>("cliques", 6);
+  const auto csize = cli.get_count<core::NodeId>("clique-size", 4);
+  const int show_rounds = cli.get_count<int>("rounds", 40);
+  const bool svg = cli.get_bool("svg", true);
+  cli.reject_unread();
 
   const graph::Graph g = graph::ring_of_cliques(cliques, csize);
   const int diam = static_cast<int>(graph::diameter(g));
@@ -119,7 +121,7 @@ int main(int argc, char** argv) {
 
   // Bonus: record a clock timeline of another fault+recovery episode and
   // render it as SVG (if the working directory is writable).
-  if (cli.get_bool("svg", true)) {
+  if (svg) {
     analysis::Timeline timeline(g.num_nodes());
     for (core::NodeId v = 0; v < csize; ++v) {
       engine.inject_state(v, rng.below(alg.state_count()));

@@ -35,9 +35,10 @@ void print_clocks(const unison::AlgAu& alg, const core::Engine& engine) {
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const auto n = static_cast<core::NodeId>(cli.get_int("n", 8));
+  const auto n = cli.get_count<core::NodeId>("n", 8);
   const std::string sched_name = cli.get("scheduler", "uniform-single");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const auto seed = cli.get_count<std::uint64_t>("seed", 1);
+  cli.reject_unread();
 
   // 1. The network: a cycle of n cells.
   const graph::Graph g = graph::cycle(n);

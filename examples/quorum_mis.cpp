@@ -46,9 +46,10 @@ void render(const mis::AlgMis& alg, const core::Engine& engine,
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const auto rows = static_cast<core::NodeId>(cli.get_int("rows", 6));
-  const auto cols = static_cast<core::NodeId>(cli.get_int("cols", 10));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
+  const auto rows = cli.get_count<core::NodeId>("rows", 6);
+  const auto cols = cli.get_count<core::NodeId>("cols", 10);
+  const auto seed = cli.get_count<std::uint64_t>("seed", 7);
+  cli.reject_unread();
 
   const graph::Graph g = graph::grid(rows, cols);
   const int diam = static_cast<int>(graph::diameter(g));

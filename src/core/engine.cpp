@@ -541,7 +541,6 @@ void Engine::step_async() {
     step_sparse_parallel();
     return;
   }
-  updates_.clear();
 
   // Adaptive routing: at each window boundary, drop a kAuto mask-kernel
   // field whose observed patch volume outweighs the rescans it saved (the
@@ -554,103 +553,148 @@ void Engine::step_async() {
       field_.reset();
       field_adaptive_ = false;
       field_stale_ = false;  // no field left for the flag to describe
-      // Dead counters would otherwise survive in snapshots and make a
-      // bailed engine's serialized state differ from its own restore.
-      field_senses_ = 0;
-      field_patches_ = 0;
-    } else {
-      field_senses_ = 0;
-      field_patches_ = 0;
     }
+    // A new window opens. After a bail-out, dead counters would otherwise
+    // survive in snapshots and make the engine's serialized state differ
+    // from its own restore.
+    field_senses_ = 0;
+    field_patches_ = 0;
+  }
+  if (field_) {
+    // The lazy rebuild reads the wide view, which never relocates the raw
+    // buffer the step then works on.
+    ensure_field_fresh();
+    field_senses_ += active_.size();
   }
 
-  // Phase 1: all activated nodes read C_t and compute their next state. The
-  // store's element width is resolved here, once per step — the per-node
-  // loops read the raw buffer directly instead of re-branching through
-  // store_.get / mask_current / sense_current on every activation.
+  // The store's element width and the sense kind are resolved here, once
+  // per step — the per-activation code reads the raw buffer directly
+  // instead of re-branching on every activation.
   if (store_.narrow()) {
-    async_phase1(store_.bytes_data());
+    async_serial_step(store_.bytes_data());
   } else {
-    async_phase1(store_.wide_data());
+    async_serial_step(store_.wide_data());
   }
+  close_async_step();
+}
 
-  apply_updates_and_close_rounds();
+template <typename F>
+void Engine::with_sense_kind(const F& f) {
+  if (field_) {
+    // Field-sensed: an O(1) presence lookup (or O(distinct) span) per
+    // activation instead of an O(deg) neighborhood rescan; the matching
+    // per-transition patches run in apply_activation.
+    if (mask_kernel_ && !listener_ && field_->mask_exact()) {
+      return f(SenseTag<SenseKind::kFieldMask>{});
+    }
+    if (set_kernel_) return f(SenseTag<SenseKind::kFieldSet>{});
+    return f(SenseTag<SenseKind::kFieldView>{});
+  }
+  if (mask_kernel_ && !listener_) {
+    if (dense_table_ != nullptr) return f(SenseTag<SenseKind::kTable>{});
+    return f(SenseTag<SenseKind::kMask>{});
+  }
+  if (set_kernel_) return f(SenseTag<SenseKind::kSet>{});
+  return f(SenseTag<SenseKind::kView>{});
+}
+
+template <Engine::SenseKind K, typename T>
+inline StateId Engine::activate(ParticipantWorkspace& ws,
+                                const Automaton& kernel, const T* cfg,
+                                const NodeId v) {
+  const StateId cur = cfg[v];
+  if constexpr (K == SenseKind::kTable) {
+    // Devirtualized table load: no δ dispatch, no rng derivation (dense
+    // tables exist only for deterministic automata).
+    return dense_table_[(static_cast<std::size_t>(cur) << dense_shift_) |
+                        neighborhood_mask(graph_, cfg, v)];
+  } else if constexpr (K == SenseKind::kFieldMask || K == SenseKind::kMask) {
+    const std::uint64_t mask = K == SenseKind::kFieldMask
+                                   ? field_->mask_of(v)
+                                   : neighborhood_mask(graph_, cfg, v);
+    return kernel.step_mask(cur, mask, draw_rng(ws, v));
+  } else if constexpr (K == SenseKind::kFieldSet || K == SenseKind::kSet) {
+    const StateSet set = K == SenseKind::kFieldSet
+                             ? field_->set_of(v)
+                             : neighborhood_set(graph_, cfg, v);
+    const StateId next = kernel.step_set(cur, set, draw_rng(ws, v));
+    if (next != cur && listener_) {
+      emit_listener(v, cur, next,
+                    K == SenseKind::kFieldSet
+                        ? unpack_set(set, field_scratch_)
+                        : ws.scratch.sense(graph_, cfg, v));
+    }
+    return next;
+  } else {
+    const SignalView sig = K == SenseKind::kFieldView
+                               ? field_->sense(v, field_scratch_)
+                               : ws.scratch.sense(graph_, cfg, v);
+    const StateId next = kernel.step_fast(cur, sig, draw_rng(ws, v));
+    if (next != cur && listener_) emit_listener(v, cur, next, sig);
+    return next;
+  }
 }
 
 template <typename T>
-void Engine::async_phase1(const T* cfg) {
+inline void Engine::apply_activation(T* cfg, const NodeId v,
+                                     const StateId next) {
+  const StateId cur = cfg[v];
+  if (cur != next) {
+    if (field_live()) {
+      field_->apply_transition(v, cur, next);
+      ++field_patches_;
+    }
+    cfg[v] = static_cast<T>(next);
+  }
+  bump_act(v, act_saturated_);
+  if (pending_[v] != 0) {
+    pending_[v] = 0;
+    --pending_count_;
+  }
+}
+
+template <typename T>
+void Engine::apply_updates(T* cfg) {
+  const std::size_t count = updates_.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto [v, q] = updates_.get(i);
+    apply_activation(cfg, v, q);
+  }
+}
+
+template <typename T>
+void Engine::async_serial_step(T* cfg) {
   ParticipantWorkspace& ws = participant_ws_[0];
   const Automaton& kernel = *ws.stepper;
-  if (field_) {
-    // Field-sensed serial path — the signal-field fast path this layer
-    // exists for: an O(1) presence-mask lookup (or O(distinct) span) per
-    // activation instead of an O(deg) neighborhood rescan; the matching
-    // per-transition patches run in the apply phase below. (The lazy field
-    // rebuild reads the wide view, which never relocates the raw buffer
-    // `cfg` points into.)
-    ensure_field_fresh();
-    field_senses_ += active_.size();
-    if (mask_kernel_ && !listener_ && field_->mask_exact()) {
-      for (const NodeId v : active_) {
-        const StateId cur = cfg[v];
-        updates_.push(
-            v, kernel.step_mask(cur, field_->mask_of(v), draw_rng(ws, v)));
-      }
-    } else if (set_kernel_) {
-      for (const NodeId v : active_) {
-        const StateSet set = field_->set_of(v);
-        const StateId cur = cfg[v];
-        const StateId next = kernel.step_set(cur, set, draw_rng(ws, v));
-        if (next != cur && listener_) {
-          emit_listener(v, cur, next, unpack_set(set, field_scratch_));
-        }
-        updates_.push(v, next);
-      }
-    } else {
-      for (const NodeId v : active_) {
-        const SignalView sig = field_->sense(v, field_scratch_);
-        const StateId cur = cfg[v];
-        const StateId next = kernel.step_fast(cur, sig, draw_rng(ws, v));
-        if (next != cur && listener_) emit_listener(v, cur, next, sig);
-        updates_.push(v, next);
-      }
+  with_sense_kind([&](auto kind) {
+    constexpr SenseKind K = decltype(kind)::value;
+    if (active_.size() == 1) {
+      // One node: no other activation reads C_t, so it senses, steps and
+      // applies in place — no update list, no second loop.
+      const NodeId v = active_.front();
+      apply_activation(cfg, v, activate<K>(ws, kernel, cfg, v));
+      return;
     }
-  } else if (mask_kernel_ && !listener_) {
-    if (dense_table_ != nullptr) {
-      const std::uint8_t* table = dense_table_;
-      const StateId shift = dense_shift_;
-      for (const NodeId v : active_) {
-        const std::uint64_t mask = neighborhood_mask(graph_, cfg, v);
-        updates_.push(
-            v, table[(static_cast<std::size_t>(cfg[v]) << shift) | mask]);
-      }
-    } else {
-      for (const NodeId v : active_) {
-        const StateId cur = cfg[v];
-        updates_.push(v, kernel.step_mask(
-                             cur, neighborhood_mask(graph_, cfg, v),
-                             draw_rng(ws, v)));
-      }
-    }
-  } else if (set_kernel_) {
+    // Simultaneous reads: every activated node reads C_t before any
+    // update is applied.
+    updates_.clear();
     for (const NodeId v : active_) {
-      const StateId cur = cfg[v];
-      const StateId next = kernel.step_set(
-          cur, neighborhood_set(graph_, cfg, v), draw_rng(ws, v));
-      if (next != cur && listener_) {
-        emit_listener(v, cur, next, ws.scratch.sense(graph_, cfg, v));
-      }
-      updates_.push(v, next);
+      updates_.push(v, activate<K>(ws, kernel, cfg, v));
     }
-  } else {
-    for (const NodeId v : active_) {
-      const SignalView sig = ws.scratch.sense(graph_, cfg, v);
-      const StateId cur = cfg[v];
-      const StateId next = kernel.step_fast(cur, sig, draw_rng(ws, v));
-      if (next != cur && listener_) emit_listener(v, cur, next, sig);
-      updates_.push(v, next);
-    }
+    apply_updates(cfg);
+  });
+}
+
+void Engine::close_async_step() {
+  store_.invalidate_view();
+  ++time_;
+  if (pending_count_ == 0) {
+    ++rounds_;
+    last_boundary_time_ = time_;
+    pending_.assign(graph_.num_nodes(), 1);
+    pending_count_ = graph_.num_nodes();
   }
+  if (act_saturated_) maybe_promote_acts();
 }
 
 // Sparse-activation sharded kernel: BOTH phases of one asynchronous step
@@ -672,7 +716,7 @@ void Engine::async_phase1(const T* cfg) {
 // merge matches the serial apply loop record for record (field_patches_
 // included, which snapshots serialize). With a listener attached the replay
 // needs signals from the PRE-apply configuration, so that path keeps the
-// sharded phase 1 and the serial apply loop.
+// sharded phase 1 and the serial apply loop (apply_updates).
 template <typename T>
 void Engine::sparse_phase1(const T* cfg, const bool log_transitions) {
   pool_->run(sparse_shards_, [&](const Shard& shard, unsigned shard_index,
@@ -724,7 +768,12 @@ void Engine::step_sparse_parallel() {
         emit_listener(tr.v, tr.from, tr.to, sig);
       }
     }
-    apply_updates_and_close_rounds();
+    if (store_.narrow()) {
+      apply_updates(store_.bytes_data());
+    } else {
+      apply_updates(store_.wide_data());
+    }
+    close_async_step();
     return;
   }
 
@@ -747,7 +796,6 @@ void Engine::step_sparse_parallel() {
   // Serial merge, shard-index order — the deterministic ordering of every
   // cross-shard effect.
   const auto apply_from = std::chrono::steady_clock::now();
-  store_.invalidate_view();
   std::uint64_t newly_done = 0;
   for (std::size_t s = 0; s < sparse_shards_.size(); ++s) {
     const ShardWorkspace& ws = shard_ws_[s];
@@ -758,49 +806,9 @@ void Engine::step_sparse_parallel() {
     newly_done += ws.newly_done;
   }
   pending_count_ -= newly_done;
-  ++time_;
-  if (pending_count_ == 0) {
-    ++rounds_;
-    last_boundary_time_ = time_;
-    pending_.assign(graph_.num_nodes(), 1);
-    pending_count_ = graph_.num_nodes();
-  }
+  close_async_step();
   apply_phase_ns_ += elapsed_ns(apply_from);
-  maybe_promote_acts();
-}
-
-// Phase 2: apply simultaneously; advance round bookkeeping. A live signal
-// field is patched here from exactly the applied transitions — the single
-// spot all serial-apply engine paths (serial async and the listener
-// fallback) flow through. Deliberately NOT timed into apply_phase_ns_:
-// single-activation steps are ~100ns, so a clock read per step here would
-// tax the serial hot loop measurably — apply_phase_ns_ instruments the
-// parallel kernels only.
-void Engine::apply_updates_and_close_rounds() {
-  const bool patch_field = field_live();
-  const std::size_t count = updates_.size();
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto [v, q] = updates_.get(i);
-    const StateId cur = store_.get(v);
-    if (patch_field && cur != q) {
-      field_->apply_transition(v, cur, q);
-      ++field_patches_;
-    }
-    store_.set(v, q);
-    bump_act(v, act_saturated_);
-    if (pending_[v] != 0) {
-      pending_[v] = 0;
-      --pending_count_;
-    }
-  }
-  ++time_;
-  if (pending_count_ == 0) {
-    ++rounds_;
-    last_boundary_time_ = time_;
-    pending_.assign(graph_.num_nodes(), 1);
-    pending_count_ = graph_.num_nodes();
-  }
-  if (act_saturated_) maybe_promote_acts();
+  maybe_promote_acts();  // the shards' saturation flags
 }
 
 RunOutcome Engine::run_until(

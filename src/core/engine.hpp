@@ -24,16 +24,26 @@
 //   * under a full-activation scheduler (Scheduler::full_activation), the
 //     phase-1/phase-2 split is replaced by double-buffering the whole
 //     configuration, and activation/round bookkeeping folds into the same
-//     pass (every synchronous step closes exactly one round).
+//     pass (every synchronous step closes exactly one round);
+//   * the serial asynchronous step splits by |A_t|. A step whose A_t holds
+//     one node (every step of uniform-single, rotating-single, permutation
+//     and burst; laggard's and random-subset's one-node draws) senses,
+//     steps and applies in one pass: nothing else reads C_t, so there is
+//     no update list and no second loop. Larger activation sets keep the
+//     two phases — every node senses C_t into the update list, then all
+//     apply — because their reads are simultaneous. Both shapes share one
+//     sense→δ dispatch (Engine::activate, templated on the sense kind that
+//     is resolved once per step) and one apply and round-close bookkeeping.
 //
 // Signal field (EngineOptions::signal_field; core/signal_field.hpp):
 //   * under the serial-daemon regime — an asynchronous scheduler whose
 //     activation sets stay small — every sense on the serial per-activation
-//     path still rescans N+(v). The signal field replaces that rescan with a
-//     delta-maintained per-node presence mask / state multiset: initialized
-//     once from C_0, patched on every applied transition by updating only
-//     the transitioning node's neighbors, and read back as an O(1) mask (or
-//     O(distinct) span) per sense;
+//     path still rescans N+(v). The signal field replaces that rescan with
+//     delta-maintained per-node state counters: initialized once from C_0,
+//     patched on every applied transition by updating only the
+//     transitioning node's neighbors, and read back per sense as a presence
+//     mask derived from the node's own counter row (|Q| <= 64), its stored
+//     presence words (|Q| <= 256), or an O(distinct) span;
 //   * routing is explicit: kAuto enables the field from the scheduler's
 //     max_activation_hint(), the graph's degree profile, and |Q| (see
 //     EngineOptions::signal_field); kOn forces maintenance on every
@@ -77,9 +87,11 @@
 //     finishes with a serial merge in shard-index order (field patches from
 //     the logs, pending-count/round-close detection: exactly the cross-shard
 //     effects that need a deterministic order). The scheduler draw itself
-//     stays serial, so the schedule is untouched; steps below the threshold
-//     (or with a listener attached, whose replay needs the pre-apply
-//     configuration) run the serial apply path;
+//     stays serial, so the schedule is untouched. The threshold check comes
+//     before the |A_t| split, so at a threshold of 0 or 1 one-node steps
+//     run sharded too; steps below the threshold run the serial step, and
+//     a listener (whose replay needs the pre-apply configuration) keeps the
+//     sharded phase 1 but the serial apply loop;
 //   * transition listeners stay exact: workers log (v, from, to) per shard
 //     and the engine replays the concatenated logs in iteration order after
 //     the join, materializing each signal from the pre-step configuration;
@@ -121,6 +133,7 @@
 
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "core/automaton.hpp"
@@ -268,13 +281,16 @@ inline constexpr double kSignalFieldMinAvgDegree = 4.0;
 
 /// The stricter kAuto degree floor for mask-kernel automata (native
 /// step_mask or a compiled table, |Q| <= 64): their per-sense rescan is one
-/// OR-loop feeding an O(1) δ, so the field's per-transition patch (a
-/// counter pair plus a mask blend per inclusive neighbor) only wins once
-/// neighborhoods are an order of magnitude larger.
+/// OR-loop feeding an O(1) δ, so the field's per-transition patch only wins
+/// once neighborhoods are an order of magnitude larger. This floor and the
+/// adaptive cost factor below were set when that patch also blended a
+/// stored presence word per inclusive neighbor (three read-modify-writes);
+/// the node-major patch makes two, and neither constant has been
+/// re-derived since.
 inline constexpr double kSignalFieldMaskKernelMinAvgDegree = 32.0;
 
 /// Field senses per adaptive-routing observation window. At each window
-/// boundary a kAuto mask-kernel field compares patches (≈ three counter/mask
+/// boundary a kAuto mask-kernel field compares patches (modelled as ≈ three
 /// read-modify-writes per inclusive neighbor each) against the rescans it
 /// saved (≈ one read per inclusive neighbor each) and self-disables when
 /// kSignalFieldPatchCostFactor * patches exceeds the senses — the daemon is
@@ -680,7 +696,59 @@ class Engine {
   void step_synchronous();
   void step_async();
   void step_sparse_parallel();
-  void apply_updates_and_close_rounds();
+
+  /// How a serial activation senses N+(v) and which δ overload it feeds.
+  /// with_sense_kind resolves it once per step, so the per-activation code
+  /// never branches on it.
+  enum class SenseKind : std::uint8_t {
+    kFieldMask,  // the field's presence mask -> step_mask (no listener)
+    kFieldSet,   // the field's presence set -> step_set
+    kFieldView,  // the field's sorted view -> step_fast
+    kTable,      // rescanned mask -> compiled dense table (no listener)
+    kMask,       // rescanned mask -> step_mask (no listener)
+    kSet,        // rescanned set -> step_set
+    kView,       // rescanned sorted view -> step_fast
+  };
+  template <SenseKind K>
+  using SenseTag = std::integral_constant<SenseKind, K>;
+
+  /// Calls f(SenseTag<K>{}) with the kind this step's activations take.
+  template <typename F>
+  void with_sense_kind(const F& f);
+
+  /// The serial asynchronous step over the raw current store `cfg`
+  /// (templated on the element width, resolved once per step). |A_t| = 1
+  /// senses, steps and applies in one pass; larger activation sets sense
+  /// every node into updates_ first (simultaneous reads), then apply.
+  template <typename T>
+  void async_serial_step(T* cfg);
+
+  /// One serial activation of node v: senses N+(v) under `cfg` as K says,
+  /// applies δ, and reports a transition to the listener with the pre-step
+  /// signal. Returns the next state. The one definition of the per-activation
+  /// sense→δ dispatch that both step shapes share.
+  template <SenseKind K, typename T>
+  [[gnu::always_inline]] StateId activate(ParticipantWorkspace& ws,
+                                          const Automaton& kernel,
+                                          const T* cfg, NodeId v);
+
+  /// Applies one serial activation's result: patches a live field on a
+  /// transition (counting field_patches_, which snapshots serialize),
+  /// writes the store, bumps v's activation count and clears its pending
+  /// mark. Shared by the one-pass step, the two-phase apply loop
+  /// (apply_updates) and the sparse kernel's listener fallback.
+  template <typename T>
+  [[gnu::always_inline]] void apply_activation(T* cfg, NodeId v,
+                                               StateId next);
+  template <typename T>
+  void apply_updates(T* cfg);
+
+  /// The end of every asynchronous step, serial or sharded: marks the
+  /// store's wide view stale, advances time, closes the round when no node
+  /// is pending, and promotes the activation counters when a serial bump
+  /// asked for it. Never reads the clock: single-activation steps take
+  /// ~100 ns, so apply_phase_ns_ instruments the sharded kernels only.
+  void close_async_step();
 
   /// Rebuilds the signal field from the current configuration if an
   /// injection invalidated it — called before every field sense.
@@ -730,11 +798,6 @@ class Engine {
   /// shard computing its span of the activation list into updates_.
   template <typename T>
   void sparse_phase1(const T* cfg, bool log_transitions);
-  /// Serial asynchronous phase 1 over `cfg` (the raw current-store buffer):
-  /// the per-activation gather loops, templated on the element width so the
-  /// narrow/wide branch is taken once per step, not once per activation.
-  template <typename T>
-  void async_phase1(const T* cfg);
 
   /// Node v's activation count right now — the activation axis of the lazy
   /// rng stream derivation. Safe from shard bodies: only the shard holding
@@ -753,7 +816,9 @@ class Engine {
   /// Bumps node v's activation count, requesting promotion via `saturated`
   /// (the engine-level flag on serial paths, a per-shard workspace flag in
   /// shard bodies — promotion itself only ever runs at a serial point).
-  void bump_act(NodeId v, bool& saturated) {
+  /// Forced inline: GCC merged the serial step's several call sites into
+  /// one out-of-line call.
+  [[gnu::always_inline]] void bump_act(NodeId v, bool& saturated) {
     if (act_wide_) {
       ++act64_[v];
       return;

@@ -8,23 +8,30 @@
 // SignalField keeps, for every node, the multiset of states present in its
 // inclusive neighborhood and patches it on each applied transition
 // (v, q -> q') by updating only the counters of v and v's neighbors. A sense
-// then collapses to an O(1) presence-mask lookup (or an O(distinct) span in
-// the sparse representation) — no neighborhood scan, no scratch sort.
+// then reads v's own counters — no neighborhood scan, no scratch sort.
 //
-// Two representations, chosen once at construction:
+// Three representations, chosen once at construction by |Q| (and by n and
+// the maximum degree, which bound the dense tables):
 //
-//   * dense — |Q| <= kDenseStateLimit and max_degree + 1 below the 16-bit
-//     saturation bound: a flat q-major counter table
-//     counts[q * n + v] = multiplicity of q in N+(v), with saturating 16-bit
-//     counters, plus a per-node presence bitmap of ceil(|Q| / 64) words
-//     (exactly one word — the engine's step_mask input — when |Q| <= 64,
-//     otherwise the words of the step_set input, see set_of).
-//     The q-major layout keeps a transition patch (two counter rows) inside
-//     two n-sized stripes that stay cache-hot across steps.
-//   * sparse — large |Q| (synchronizer product spaces) or extreme degrees: a
-//     compact per-node sorted multiset (parallel keys/counts vectors), so
-//     memory stays O(sum_v distinct(v)) instead of O(n * |Q|). A sense wraps
-//     the keys span directly — still no per-sense sort.
+//   * node-major — |Q| <= 64, the engine's step_mask regime: saturating
+//     16-bit counters counts[v * stride + q], each node's row contiguous and
+//     padded to a multiple of 8 counters (stride = |Q| rounded up to 8), row
+//     0 on a cache line. A patch is two counter updates in one row per
+//     inclusive neighbor — one cache line per neighbor whenever the row
+//     divides a line (stride 8, 16 or 32, so |Q| <= 16 or 25 <= |Q| <= 32,
+//     AlgAu at D = 2 among them). No presence word is stored: mask_of
+//     derives it at sense time, one SSE2 compare-with-zero and movemask per
+//     8 counters (a scalar loop in builds without SSE2).
+//   * state-major — 64 < |Q| <= 256, the step_set regime: a flat q-major
+//     table counts[q * n + v] plus ceil(|Q| / 64) presence words per node,
+//     maintained on every patch (deriving them at sense time would take up
+//     to 32 vector compares per sense). The q-major layout keeps a patch's
+//     two counter rows inside two n-sized stripes.
+//   * sparse — |Q| > 256 (synchronizer product spaces), or tables over the
+//     byte budget, or degrees that could saturate a counter: a compact
+//     per-node sorted multiset (parallel keys/counts vectors), so memory
+//     stays O(sum_v distinct(v)) instead of O(n * |Q|). A sense wraps the
+//     keys span directly — still no per-sense sort.
 //
 // The field is engine infrastructure: core::Engine owns one when
 // EngineOptions::signal_field routes the serial per-activation path through
@@ -58,13 +65,14 @@ struct Transition {
 
 class SignalField {
  public:
-  /// Largest |Q| kept in the dense counter table (n * |Q| uint16 entries);
-  /// beyond it the compact sorted-multiset representation takes over.
+  /// Largest |Q| kept in a dense counter table (n * |Q| uint16 entries, |Q|
+  /// rounded up to 8 in the node-major mode); beyond it the compact
+  /// sorted-multiset representation takes over.
   static constexpr StateId kDenseStateLimit = 256;
   /// Hard budget for the dense counter table. |Q| alone does not bound the
   /// table — n does too — so graphs where n * |Q| counters would exceed
-  /// this fall back to the sorted multiset (O(sum distinct) memory) even
-  /// when |Q| <= kDenseStateLimit.
+  /// this (counting the node-major padding) fall back to the sorted multiset
+  /// (O(sum distinct) memory) even when |Q| <= kDenseStateLimit.
   static constexpr std::size_t kDenseMaxCounterBytes = std::size_t{64} << 20;
   /// Dense counters saturate here. A node's counter for one state is bounded
   /// by deg(v) + 1, so construction routes graphs whose max degree could
@@ -110,46 +118,66 @@ class SignalField {
   void apply_edge_removal(NodeId u, NodeId v, StateId qu, StateId qv);
 
   /// The 64-bit presence mask of N+(v) — the exact signal encoding the
-  /// engine's step_mask kernels consume. Only meaningful when mask_exact().
-  [[nodiscard]] std::uint64_t mask_of(NodeId v) const { return masks_[v]; }
+  /// engine's step_mask kernels consume — derived from v's node-major
+  /// counter row. Only meaningful when mask_exact(). Out of line, which keeps
+  /// the SSE2 intrinsics out of this header: forced inline into the
+  /// engine's step it measured no faster on recover-clique.
+  [[nodiscard]] std::uint64_t mask_of(NodeId v) const;
 
-  /// True iff mask_of() is the complete signal (|Q| <= 64, dense mode).
-  [[nodiscard]] bool mask_exact() const { return dense_ && mask_words_ == 1; }
+  /// True iff mask_of() is the complete signal (|Q| <= 64, node-major).
+  [[nodiscard]] bool mask_exact() const { return layout_ == Layout::kNodeMajor; }
 
-  /// The exact presence set of N+(v) — the engine's step_set input. Dense
-  /// mode hands over the node's <= 4 presence words; sparse mode ORs its
-  /// sorted keys in. Requires |Q| <= StateSet::kBits.
+  /// The exact presence set of N+(v) — the engine's step_set input.
+  /// Node-major mode derives word 0 (mask_of), state-major mode hands over
+  /// the node's <= 4 presence words, sparse mode ORs its sorted keys in.
+  /// Requires |Q| <= StateSet::kBits.
   [[nodiscard]] StateSet set_of(NodeId v) const;
 
-  /// The signal of node v as a zero-copy sorted view. Dense mode unpacks the
-  /// presence words into `scratch` (O(distinct)); sparse mode wraps the
+  /// The signal of node v as a zero-copy sorted view. The dense modes unpack
+  /// the presence words into `scratch` (O(distinct)); sparse mode wraps the
   /// node's keys span directly. The view is invalidated by the next sense
   /// into the same scratch and by any apply_transition/rebuild.
   [[nodiscard]] SignalView sense(NodeId v, std::vector<StateId>& scratch) const;
 
-  /// True when the flat counter table is in use (vs the sorted multiset).
-  [[nodiscard]] bool dense() const { return dense_; }
+  /// True when a flat counter table is in use (vs the sorted multiset).
+  [[nodiscard]] bool dense() const { return layout_ != Layout::kSparse; }
 
   /// Multiplicity of state q in N+(v) — observability for tests.
   [[nodiscard]] std::uint32_t count_of(NodeId v, StateId q) const;
 
-  /// Heap bytes owned by the field (counter table + presence bitmaps, or the
-  /// per-node multisets) — see util/memusage.hpp for the contract.
+  /// Heap bytes owned by the field (counter table, plus the presence words
+  /// of the state-major mode, or the per-node multisets) — see
+  /// util/memusage.hpp for the contract.
   [[nodiscard]] std::size_t dynamic_memory_usage() const;
 
  private:
+  enum class Layout : std::uint8_t { kNodeMajor, kStateMajor, kSparse };
+
+  /// Row 0 sits at most one 64-byte line into the node-major table, which
+  /// is over-allocated by that many counters.
+  static constexpr std::size_t kLineCounters = 64 / sizeof(std::uint16_t);
+
+  /// Node v's node-major counter row (stride_ counters).
+  [[nodiscard]] std::uint16_t* row(NodeId v) {
+    return counts_.data() + origin_ + static_cast<std::size_t>(v) * stride_;
+  }
+  [[nodiscard]] const std::uint16_t* row(NodeId v) const {
+    return counts_.data() + origin_ + static_cast<std::size_t>(v) * stride_;
+  }
   void bump(NodeId v, StateId q);  // increment q's multiplicity at v
   void drop(NodeId v, StateId q);  // decrement q's multiplicity at v
 
   const graph::Graph& graph_;
   NodeId n_;
   StateId state_count_;
-  bool dense_;
-  StateId mask_words_;  // presence words per node: ceil(min-needed / 64)
+  Layout layout_;
+  StateId stride_ = 0;      // node-major: counters per row, |Q| rounded up to 8
+  std::size_t origin_ = 0;  // node-major: index of row 0 (line-aligned)
+  StateId mask_words_ = 0;  // state-major: presence words per node
 
-  // Dense: counts_[q * n + v]; presence bit q of node v lives in
-  // masks_[v * mask_words_ + q / 64]. For |Q| <= 64 that degenerates to one
-  // word per node, indexed masks_[v].
+  // Node-major: counts_[origin_ + v * stride_ + q]. State-major:
+  // counts_[q * n + v], with presence bit q of node v in
+  // masks_[v * mask_words_ + q / 64].
   std::vector<std::uint16_t> counts_;
   std::vector<std::uint64_t> masks_;
 
@@ -157,5 +185,17 @@ class SignalField {
   std::vector<std::vector<StateId>> keys_;
   std::vector<std::vector<std::uint32_t>> key_counts_;
 };
+
+/// The presence mask of one node-major counter row: bit q set iff
+/// row[q] != 0, for q < `stride` (a multiple of 8, at most 64). Two
+/// definitions that the tests pin equal: the portable scalar loop, and the
+/// SSE2 one (compare with zero, then movemask) that mask_of uses wherever the
+/// build has SSE2 (every x86-64 build).
+[[nodiscard]] std::uint64_t presence_mask_scalar(const std::uint16_t* row,
+                                                 StateId stride);
+#if defined(__SSE2__)
+[[nodiscard]] std::uint64_t presence_mask_sse2(const std::uint16_t* row,
+                                               StateId stride);
+#endif
 
 }  // namespace ssau::core

@@ -38,30 +38,47 @@ Cli::Cli(int argc, char** argv) {
   }
 }
 
-bool Cli::has(const std::string& name) const { return flags_.count(name) > 0; }
+const std::string* Cli::find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = flags_.find(name);
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
+bool Cli::has(const std::string& name) const { return find(name) != nullptr; }
 
 std::string Cli::get(const std::string& name,
                      const std::string& fallback) const {
-  const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : it->second;
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : *value;
 }
 
 std::int64_t Cli::get_int(const std::string& name,
                           std::int64_t fallback) const {
-  const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback
-                            : flag_number<std::int64_t>(name, it->second);
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : flag_number<std::int64_t>(name, *value);
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
-  const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : flag_number<double>(name, it->second);
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : flag_number<double>(name, *value);
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
+  return *value == "true" || *value == "1" || *value == "yes";
+}
+
+void Cli::reject_unread() const {
+  std::string unread;
+  for (const auto& [name, value] : flags_) {
+    if (read_.count(name) == 0) {
+      unread += (unread.empty() ? "--" : ", --") + name;
+    }
+  }
+  if (!unread.empty()) {
+    throw std::invalid_argument("unknown flag(s): " + unread);
+  }
 }
 
 }  // namespace ssau::util

@@ -35,14 +35,22 @@ std::vector<std::string> all_scheduler_names() {
   return names;
 }
 
-/// Runs `steps` steps in lockstep and asserts the full engine state agrees.
+/// A random-subset daemon whose draw is usually empty on these small
+/// graphs, so most of its steps fall back to one node (the one-pass step)
+/// and the rest activate several (the two-phase loop).
+constexpr double kSparseSubsetP = 0.03;
+
+/// Runs `steps` steps in lockstep and asserts the full engine state agrees,
+/// then runs rounds one at a time: each run_rounds(1) must end on the step
+/// that closes the round, with a boundary's round stamp.
 void expect_identical_trajectories(const graph::Graph& g,
                                    const core::Automaton& alg,
                                    const core::Configuration& initial,
                                    const std::string& sched_name,
-                                   std::uint64_t seed, int steps) {
-  auto fast_sched = sched::make_scheduler(sched_name, g);
-  auto legacy_sched = sched::make_scheduler(sched_name, g);
+                                   std::uint64_t seed, int steps,
+                                   double subset_p = 0.5) {
+  auto fast_sched = sched::make_scheduler(sched_name, g, subset_p);
+  auto legacy_sched = sched::make_scheduler(sched_name, g, subset_p);
   core::Engine fast(g, alg, *fast_sched, initial, seed);
   oracle::ReferenceEngine legacy(g, alg, *legacy_sched, initial, seed);
   for (int s = 0; s < steps; ++s) {
@@ -54,6 +62,14 @@ void expect_identical_trajectories(const graph::Graph& g,
     ASSERT_EQ(fast.rounds_completed(), legacy.rounds_completed())
         << sched_name << " round drift at step " << s;
     ASSERT_EQ(fast.round_index_now(), legacy.round_index_now());
+  }
+  for (int r = 0; r < 3; ++r) {
+    fast.run_rounds(1);
+    legacy.run_rounds(1);
+    ASSERT_EQ(fast.time(), legacy.time()) << sched_name << " run_rounds";
+    ASSERT_EQ(fast.rounds_completed(), legacy.rounds_completed());
+    ASSERT_EQ(fast.round_index_now(), fast.rounds_completed());
+    ASSERT_EQ(fast.config(), legacy.config()) << sched_name << " run_rounds";
   }
   for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
     ASSERT_EQ(fast.activation_count(v), legacy.activation_count(v));
@@ -71,6 +87,8 @@ TEST(FastPathDifferential, AlgAuEverySchedulerEveryAdversary) {
     for (const std::string& sched_name : all_scheduler_names()) {
       expect_identical_trajectories(g, alg, c0, sched_name, 101, 300);
     }
+    expect_identical_trajectories(g, alg, c0, "random-subset", 101, 300,
+                                  kSparseSubsetP);
   }
 }
 
@@ -104,6 +122,8 @@ TEST(FastPathDifferential, AlgMisEveryScheduler) {
     for (const std::string& sched_name : all_scheduler_names()) {
       expect_identical_trajectories(g, alg, c0, sched_name, 107, 300);
     }
+    expect_identical_trajectories(g, alg, c0, "random-subset", 107, 300,
+                                  kSparseSubsetP);
   }
 }
 
@@ -117,6 +137,8 @@ TEST(FastPathDifferential, AlgLeEveryScheduler) {
     for (const std::string& sched_name : all_scheduler_names()) {
       expect_identical_trajectories(g, alg, c0, sched_name, 109, 300);
     }
+    expect_identical_trajectories(g, alg, c0, "random-subset", 109, 300,
+                                  kSparseSubsetP);
   }
 }
 
@@ -247,36 +269,44 @@ TEST(FastPathDifferential, SparseKernelMatchesLegacyOracle) {
   // The sparse-activation sharded kernel (asynchronous daemons with large
   // A_t, phase 1 fanned out over the worker pool) must sit on the same
   // trajectory as the reference interpreter — for the deterministic AlgAu mask
-  // kernel and for randomized MIS (per-node rng streams) under every daemon
-  // routed into it.
+  // kernel and for randomized MIS and LE (per-node rng streams) under every
+  // daemon routed into it. Its threshold check runs before the serial
+  // step's |A_t| split, so at thresholds 0 and 1 a central daemon's one-node
+  // steps run sharded too (the merge's clock then reads nonzero).
   util::Rng rng(37);
   const graph::Graph g = graph::random_bounded_diameter(80, 2, rng);
   const unison::AlgAu au(2);
   const mis::AlgMis mis({.diameter_bound = 2});
+  const le::AlgLe le({.diameter_bound = 2});
   const std::vector<std::pair<const core::Automaton*, core::Configuration>>
       workloads = {
           {&au, unison::au_adversarial_configuration("random", au, g, rng)},
           {&mis, mis::mis_adversarial_configuration("random", mis, g, rng)},
+          {&le, le::le_adversarial_configuration("random", le, g, rng)},
       };
+  const std::vector<std::pair<const char*, std::size_t>> daemons = {
+      {"laggard", 2}, {"random-subset", 2}, {"wave", 2},
+      {"uniform-single", 0}, {"uniform-single", 1}};
   for (const auto& [alg, c0] : workloads) {
-    for (const char* sched_name : {"laggard", "random-subset", "wave"}) {
+    for (const auto& [sched_name, threshold] : daemons) {
       for (const unsigned threads : {2u, 4u, 8u}) {
         auto sparse_sched = sched::make_scheduler(sched_name, g);
         auto legacy_sched = sched::make_scheduler(sched_name, g);
         core::Engine sparse(
             g, *alg, *sparse_sched, c0, 137,
             core::EngineOptions{.thread_count = threads,
-                                .sparse_activation_threshold = 2});
+                                .sparse_activation_threshold = threshold});
         oracle::ReferenceEngine legacy(g, *alg, *legacy_sched, c0, 137);
         ASSERT_EQ(sparse.shard_count(), threads) << sched_name;
         for (int s = 0; s < 150; ++s) {
           sparse.step();
           legacy.step();
           ASSERT_EQ(sparse.config(), legacy.config())
-              << sched_name << " threads=" << threads << " diverged at step "
-              << s;
+              << sched_name << " threads=" << threads << " threshold="
+              << threshold << " diverged at step " << s;
         }
         ASSERT_EQ(sparse.rounds_completed(), legacy.rounds_completed());
+        EXPECT_GT(sparse.apply_phase_ns(), 0u) << sched_name;
         for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
           ASSERT_EQ(sparse.activation_count(v), legacy.activation_count(v));
         }

@@ -142,11 +142,20 @@ TEST(DynamicUsage, SignalFieldDenseAndSparseAreBothAccounted) {
   util::Rng rng(13);
   const graph::Graph g = graph::random_connected(200, 0.1, rng);
 
-  // Dense: small |Q| -> n * |Q| uint16 counter table dominates.
+  // Node-major: |Q| = 9 pads each node's row to a stride of 16 counters,
+  // so the table is n * 16 * 2 B (plus at most one cache line to align row
+  // 0) and nothing else.
   const core::Configuration dense_c(200, 1);
-  const core::SignalField dense(g, /*state_count=*/8, dense_c);
-  EXPECT_GE(dense.dynamic_memory_usage(),
-            200 * 8 * sizeof(std::uint16_t));
+  const core::SignalField dense(g, /*state_count=*/9, dense_c);
+  EXPECT_GE(dense.dynamic_memory_usage(), 200 * 16 * sizeof(std::uint16_t));
+  EXPECT_LE(dense.dynamic_memory_usage(),
+            200 * 16 * sizeof(std::uint16_t) + 64);
+
+  // State-major (64 < |Q| <= 256): n * |Q| counters plus the presence words.
+  const core::SignalField wide(g, /*state_count=*/130, dense_c);
+  EXPECT_EQ(wide.dynamic_memory_usage(),
+            200 * 130 * sizeof(std::uint16_t) +
+                200 * 3 * sizeof(std::uint64_t));
 
   // Sparse: |Q| over the dense limit -> multiset representation, far below
   // what a dense table over the same space would commit.

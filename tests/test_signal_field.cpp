@@ -68,8 +68,27 @@ void expect_field_matches(const core::SignalField& field, const graph::Graph& g,
     if (field.mask_exact()) {
       ASSERT_EQ(field.mask_of(v), want.mask());
     }
+    if (state_count <= core::StateSet::kBits) {
+      ASSERT_EQ(field.set_of(v).words,
+                core::neighborhood_set(g, c.data(), v).words)
+          << "v=" << v;
+    }
+  }
+  // The same senses from a field rebuilt from scratch.
+  const core::SignalField fresh(g, state_count, c);
+  for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (field.mask_exact()) {
+      ASSERT_EQ(field.mask_of(v), fresh.mask_of(v));
+    }
+    if (state_count <= core::StateSet::kBits) {
+      ASSERT_EQ(field.set_of(v).words, fresh.set_of(v).words);
+    }
   }
 }
+
+/// |Q| around the node-major stride's padding edges (multiples of 8) and
+/// the one-word/multi-word boundary at 64.
+constexpr core::StateId kFuzzSizes[] = {1, 2, 7, 8, 9, 30, 63, 64, 65};
 
 /// Fuzz: random single-node transitions patched incrementally must keep the
 /// field equal to a from-scratch rebuild at every step.
@@ -93,7 +112,66 @@ void fuzz_transitions(core::StateId state_count, int rounds,
 }
 
 TEST(SignalField, DenseSingleWordDeltaEqualsRebuild) {
-  fuzz_transitions(/*state_count=*/30, /*rounds=*/400, /*seed=*/41);
+  for (const core::StateId q : kFuzzSizes) {
+    SCOPED_TRACE(q);
+    fuzz_transitions(q, /*rounds=*/400, /*seed=*/41 + q);
+  }
+}
+
+/// Fuzz: random edge insertions and removals, patched per effective edge,
+/// must keep the field equal to a rebuild on the edited graph.
+void fuzz_edges(core::StateId state_count, int rounds, std::uint64_t seed) {
+  util::Rng rng(seed);
+  graph::Graph g = graph::random_connected(24, 0.2, rng);
+  core::Configuration c(g.num_nodes());
+  for (auto& q : c) q = rng.below(state_count);
+  core::SignalField field(g, state_count, c);
+  for (int i = 0; i < rounds; ++i) {
+    const auto u = static_cast<core::NodeId>(rng.below(g.num_nodes()));
+    const auto v = static_cast<core::NodeId>(rng.below(g.num_nodes()));
+    if (u == v) continue;
+    graph::TopologyDelta delta;
+    (rng.bernoulli(0.5) ? delta.add : delta.remove).push_back({u, v});
+    const graph::TopologyDelta applied = g.apply_delta(delta);
+    for (const auto& [a, b] : applied.remove) {
+      field.apply_edge_removal(a, b, c[a], c[b]);
+    }
+    for (const auto& [a, b] : applied.add) {
+      field.apply_edge_insertion(a, b, c[a], c[b]);
+    }
+    if (i % 16 == 0) expect_field_matches(field, g, c, state_count);
+  }
+  expect_field_matches(field, g, c, state_count);
+}
+
+TEST(SignalField, EdgeEditsEqualRebuildAtEverySize) {
+  for (const core::StateId q : kFuzzSizes) {
+    SCOPED_TRACE(q);
+    fuzz_edges(q, /*rounds=*/200, /*seed=*/53 + q);
+  }
+  fuzz_edges(/*state_count=*/1000, /*rounds=*/200, /*seed=*/53);  // sparse
+}
+
+TEST(SignalField, ScalarAndSse2PresenceMasksAgree) {
+  // Rows of every stride the node-major layout uses, with zero counters
+  // mixed among values whose sign bit is set as a signed 16-bit lane.
+  util::Rng rng(57);
+  const std::uint16_t values[] = {0, 1, 2, 0x7FFF, 0x8000, 0xFFFE, 0xFFFF};
+  std::vector<std::uint16_t> row(64);
+  for (core::StateId stride = 8; stride <= 64; stride += 8) {
+    for (int trial = 0; trial < 200; ++trial) {
+      std::uint64_t want = 0;
+      for (core::StateId q = 0; q < 64; ++q) {
+        row[q] = q < stride ? values[rng.below(std::size(values))] : 0;
+        if (row[q] != 0) want |= std::uint64_t{1} << q;
+      }
+      ASSERT_EQ(core::presence_mask_scalar(row.data(), stride), want);
+#if defined(__SSE2__)
+      ASSERT_EQ(core::presence_mask_sse2(row.data(), stride), want)
+          << "stride " << stride;
+#endif
+    }
+  }
 }
 
 TEST(SignalField, DenseMultiWordDeltaEqualsRebuild) {
@@ -242,16 +320,22 @@ TEST(SignalFieldRouting, AutoDeclinesSparseNeighborhoods) {
 
 // --- differential suite ------------------------------------------------------
 
+/// A random-subset daemon whose draw is usually empty on these small
+/// graphs: most of its steps fall back to one node (the one-pass step), the
+/// rest activate several (the two-phase loop).
+constexpr double kSparseSubsetP = 0.03;
+
 /// Field-sensed engine (signal_field forced ON, tiny sparse threshold so the
-/// large-set daemons shard) vs the reference interpreter, in lockstep.
+/// large-set daemons shard) vs the reference interpreter, in lockstep; then
+/// round by round, each run_rounds(1) ending on its boundary step.
 void expect_field_matches_oracle(const graph::Graph& g,
                                  const core::Automaton& alg,
                                  const core::Configuration& initial,
                                  const std::string& sched_name,
                                  unsigned threads, std::uint64_t seed,
-                                 int steps) {
-  auto field_sched = sched::make_scheduler(sched_name, g);
-  auto legacy_sched = sched::make_scheduler(sched_name, g);
+                                 int steps, double subset_p = 0.5) {
+  auto field_sched = sched::make_scheduler(sched_name, g, subset_p);
+  auto legacy_sched = sched::make_scheduler(sched_name, g, subset_p);
   core::Engine field(g, alg, *field_sched, initial, seed,
                      core::EngineOptions{
                          .thread_count = threads,
@@ -269,6 +353,14 @@ void expect_field_matches_oracle(const graph::Graph& g,
         << sched_name << " threads=" << threads << " round drift at step " << s;
     ASSERT_EQ(field.round_index_now(), legacy.round_index_now());
   }
+  for (int r = 0; r < 3; ++r) {
+    field.run_rounds(1);
+    legacy.run_rounds(1);
+    ASSERT_EQ(field.time(), legacy.time()) << sched_name << " run_rounds";
+    ASSERT_EQ(field.rounds_completed(), legacy.rounds_completed());
+    ASSERT_EQ(field.round_index_now(), field.rounds_completed());
+    ASSERT_EQ(field.config(), legacy.config()) << sched_name << " run_rounds";
+  }
   for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
     ASSERT_EQ(field.activation_count(v), legacy.activation_count(v));
   }
@@ -285,6 +377,10 @@ TEST(SignalFieldDifferential, AlgAuAllSchedulersAllThreadCounts) {
       expect_field_matches_oracle(g, alg, c0, sched_name, threads, 211, 200);
     }
   }
+  for (const unsigned threads : {1u, 4u}) {
+    expect_field_matches_oracle(g, alg, c0, "random-subset", threads, 211,
+                                200, kSparseSubsetP);
+  }
 }
 
 TEST(SignalFieldDifferential, AlgMisAllSchedulersAllThreadCounts) {
@@ -300,6 +396,10 @@ TEST(SignalFieldDifferential, AlgMisAllSchedulersAllThreadCounts) {
       expect_field_matches_oracle(g, alg, c0, sched_name, threads, 223, 200);
     }
   }
+  for (const unsigned threads : {1u, 4u}) {
+    expect_field_matches_oracle(g, alg, c0, "random-subset", threads, 223,
+                                200, kSparseSubsetP);
+  }
 }
 
 TEST(SignalFieldDifferential, AlgLeAllSchedulersAllThreadCounts) {
@@ -312,6 +412,10 @@ TEST(SignalFieldDifferential, AlgLeAllSchedulersAllThreadCounts) {
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
       expect_field_matches_oracle(g, alg, c0, sched_name, threads, 227, 200);
     }
+  }
+  for (const unsigned threads : {1u, 4u}) {
+    expect_field_matches_oracle(g, alg, c0, "random-subset", threads, 227,
+                                200, kSparseSubsetP);
   }
 }
 
@@ -334,7 +438,9 @@ TEST(SignalFieldDifferential, SparseRepresentationSynchronizerProduct) {
 TEST(SignalFieldDifferential, ListenerStreamsMatchOracle) {
   // The field-sensed listener path materializes signals from the field into
   // a reused scratch Signal; the observed streams (and signal contents) must
-  // equal the reference interpreter's allocating path exactly.
+  // equal the reference interpreter's allocating path exactly. AlgAu(1) is a
+  // mask-kernel automaton: under every asynchronous daemon its one-node
+  // steps emit before they apply, so each signal is the pre-step one.
   const unison::AlgAu alg(1);
   util::Rng rng(83);
   const graph::Graph g = graph::random_bounded_diameter(16, 2, rng);
@@ -346,7 +452,7 @@ TEST(SignalFieldDifferential, ListenerStreamsMatchOracle) {
     core::Time t;
     bool operator==(const Event&) const = default;
   };
-  for (const char* sched_name : {"burst", "permutation", "uniform-single"}) {
+  for (const std::string& sched_name : sched::async_scheduler_names()) {
     const auto run = [&](auto& engine) {
       std::vector<Event> events;
       std::vector<core::Signal> signals;

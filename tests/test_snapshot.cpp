@@ -373,10 +373,13 @@ TEST(SnapshotDifferential, StaleFieldSurvivesSnapshot) {
 }
 
 TEST(SnapshotDifferential, AdaptiveFieldBailMatchesAcrossRestore) {
-  // A kAuto mask-kernel field self-disables once patches outweigh senses.
-  // Snapshot mid-observation-window: the restored engine must carry the
-  // window counters so it bails (or keeps the field) at the SAME future
-  // step as the original.
+  // A kAuto mask-kernel field self-disables once patches outweigh senses;
+  // rotating-single on a clique drives AlgAu's clocks on nearly every
+  // activation, so it bails at the first window boundary. Snapshots taken
+  // mid-window, on the last step before the bail and on the step after must
+  // all restore into engines that bail (or have bailed) exactly like the
+  // original: the window counters ride the snapshot, and a restore after
+  // the bail drops the field its own construction routing re-created.
   const graph::Graph g = graph::complete(40);  // avg degree 39 >= 32 floor
   const unison::AlgAu alg(1);
   core::EngineOptions opts;  // kAuto default
@@ -388,35 +391,29 @@ TEST(SnapshotDifferential, AdaptiveFieldBailMatchesAcrossRestore) {
                         333, opts);
   ASSERT_TRUE(original.signal_field_active());
 
-  for (int t = 0; t < 3000; ++t) original.step();  // mid-window
-  const auto mid = save(original);
+  // Single-node steps sense one node each: the window check at the start of
+  // step `window` + 1 is the first that can bail.
+  const auto window = static_cast<int>(core::kSignalFieldAdaptiveWindow);
+  std::vector<std::vector<std::uint8_t>> snaps;
+  for (int t = 0; t < 3000; ++t) original.step();
+  snaps.push_back(save(original));  // mid-window
+  for (int t = 3000; t < window; ++t) original.step();
+  ASSERT_TRUE(original.signal_field_active());
+  snaps.push_back(save(original));  // the last step before the bail
+  original.step();
+  ASSERT_FALSE(original.signal_field_active());
+  snaps.push_back(save(original));  // the step after
+  for (int t = 0; t < 500; ++t) original.step();
 
-  graph::Graph g2 = restore_graph(mid);
-  auto sched2 = sched::make_scheduler("rotating-single", g2);
-  auto restored = restore(mid, g2, alg, *sched2);
-  EXPECT_EQ(original.signal_field_active(), restored->signal_field_active());
-
-  // Run both past the window boundary; the bail decision must coincide.
-  for (int t = 0; t < 12000; ++t) {
-    original.step();
-    restored->step();
-  }
-  EXPECT_EQ(original.signal_field_active(), restored->signal_field_active());
-  expect_engines_equal(original, *restored);
-
-  // Snapshot AFTER a bail: the restored engine must drop the field its own
-  // construction routing would otherwise have re-created.
-  if (!original.signal_field_active()) {
-    const auto late = save(original);
-    graph::Graph g3 = restore_graph(late);
-    auto sched3 = sched::make_scheduler("rotating-single", g3);
-    auto late_restored = restore(late, g3, alg, *sched3);
-    EXPECT_FALSE(late_restored->signal_field_active());
-    for (int t = 0; t < 500; ++t) {
-      original.step();
-      late_restored->step();
-    }
-    expect_engines_equal(original, *late_restored);
+  for (std::size_t i = 0; i < snaps.size(); ++i) {
+    SCOPED_TRACE(i);
+    graph::Graph g2 = restore_graph(snaps[i]);
+    auto sched2 = sched::make_scheduler("rotating-single", g2);
+    auto restored = restore(snaps[i], g2, alg, *sched2);
+    EXPECT_EQ(restored->signal_field_active(), i < 2);
+    while (restored->time() < original.time()) restored->step();
+    EXPECT_FALSE(restored->signal_field_active());
+    expect_engines_equal(original, *restored);
   }
 }
 

@@ -96,12 +96,68 @@ TEST(Cli, MalformedNumbersThrowNamingTheFlag) {
   }
 }
 
+TEST(Cli, UnreadFlagsAreRejectedByName) {
+  // A mistyped flag (--nodes for --n) and --help must stop the program
+  // instead of running it with the defaults.
+  const char* argv[] = {"prog", "--n=8", "--nodes=16", "--help", "--csv"};
+  Cli cli(5, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_int("n", 0), 8);
+  EXPECT_TRUE(cli.has("csv"));  // has() counts as a read
+  try {
+    cli.reject_unread();
+    ADD_FAILURE() << "reject_unread accepted --nodes and --help";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--nodes"), std::string::npos) << what;
+    EXPECT_NE(what.find("--help"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--n,"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--csv"), std::string::npos) << what;
+  }
+  // Once read, they are no longer reported.
+  EXPECT_EQ(cli.get_int("nodes", 0), 16);
+  EXPECT_TRUE(cli.get_bool("help", false));
+  EXPECT_NO_THROW(cli.reject_unread());
+}
+
+TEST(Cli, CountsRejectNegativesAndOverflowNamingTheFlag) {
+  // At the parser, never at a binary: a negative worker count used to cast
+  // to 4,294,967,295 workers.
+  const char* argv[] = {"prog",       "--workers=-1", "--n=4294967296",
+                        "--seeds=-3", "--steps=junk", "--ok=4294967295",
+                        "--zero=0",   "--big=18446744073709551615"};
+  Cli cli(8, const_cast<char**>(argv));
+  const auto expect_rejected = [&](const char* flag, auto read) {
+    try {
+      (void)read();
+      ADD_FAILURE() << "accepted --" << flag;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + flag),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected("workers",
+                  [&] { return cli.get_count<unsigned>("workers", 0); });
+  expect_rejected("n", [&] { return cli.get_count<graph::NodeId>("n", 1); });
+  expect_rejected("seeds", [&] { return cli.get_count<int>("seeds", 1); });
+  expect_rejected("steps",
+                  [&] { return cli.get_count<std::uint64_t>("steps", 1); });
+  EXPECT_EQ(cli.get_count<graph::NodeId>("ok", 0), 4294967295u);
+  EXPECT_EQ(cli.get_count<int>("zero", 5), 0);
+  EXPECT_EQ(cli.get_count<std::uint64_t>("big", 0), UINT64_MAX);
+  EXPECT_EQ(cli.get_count<std::size_t>("absent", 12), 12u);
+}
+
 TEST(Cli, PositionalArguments) {
   const char* argv[] = {"prog", "file1", "--k=2", "file2"};
   Cli cli(4, const_cast<char**>(argv));
   ASSERT_EQ(cli.positional().size(), 2u);
   EXPECT_EQ(cli.positional()[0], "file1");
   EXPECT_EQ(cli.positional()[1], "file2");
+  // Positional arguments are not flags: only the unread --k is rejected.
+  EXPECT_THROW(cli.reject_unread(), std::invalid_argument);
+  EXPECT_EQ(cli.get_int("k", 0), 2);
+  EXPECT_NO_THROW(cli.reject_unread());
 }
 
 TEST(ParseNumber, AcceptsWholeTokensThatFit) {

@@ -29,6 +29,12 @@ int main(int argc, char** argv) {
   const std::string snapshot_path = cli.get("snapshot", "");
   const std::string log_path = cli.get("log", "");
   const bool verbose = cli.get_bool("verbose", false);
+  try {
+    cli.reject_unread();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "replay: %s\n", e.what());
+    return 2;
+  }
   if (snapshot_path.empty() || log_path.empty()) {
     std::fprintf(stderr,
                  "usage: replay --snapshot=FILE --log=FILE [--verbose]\n");

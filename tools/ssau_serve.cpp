@@ -126,7 +126,8 @@ int main(int argc, char** argv) {
     options.workers = number<unsigned>(cli.get("workers", "0"), "--workers");
     options.queue_capacity =
         number<std::size_t>(cli.get("queue", "4096"), "--queue");
-  } catch (const ProtocolError& e) {
+    cli.reject_unread();
+  } catch (const std::exception& e) {  // a malformed number or unknown flag
     std::fprintf(stderr, "ssau_serve: %s\n", e.what());
     return 2;
   }
