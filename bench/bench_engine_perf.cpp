@@ -60,7 +60,7 @@
 // loaded into a compact-configuration engine, and the recursive
 // dynamic_memory_usage() accounting (util/memusage.hpp) is reported as
 // bytes-per-node / bytes-per-edge; CI gates bytes-per-node. The
-// build_speedup column re-measures, at --mem-ref-nodes (default 100k), the
+// build_speedup column re-measures, at --mem-ref-nodes (default 30k), the
 // streaming builder against the pre-streaming pattern (O(n^2) per-pair
 // Bernoulli sweep into an intermediate edge vector, kept bench-local below)
 // — both sides in-run, so the ratio is machine-independent like the churn
@@ -89,7 +89,7 @@
 //                          [--single-act-edge-p=0.02]
 //                          [--churn-events=64] [--churn-rebuild-events=12]
 //                          [--service-sessions=1000] [--service-workers=0]
-//                          [--mem-nodes=1000000] [--mem-ref-nodes=100000]
+//                          [--mem-nodes=1000000] [--mem-ref-nodes=30000]
 //                          [--locality-nodes=1000000] [--locality-steps=60]
 //                          [--threads=1,2,4,8] [--repeats=3]
 //                          [--json=BENCH_engine.json] [--seed=7]
@@ -331,7 +331,7 @@ int main(int argc, char** argv) {
   const auto service_workers = cli.get_count<unsigned>("service-workers", 0);
   const auto mem_nodes = cli.get_count<graph::NodeId>("mem-nodes", 1000000);
   const auto mem_ref_nodes =
-      cli.get_count<graph::NodeId>("mem-ref-nodes", 100000);
+      cli.get_count<graph::NodeId>("mem-ref-nodes", 30000);
   const auto locality_nodes =
       cli.get_count<graph::NodeId>("locality-nodes", 1000000);
   const auto locality_steps =
@@ -728,8 +728,9 @@ int main(int argc, char** argv) {
             stream_seconds, std::chrono::duration<double>(t1 - t0).count());
         if (rg.num_nodes() != mem_ref_nodes) std::exit(1);  // keep rg live
       }
-      // The O(n^2) side is timed once: it is minutes-scale headroom above
-      // the gate, and repeating it would dominate the whole bench run.
+      // The O(n^2) side is timed once: it reads two orders of magnitude
+      // above the gate at 30k nodes, and repeating it would dominate the
+      // whole bench run.
       double edgelist_seconds;
       {
         util::Rng ref_rng(seed + 53);

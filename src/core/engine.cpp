@@ -178,50 +178,23 @@ Engine::Engine(const graph::Graph& g, const Automaton& alg,
     updates_.reserve(hint);
   }
 
-  // Signal-field routing: delta-maintained senses vs dense rescan. kAuto
-  // enables the field only in the serial-daemon regime — activation sets
-  // small enough that the sparse kernel never engages and most of the
-  // graph sits idle per step — on graphs whose neighborhoods are large
-  // enough that the per-sense rescan is worth replacing. |Q| routes the
-  // field's internal representation (flat saturating counters vs compact
-  // sorted multiset), not the on/off decision.
-  // Mask-kernel automata sense in one OR-loop and step in O(1); their
-  // rescan is so lean that delta maintenance needs an order of magnitude
-  // more density to pay for its per-transition patches — and even then
-  // only at low transition rates, which construction cannot see.
-  const bool cheap_sense =
-      mask_kernel_ &&
-      (compiled_ != nullptr || automaton_.native_mask_kernel());
-  bool want_field = false;
-  switch (options_.signal_field) {
-    case SignalFieldMode::kOff:
-      break;
-    case SignalFieldMode::kOn:
-      want_field = true;
-      break;
-    case SignalFieldMode::kAuto: {
-      const std::size_t hint = scheduler_.max_activation_hint();
-      const double degree_floor = cheap_sense
-                                      ? kSignalFieldMaskKernelMinAvgDegree
-                                      : kSignalFieldMinAvgDegree;
-      want_field = !full_activation_ && graph_.num_nodes() > 1 &&
-                   hint < options_.sparse_activation_threshold &&
-                   hint * 2 <= graph_.num_nodes() &&
-                   graph_.avg_degree() >= degree_floor;
-      break;
-    }
-  }
-  if (want_field) {
+  // Signal-field routing, the one rule (see SignalFieldMode): only engines
+  // whose every step runs the serial asynchronous path sense, so only they
+  // may own a field. kAuto adds the serial-daemon regime — activation sets
+  // small next to the graph — on neighborhoods large enough that the
+  // per-sense rescan is worth replacing. |Q| routes the field's internal
+  // representation (flat saturating counters vs compact sorted multiset),
+  // not the on/off decision.
+  const std::size_t hint = scheduler_.max_activation_hint();
+  const bool auto_field = graph_.num_nodes() > 1 &&
+                          hint < options_.sparse_activation_threshold &&
+                          hint * 2 <= graph_.num_nodes() &&
+                          graph_.avg_degree() >= kSignalFieldMinAvgDegree;
+  if (!full_activation_ && !sparse_eligible_ &&
+      (options_.signal_field == SignalFieldMode::kOn ||
+       (options_.signal_field == SignalFieldMode::kAuto && auto_field))) {
     field_ = std::make_unique<SignalField>(graph_, automaton_.state_count(),
                                            initial);
-    // Only the heuristic's shakiest bet monitors itself: a kAuto field on
-    // a mask-kernel automaton wins or loses purely on the (unknowable at
-    // construction) transition rate, so it bails out mid-run if patching
-    // proves more expensive than the rescans it replaces. Heavy-sense
-    // automata keep the field unconditionally — their per-sense saving
-    // dwarfs any patch rate a single transition per activation can cause.
-    field_adaptive_ =
-        options_.signal_field == SignalFieldMode::kAuto && cheap_sense;
   }
 }
 
@@ -445,22 +418,12 @@ void Engine::shard_phase1(const Shard& shard, ParticipantWorkspace& pw,
 // whichever participant claimed it, and the join in ParallelEngine::run
 // makes every write visible before the tail), inline on the single [0, n)
 // shard otherwise. Serial and sharded steps then share one serial tail:
-// listener replay and field patches from the per-shard logs (shards are
-// contiguous and ascending, so shard-order concatenation IS node order —
-// the order a per-activation loop over A_t = V emits), the buffer swap,
-// and the round close.
+// listener replay from the per-shard logs (shards are contiguous and
+// ascending, so shard-order concatenation IS node order — the order a
+// per-activation loop over A_t = V emits), the buffer swap, and the round
+// close. A synchronous engine never owns a signal field.
 void Engine::step_synchronous() {
-  // The synchronous kernel never *senses* through the signal field, but a
-  // live forced-on field must stay consistent across the step. Shards
-  // cannot patch shared counter rows concurrently (a node's neighbors
-  // straddle shards), so phase 1 logs transitions and the tail patches from
-  // the logs — deltas against the pre-step configuration commute, and
-  // nothing reads the field mid-step. A stale field (post-injection) stays
-  // stale: no synchronous step will ever read it, so the rebuild is
-  // deferred to a future field sense that may never come —
-  // signal_field_stale() tells observability readers.
-  const bool patch_field = field_live();
-  const bool log_transitions = static_cast<bool>(listener_) || patch_field;
+  const bool log_transitions = static_cast<bool>(listener_);
   if (store_.narrow()) {
     sync_phase1(store_.bytes_data(), next_store_.bytes_data(), log_transitions);
   } else {
@@ -480,11 +443,6 @@ void Engine::step_synchronous() {
   const bool timed = pool_ != nullptr;
   const auto apply_from = timed ? std::chrono::steady_clock::now()
                                 : std::chrono::steady_clock::time_point{};
-  if (patch_field) {
-    for (const ShardWorkspace& ws : shard_ws_) {
-      field_->apply_transitions(ws.transitions.data(), ws.transitions.size());
-    }
-  }
   store_.swap(next_store_);
   // Both buffers were written through raw pointers (and the swap moves any
   // cached view with its buffer): re-materialize lazily on the next read.
@@ -541,31 +499,9 @@ void Engine::step_async() {
     step_sparse_parallel();
     return;
   }
-
-  // Adaptive routing: at each window boundary, drop a kAuto mask-kernel
-  // field whose observed patch volume outweighs the rescans it saved (the
-  // daemon is transitioning nearly every activation — e.g. a rotation
-  // schedule driving unison clocks). Purely a performance decision: the
-  // field-sensed and rescan paths are bit-identical, so switching mid-run
-  // is unobservable in the trajectory.
-  if (field_adaptive_ && field_senses_ >= kSignalFieldAdaptiveWindow) {
-    if (field_patches_ * kSignalFieldPatchCostFactor > field_senses_) {
-      field_.reset();
-      field_adaptive_ = false;
-      field_stale_ = false;  // no field left for the flag to describe
-    }
-    // A new window opens. After a bail-out, dead counters would otherwise
-    // survive in snapshots and make the engine's serialized state differ
-    // from its own restore.
-    field_senses_ = 0;
-    field_patches_ = 0;
-  }
-  if (field_) {
-    // The lazy rebuild reads the wide view, which never relocates the raw
-    // buffer the step then works on.
-    ensure_field_fresh();
-    field_senses_ += active_.size();
-  }
+  // The lazy rebuild reads the wide view, which never relocates the raw
+  // buffer the step then works on.
+  ensure_field_fresh();
 
   // The store's element width and the sense kind are resolved here, once
   // per step — the per-activation code reads the raw buffer directly
@@ -640,10 +576,7 @@ inline void Engine::apply_activation(T* cfg, const NodeId v,
                                      const StateId next) {
   const StateId cur = cfg[v];
   if (cur != next) {
-    if (field_live()) {
-      field_->apply_transition(v, cur, next);
-      ++field_patches_;
-    }
+    if (field_) field_->apply_transition(v, cur, next);
     cfg[v] = static_cast<T>(next);
   }
   bump_act(v, act_saturated_);
@@ -709,14 +642,13 @@ void Engine::close_async_step() {
 // reads arbitrary configuration slots — then drains each shard's own span
 // into the config store, activation counters, and pending_ (disjoint
 // elements: the scheduler's distinct-ids contract, asserted below). The
-// cross-shard effects — signal-field patches from the per-shard logs,
-// pending-count accounting, and round-close detection — run in a serial
-// merge in shard-index order after the join; spans are contiguous and
-// ascending, so shard-order concatenation IS activation-list order and the
-// merge matches the serial apply loop record for record (field_patches_
-// included, which snapshots serialize). With a listener attached the replay
-// needs signals from the PRE-apply configuration, so that path keeps the
-// sharded phase 1 and the serial apply loop (apply_updates).
+// cross-shard effects — pending-count accounting and round-close detection
+// — run in a serial merge in shard-index order after the join. A
+// sparse-eligible engine never owns a signal field, so nothing else needs
+// the transitions. With a listener attached the replay needs signals from
+// the PRE-apply configuration, so that path keeps the sharded phase 1
+// (logging each shard's transitions in activation-list order) and the
+// serial apply loop (apply_updates).
 template <typename T>
 void Engine::sparse_phase1(const T* cfg, const bool log_transitions) {
   pool_->run(sparse_shards_, [&](const Shard& shard, unsigned shard_index,
@@ -750,8 +682,7 @@ void Engine::step_sparse_parallel() {
         return static_cast<std::uint64_t>(graph_.degree(active_[i])) + 1;
       });
 
-  const bool patch_field = field_live();
-  const bool log_transitions = static_cast<bool>(listener_) || patch_field;
+  const bool log_transitions = static_cast<bool>(listener_);
   if (store_.narrow()) {
     sparse_phase1(store_.bytes_data(), log_transitions);
   } else {
@@ -798,12 +729,7 @@ void Engine::step_sparse_parallel() {
   const auto apply_from = std::chrono::steady_clock::now();
   std::uint64_t newly_done = 0;
   for (std::size_t s = 0; s < sparse_shards_.size(); ++s) {
-    const ShardWorkspace& ws = shard_ws_[s];
-    if (patch_field) {
-      field_->apply_transitions(ws.transitions.data(), ws.transitions.size());
-      field_patches_ += ws.transitions.size();
-    }
-    newly_done += ws.newly_done;
+    newly_done += shard_ws_[s].newly_done;
   }
   pending_count_ -= newly_done;
   close_async_step();
@@ -873,9 +799,10 @@ void Engine::inject_state(NodeId v, StateId q) {
   }
   const NodeId i = graph_.to_internal(v);
   // A targeted fault is still a (v, old -> new) delta: patch a live field
-  // instead of discarding it (a no-op fault leaves it untouched).
+  // instead of discarding it (a no-op fault leaves it untouched; a stale
+  // one awaits its rebuild anyway).
   const StateId cur = store_.get(i);
-  if (field_live() && cur != q) {
+  if (field_ && !field_stale_ && cur != q) {
     field_->apply_transition(i, cur, q);
   }
   store_.set(i, q);
@@ -936,15 +863,10 @@ void Engine::save_state(util::BinaryWriter& w) const {
   // v2 drops v1's per-node rng block: randomized draws are derived from
   // (seed, node, activation count), all of which are already serialized.
 
-  // Signal field: presence + staleness + adaptive-routing counters. The
-  // field's counters themselves are NOT serialized — a restored engine's
-  // constructor rebuilds them from the restored configuration, which is
-  // exactly what a live field contains.
-  w.u8(field_ ? 1 : 0);
-  w.u8(field_stale_ ? 1 : 0);
-  w.u8(field_adaptive_ ? 1 : 0);
-  w.u64(field_senses_);
-  w.u64(field_patches_);
+  // The retired signal-field block, as a field-less engine always wrote it.
+  // Routing is the constructor's alone: a restored engine builds whatever
+  // field its own construction routes, from the restored configuration.
+  for (std::size_t i = 0; i < kRetiredFieldBytes; ++i) w.u8(0);
 }
 
 void Engine::load_state(util::BinaryReader& r, std::uint32_t version) {
@@ -1019,35 +941,11 @@ void Engine::load_state(util::BinaryReader& r, std::uint32_t version) {
     }
   }
 
-  const bool had_field = r.u8() != 0;
-  const bool was_stale = r.u8() != 0;
-  const bool was_adaptive = r.u8() != 0;
-  const std::uint64_t senses = r.u64();
-  const std::uint64_t patches = r.u64();
-  if (!had_field) {
-    // The snapshotted engine ran without a field — either routing never
-    // built one or the adaptive monitor dropped it mid-run. Match it, even
-    // if this engine's construction routing re-created one: the sense paths
-    // are bit-identical, but the restored engine must make the SAME future
-    // adaptive decisions as the original, which requires the same counters
-    // on the same (absent) field.
-    field_.reset();
-    field_stale_ = false;
-    field_adaptive_ = false;
-    field_senses_ = 0;
-    field_patches_ = 0;
-  } else if (field_) {
-    // Construction already rebuilt the field from the restored
-    // configuration, which is what a live field holds; a stale field only
-    // needs the marker restored (the lazy rebuild runs at the next sense).
-    field_stale_ = was_stale;
-    field_adaptive_ = was_adaptive;
-    field_senses_ = senses;
-    field_patches_ = patches;
-  }
-  // had_field && !field_: the caller overrode options (e.g. restoring a
-  // kOn snapshot with kOff) — legitimate, the trajectory is identical on
-  // either sense path and no adaptive monitor exists to diverge.
+  // The retired signal-field block, skipped whatever it holds (older
+  // writers stored the field's routing state there). Construction already
+  // built this engine's field from the restored configuration, which is
+  // what a live field holds and what a stale one would have rebuilt.
+  r.skip(kRetiredFieldBytes);
 }
 
 Configuration random_configuration(const Automaton& alg, NodeId n,

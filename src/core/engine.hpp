@@ -44,16 +44,15 @@
 //     transitioning node's neighbors, and read back per sense as a presence
 //     mask derived from the node's own counter row (|Q| <= 64), its stored
 //     presence words (|Q| <= 256), or an O(distinct) span;
-//   * routing is explicit: kAuto enables the field from the scheduler's
-//     max_activation_hint(), the graph's degree profile, and |Q| (see
-//     EngineOptions::signal_field); kOn forces maintenance on every
-//     kernel; kOff never touches it;
-//   * the shard kernels keep the field consistent without sensing through
-//     it: the sparse-activation kernel patches it during its serial phase 2,
-//     the synchronous kernel patches it from the per-shard transition logs
-//     after phase 1, and configuration injections invalidate it for a lazy
-//     rebuild at the next field sense — so the field-sensed trajectory is
-//     bit-identical to the rescan-sensed one at every thread count.
+//   * routing is one rule, decided at construction and never revisited: a
+//     field exists only on engines whose every step runs the serial
+//     asynchronous path (not full-activation, not sparse-eligible). There
+//     kOn always builds one, kOff never does, and kAuto builds one from the
+//     scheduler's max_activation_hint() and the graph's average degree (see
+//     SignalFieldMode::kAuto);
+//   * so only serial steps patch it, and configuration injections
+//     invalidate it for a lazy rebuild at the next step — the field-sensed
+//     trajectory is bit-identical to the rescan-sensed one.
 //
 // Parallel kernels (EngineOptions::thread_count != 1):
 //   * all sharded execution runs on the fork-join shard pool
@@ -71,27 +70,26 @@
 //     every node reads the previous buffer and writes only its own slot, so
 //     shards never contend. Each step is one run() of the phase-1 body
 //     followed by one serial tail: listener replay from the per-shard
-//     transition logs, field patch, buffer swap, round close. A serial
-//     synchronous engine runs the same shard body on a single [0, n) shard
-//     without a pool, so serial and sharded synchronous steps share one
-//     loop body and one tail;
+//     transition logs, buffer swap, round close. A serial synchronous
+//     engine runs the same shard body on a single [0, n) shard without a
+//     pool, so serial and sharded synchronous steps share one loop body and
+//     one tail;
 //   * under an asynchronous daemon whose activation sets can get large
 //     (Scheduler::max_activation_hint() at or above
 //     EngineOptions::sparse_activation_threshold), any step with
 //     |A_t| >= that threshold runs BOTH phases sharded over contiguous
 //     degree-weighted index ranges of the activation list: a phase-1 run()
-//     writes disjoint slots of the update list (and per-shard transition
-//     logs), then an apply run() — a separate call, since phase 1 reads
-//     arbitrary configuration slots — drains each shard's own span into
-//     disjoint config/activation-count/pending elements, and the engine
-//     finishes with a serial merge in shard-index order (field patches from
-//     the logs, pending-count/round-close detection: exactly the cross-shard
-//     effects that need a deterministic order). The scheduler draw itself
-//     stays serial, so the schedule is untouched. The threshold check comes
-//     before the |A_t| split, so at a threshold of 0 or 1 one-node steps
-//     run sharded too; steps below the threshold run the serial step, and
-//     a listener (whose replay needs the pre-apply configuration) keeps the
-//     sharded phase 1 but the serial apply loop;
+//     writes disjoint slots of the update list, then an apply run() — a
+//     separate call, since phase 1 reads arbitrary configuration slots —
+//     drains each shard's own span into disjoint config/activation-count/
+//     pending elements, and the engine finishes with a serial merge in
+//     shard-index order (pending-count/round-close detection: the
+//     cross-shard effect that needs a deterministic order). The scheduler
+//     draw itself stays serial, so the schedule is untouched. The
+//     threshold check comes before the |A_t| split, so at a threshold of 0
+//     or 1 one-node steps run sharded too; steps below the threshold run
+//     the serial step, and a listener (whose replay needs the pre-apply
+//     configuration) keeps the sharded phase 1 but the serial apply loop;
 //   * transition listeners stay exact: workers log (v, from, to) per shard
 //     and the engine replays the concatenated logs in iteration order after
 //     the join, materializing each signal from the pre-step configuration;
@@ -168,39 +166,25 @@ struct RunOutcome {
   std::uint64_t rounds = 0;
 };
 
-/// Routing policy for the delta-maintained signal field.
+/// Routing policy for the delta-maintained signal field. Whatever the mode,
+/// a field exists only on engines whose every step runs the serial
+/// asynchronous path: the scheduler is not full-activation and the engine
+/// is not sparse-eligible (see EngineOptions::sparse_activation_threshold).
+/// The shard kernels never sense, so a field there would be upkeep that
+/// nothing reads. The decision is made once, at construction, and no step
+/// revisits it.
 enum class SignalFieldMode : std::uint8_t {
-  /// Decide from the workload: the field is enabled iff the scheduler is
-  /// asynchronous (not full-activation), its
-  /// max_activation_hint() stays below the sparse-activation threshold AND
-  /// below half the node count (daemons activating most of the graph per
-  /// step transition too often for delta maintenance to win), and the
-  /// graph's average degree reaches the floor for the automaton's sense
-  /// cost: kSignalFieldMinAvgDegree for every automaton outside the
-  /// native/compiled mask kernel (randomized δ, |Q| > 64, uncompiled
-  /// step_mask — including set-kernel automata such as AlgAu at D >= 5,
-  /// whose rescan is one set gather plus a native step_set), but the much
-  /// higher
-  /// kSignalFieldMaskKernelMinAvgDegree for mask-kernel automata (native or
-  /// table-compiled O(1) δ), whose rescan is a single OR-loop that delta
-  /// maintenance only beats on genuinely dense neighborhoods.
-  ///
-  /// Construction-time inputs cannot predict the *transition rate*, which
-  /// decides whether patching pays: under rotation-style daemons
-  /// (rotating-single, permutation) a unison-like automaton transitions on
-  /// almost every activation, and the field's O(deg) patches then cost more
-  /// than the O(deg) rescans they replaced. A kAuto-routed field on a
-  /// mask-kernel automaton therefore monitors itself and self-disables
-  /// (one-way, mid-run — harmless, both sense paths are bit-identical) once
-  /// a full observation window shows patches outweighing the rescans saved
-  /// (see kSignalFieldAdaptiveWindow). kOn never bails out.
+  /// Build the field when n > 1, the scheduler's max_activation_hint() is
+  /// below the sparse-activation threshold and at most n / 2 (daemons
+  /// activating most of the graph per step transition too often for delta
+  /// maintenance to win), and the graph's average degree reaches
+  /// kSignalFieldMinAvgDegree — the same rule for every automaton kernel.
+  /// Under rotation-style daemons a unison automaton transitions on almost
+  /// every activation, and its field then reads slower than the rescan
+  /// (single runs down to about two thirds); no shipped workload runs there.
   kAuto = 0,
-  /// Maintain the field regardless of the heuristic (the
-  /// differential-testing and forced-benchmark mode). One caveat: after an
-  /// inject_configuration, a full-activation engine's field stays stale
-  /// forever (nothing there ever senses through it, so the lazy rebuild
-  /// never triggers) — Engine::signal_field_stale() exposes this to
-  /// observability readers.
+  /// Always build the field where it can exist (the differential-testing
+  /// and forced-benchmark mode).
   kOn,
   /// Never build the field; every sense rescans the neighborhood.
   kOff,
@@ -276,27 +260,11 @@ inline constexpr NodeId kReorderAutoMinNodes = NodeId{1} << 16;
 
 /// kAuto enables the signal field only when the mean neighborhood is at
 /// least this large; below it the per-sense rescan is already a handful of
-/// reads and the per-transition patch would cost more than it saves.
+/// reads and the per-transition patch would cost more than it saves. One
+/// floor for every automaton kernel: on the uniform-single daemon the
+/// mask kernels gain at least as much from the field as the set and wide
+/// kernels at every density measured (CHANGES.md holds the table).
 inline constexpr double kSignalFieldMinAvgDegree = 4.0;
-
-/// The stricter kAuto degree floor for mask-kernel automata (native
-/// step_mask or a compiled table, |Q| <= 64): their per-sense rescan is one
-/// OR-loop feeding an O(1) δ, so the field's per-transition patch only wins
-/// once neighborhoods are an order of magnitude larger. This floor and the
-/// adaptive cost factor below were set when that patch also blended a
-/// stored presence word per inclusive neighbor (three read-modify-writes);
-/// the node-major patch makes two, and neither constant has been
-/// re-derived since.
-inline constexpr double kSignalFieldMaskKernelMinAvgDegree = 32.0;
-
-/// Field senses per adaptive-routing observation window. At each window
-/// boundary a kAuto mask-kernel field compares patches (modelled as ≈ three
-/// read-modify-writes per inclusive neighbor each) against the rescans it
-/// saved (≈ one read per inclusive neighbor each) and self-disables when
-/// kSignalFieldPatchCostFactor * patches exceeds the senses — the daemon is
-/// transitioning too often for delta maintenance to win.
-inline constexpr std::uint64_t kSignalFieldAdaptiveWindow = 8192;
-inline constexpr std::uint64_t kSignalFieldPatchCostFactor = 3;
 
 /// One engine configuration buffer, stored byte-per-node when the automaton's
 /// state space fits a byte (|Q| <= 256 — every shipped algorithm except the
@@ -571,20 +539,15 @@ class Engine {
   }
   [[nodiscard]] const EngineOptions& options() const { return options_; }
 
-  /// True when the engine owns a delta-maintained signal field (routing
-  /// outcome of EngineOptions::signal_field — see SignalFieldMode::kAuto for
-  /// the heuristic the default applies).
+  /// True when the engine owns a delta-maintained signal field: the routing
+  /// rule of SignalFieldMode, applied once at construction.
   [[nodiscard]] bool signal_field_active() const { return field_ != nullptr; }
-  /// The field itself, or nullptr when routing disabled it (observability
+  /// The field itself, or nullptr when routing built none (observability
   /// for tests and benches). Check signal_field_stale() before reading
   /// counters out of it.
   [[nodiscard]] const SignalField* signal_field() const { return field_.get(); }
-  /// True when an injection invalidated the field and no field sense has
-  /// rebuilt it yet. Serial asynchronous engines refresh on their next
-  /// sense; a full-activation engine never senses through the field, so a
-  /// forced-on field stays stale there indefinitely (its counters then
-  /// still describe the pre-injection configuration) — by design: rebuild
-  /// work is deferred to the paths that would actually read it.
+  /// True when an injection invalidated the field and no step has rebuilt
+  /// it yet; the next step rebuilds it before its first sense.
   [[nodiscard]] bool signal_field_stale() const { return field_stale_; }
 
   /// Threads that step the parallel kernels (synchronous or
@@ -607,11 +570,11 @@ class Engine {
   }
   /// Nanoseconds spent in the serial tail after a sharded step's barrier:
   /// the sparse kernel's shard-order merge, and the sharded synchronous
-  /// kernel's field patch, buffer swap and round close. Serial steps (the
-  /// serial synchronous step and the serial apply path, which also runs the
-  /// sparse kernel's listener fallback) never read the clock — one read per
-  /// ~100 ns single-activation step would tax the loop — so an engine
-  /// without a pool always reports 0.
+  /// kernel's buffer swap and round close. Serial steps (the serial
+  /// synchronous step and the serial apply path, which also runs the sparse
+  /// kernel's listener fallback) never read the clock — one read per ~100 ns
+  /// single-activation step would tax the loop — so an engine without a
+  /// pool always reports 0.
   [[nodiscard]] std::uint64_t apply_phase_ns() const { return apply_phase_ns_; }
 
   /// Overwrites the configuration (models a burst of transient faults /
@@ -668,11 +631,13 @@ class Engine {
 
   /// Serializes the engine's dynamic state — time, round bookkeeping,
   /// pending set, activation counts (always written as u64 regardless of the
-  /// in-memory width), rng/sched-rng states, and the signal field's
-  /// presence/staleness/adaptive counters. Static state (graph, config,
-  /// options, automaton identity, scheduler state) is framed separately by
-  /// the snapshot layer. Writes the v2 layout: per-node rng streams are
-  /// derived (see the RNG-discipline note), so no per-node block exists.
+  /// in-memory width), rng/sched-rng states — then the retired signal-field
+  /// block as zeros (kRetiredFieldBytes). Nothing here depends on routing
+  /// or thread count, so neither does engine_state_hash. Static state
+  /// (graph, config, options, automaton identity, scheduler state) is
+  /// framed separately by the snapshot layer. Writes the v2 layout:
+  /// per-node rng streams are derived (see the RNG-discipline note), so no
+  /// per-node block exists.
   void save_state(util::BinaryWriter& w) const;
 
   /// Restores state written by save_state into a freshly constructed engine
@@ -682,16 +647,32 @@ class Engine {
   /// skipped — a restored v1 randomized run continues on the activation-
   /// derived streams, deterministic but not the byte stream the pre-upgrade
   /// binary would have produced (v1 deterministic runs, including the golden
-  /// fixture, are unaffected). Throws util::SnapshotError on structural
-  /// inconsistency (sizes that do not match the graph, pending-count
-  /// mismatch). After it returns, stepping this engine is bit-identical to
-  /// stepping the snapshotted one.
+  /// fixture, are unaffected). The retired field block is skipped whatever
+  /// it holds: this engine keeps the field its own construction routed,
+  /// built from the restored configuration. Throws util::SnapshotError on
+  /// structural inconsistency (sizes that do not match the graph,
+  /// pending-count mismatch). After it returns, stepping this engine is
+  /// bit-identical to stepping the snapshotted one.
   void load_state(util::BinaryReader& r, std::uint32_t version = 2);
+
+  /// Size of the retired signal-field block that closes the engine state:
+  /// presence, staleness and adaptive-routing u8s, then two u64 window
+  /// counters. Writers emit zeros, which is what a field-less engine always
+  /// wrote; readers skip it.
+  static constexpr std::size_t kRetiredFieldBytes = 3 + 2 * 8;
 
  private:
   struct ParticipantWorkspace;
   struct ShardWorkspace;
-  using TransitionRec = Transition;  // core/signal_field.hpp
+  /// One applied state transition of node v — the record the sharded
+  /// kernels log per shard for a listener's replay. `from`/`to` are taken
+  /// against the pre-step configuration (simultaneous updates: every
+  /// transition of one step reads the same C_t).
+  struct TransitionRec {
+    NodeId v;
+    StateId from;
+    StateId to;
+  };
 
   void step_synchronous();
   void step_async();
@@ -732,11 +713,12 @@ class Engine {
                                           const Automaton& kernel,
                                           const T* cfg, NodeId v);
 
-  /// Applies one serial activation's result: patches a live field on a
-  /// transition (counting field_patches_, which snapshots serialize),
-  /// writes the store, bumps v's activation count and clears its pending
-  /// mark. Shared by the one-pass step, the two-phase apply loop
-  /// (apply_updates) and the sparse kernel's listener fallback.
+  /// Applies one serial activation's result: patches the field on a
+  /// transition, writes the store, bumps v's activation count and clears
+  /// its pending mark. Shared by the one-pass step, the two-phase apply
+  /// loop (apply_updates) and the sparse kernel's listener fallback, which
+  /// runs on an engine that never has a field. The serial step refreshed a
+  /// stale field before its first sense, so a field here is always live.
   template <typename T>
   [[gnu::always_inline]] void apply_activation(T* cfg, NodeId v,
                                                StateId next);
@@ -751,17 +733,13 @@ class Engine {
   void close_async_step();
 
   /// Rebuilds the signal field from the current configuration if an
-  /// injection invalidated it — called before every field sense.
+  /// injection invalidated it — called at the start of every serial step.
   void ensure_field_fresh() {
     if (field_stale_) {
       field_->rebuild(store_.view());
       field_stale_ = false;
     }
   }
-
-  /// True when the field exists and reflects the current configuration
-  /// (i.e. applied transitions must patch it to keep it that way).
-  [[nodiscard]] bool field_live() const { return field_ && !field_stale_; }
 
   /// Listener dispatch: refills the reusable scratch Signal from
   /// the view's span (no allocation once warm) and invokes the callback.
@@ -781,8 +759,8 @@ class Engine {
   /// scratch `pw`, mapping indices to nodes via `node_of` (identity for the
   /// synchronous kernel, the activation list for the sparse kernel) and
   /// handing results to `emit(i, v, next)` (double-buffer slot vs
-  /// update-list slot). Logs transitions into ws.transitions when
-  /// `log_transitions`.
+  /// update-list slot). Logs transitions into ws.transitions for a listener
+  /// when `log_transitions`.
   template <typename T, typename NodeOf, typename Emit>
   void shard_phase1(const Shard& shard, ParticipantWorkspace& pw,
                     ShardWorkspace& ws, const T* cfg, bool log_transitions,
@@ -928,7 +906,7 @@ class Engine {
   // exactly one participant. Read serially after the join, in shard order.
   struct ShardWorkspace {
     // This step's transitions of the shard, in iteration order (filled only
-    // when the step logs: listener replay or field patching).
+    // when a listener replays them).
     std::vector<TransitionRec> transitions;
     // Set when this shard pushed a 32-bit activation counter near the
     // ceiling; the next serial point promotes (see maybe_promote_acts).
@@ -965,19 +943,13 @@ class Engine {
   // the stepping thread touches it.
   std::uint64_t apply_phase_ns_ = 0;
 
-  // Delta-maintained signal field (null when routing disabled it). The
-  // field is patched wherever updates are applied serially, patched from
-  // the per-shard logs after a synchronous step's phase 1, and marked
-  // stale (for a lazy rebuild at the next field sense) by injections.
+  // Delta-maintained signal field (null unless routing built one, which it
+  // does only on serial asynchronous engines). The field is patched where
+  // serial steps apply updates and by inject_state, and marked stale (for
+  // a lazy rebuild at the next step) by inject_configuration.
   std::unique_ptr<SignalField> field_;
   bool field_stale_ = false;
   std::vector<StateId> field_scratch_;  // field-sense / set unpack buffer
-  // Adaptive routing (kAuto on a mask-kernel automaton only): senses and
-  // patches observed this window; the field self-disables at a window
-  // boundary when patching outweighs the rescans saved.
-  bool field_adaptive_ = false;
-  std::uint64_t field_senses_ = 0;
-  std::uint64_t field_patches_ = 0;
 
   // Reused by emit_listener: one Signal refilled per observed transition
   // instead of one allocation per observed transition.

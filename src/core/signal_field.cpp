@@ -159,13 +159,6 @@ void SignalField::rebuild(const Configuration& c) {
   }
 }
 
-void SignalField::apply_transitions(const Transition* transitions,
-                                    std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    apply_transition(transitions[i].v, transitions[i].from, transitions[i].to);
-  }
-}
-
 void SignalField::apply_transition(NodeId v, StateId from, StateId to) {
   assert(v < n_ && from < state_count_ && to < state_count_ && from != to);
   if (layout_ == Layout::kNodeMajor) {

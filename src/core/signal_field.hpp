@@ -33,11 +33,11 @@
 //     stays O(sum_v distinct(v)) instead of O(n * |Q|). A sense wraps the
 //     keys span directly — still no per-sense sort.
 //
-// The field is engine infrastructure: core::Engine owns one when
-// EngineOptions::signal_field routes the serial per-activation path through
-// it, rebuilds it lazily after configuration injections, and patches it from
-// applied updates (serial paths), per-shard transition logs (sharded
-// kernels), or per-edge deltas on topology churn (apply_edge_insertion /
+// The field is engine infrastructure: core::Engine owns one only when every
+// step runs its serial per-activation path and EngineOptions::signal_field
+// routes that path through it. The engine rebuilds it lazily after
+// configuration injections and patches it from the serial steps' applied
+// updates, or per edge on topology churn (apply_edge_insertion /
 // apply_edge_removal — O(1) per edge, the two endpoints exchange presence of
 // each other's current state). Invariant at every sense: the field equals a
 // fresh rebuild from the current configuration ON the current graph, so
@@ -52,16 +52,6 @@
 #include "graph/graph.hpp"
 
 namespace ssau::core {
-
-/// One applied state transition of node v — the record the sharded kernels
-/// log per shard and the batch patch entry consumes. `from`/`to` are taken
-/// against the pre-step configuration (simultaneous updates: every
-/// transition of one step reads the same C_t).
-struct Transition {
-  NodeId v;
-  StateId from;
-  StateId to;
-};
 
 class SignalField {
  public:
@@ -96,14 +86,6 @@ class SignalField {
   /// applied in any order as long as each (from, to) pair is taken from the
   /// pre-step configuration.
   void apply_transition(NodeId v, StateId from, StateId to);
-
-  /// Patches the field for one shard's transition log in log order — the
-  /// batch entry the parallel kernels' merge phase drains per-shard logs
-  /// through (shard-index order outside, log order inside = serial
-  /// iteration order, the deterministic merge the engine's bit-identity
-  /// rests on). Equivalent to apply_transition per record; one call site
-  /// instead of an interleaved loop at every kernel.
-  void apply_transitions(const Transition* transitions, std::size_t count);
 
   /// Patches the field for one edge insertion {u, v} already applied to the
   /// graph: u gains qv (= v's current state) in its multiset and v gains qu —

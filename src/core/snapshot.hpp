@@ -3,8 +3,8 @@
 // A snapshot captures the FULL dynamic state of an Engine mid-run so that a
 // fresh process can resume bit-identically: run N steps, snapshot, restore,
 // run M more ≡ run N + M straight — configurations, time, round stamps,
-// listener streams, activation counts, scheduler phase, rng streams, and the
-// signal field's routing status all carry across the boundary. That is the
+// listener streams, activation counts, scheduler phase and rng streams all
+// carry across the boundary. That is the
 // headline differential invariant tests/test_snapshot.cpp enforces across
 // every algorithm × scheduler × thread count × field mode.
 //
@@ -46,12 +46,18 @@
 //   5. configuration      n u64 state ids
 //   6. engine state       Engine::save_state: seed, time, rounds, round
 //                         boundary, pending bitmap + count, activation
-//                         counts (u64 each), rng + sched-rng states,
-//                         signal-field presence/staleness/adaptive counters
+//                         counts (u64 each), rng + sched-rng states, then
+//                         a retired 19-byte block
+//                         (Engine::kRetiredFieldBytes). It held the signal
+//                         field's presence, staleness and adaptive-routing
+//                         u8s and its two u64 window counters: writers emit
+//                         zeros (what a field-less engine always wrote) and
+//                         readers skip it, since a restored engine builds
+//                         whatever field its own construction routes
 //
 // Version history:
 //   v1  stored a per-node rng block (count u64, then 4 u64 words per stream)
-//       between the sched-rng state and the signal-field flags. Readers
+//       between the sched-rng state and the (now retired) field block. Readers
 //       still accept v1: the block is validated for shape and skipped —
 //       per-node streams are now DERIVED from (seed, node, activation
 //       count), so a restored v1 randomized run continues deterministically

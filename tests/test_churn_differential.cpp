@@ -18,10 +18,11 @@
 //     freshly constructed SignalField(graph, |Q|, config).
 //
 // The matrix: AU + MIS + LE x all 8 schedulers x threads {1, 2, 3, 4, 8},
-// with the signal field forced on and a tiny sparse threshold so the
-// large-set daemons route through the sharded sparse-activation kernel
-// mid-churn. Under the synchronous daemon every pooled engine re-balances its
-// over-decomposed shard plan after each event, keeping its shard count.
+// with the signal field forced on (so every serial asynchronous engine owns
+// one) and a tiny sparse threshold so the large-set daemons route through the
+// sharded sparse-activation kernel mid-churn. Under the synchronous daemon
+// every pooled engine re-balances its over-decomposed shard plan after each
+// event, keeping its shard count.
 // Dense AND sparse field representations are churned, as is a delta applied
 // while the field is stale (pending its post-injection lazy rebuild).
 #include <gtest/gtest.h>
@@ -42,6 +43,7 @@
 #include "sync/simple_sync_algs.hpp"
 #include "unison/alg_au.hpp"
 #include "util/rng.hpp"
+#include "support/field_routing.hpp"
 #include "support/reference_engine.hpp"
 
 namespace ssau {
@@ -91,7 +93,8 @@ std::vector<graph::TopologyDelta> make_churn_script(const graph::Graph& base,
 /// Drives a delta-patched engine (field forced on, tiny sparse threshold,
 /// `threads` shards) and the reference interpreter in lockstep through a churn
 /// script, asserting full observable equality after every step and every
-/// churn event.
+/// churn event. The field exists where the routing rule puts it: on serial
+/// asynchronous engines only.
 void expect_churn_matches_oracle(const graph::Graph& base,
                                  const core::Automaton& alg,
                                  const core::Configuration& initial,
@@ -102,13 +105,13 @@ void expect_churn_matches_oracle(const graph::Graph& base,
   graph::Graph legacy_g = base;
   auto fast_sched = sched::make_scheduler(sched_name, fast_g);
   auto legacy_sched = sched::make_scheduler(sched_name, legacy_g);
-  core::Engine fast(fast_g, alg, *fast_sched, initial, seed,
-                    core::EngineOptions{
-                        .thread_count = threads,
-                        .sparse_activation_threshold = 2,
-                        .signal_field = core::SignalFieldMode::kOn});
+  const core::EngineOptions opts{.thread_count = threads,
+                                 .sparse_activation_threshold = 2,
+                                 .signal_field = core::SignalFieldMode::kOn};
+  core::Engine fast(fast_g, alg, *fast_sched, initial, seed, opts);
   oracle::ReferenceEngine legacy(legacy_g, alg, *legacy_sched, initial, seed);
-  ASSERT_TRUE(fast.signal_field_active());
+  ASSERT_EQ(fast.signal_field_active(),
+            oracle::field_routed(fast_g, alg, *fast_sched, opts));
 
   const std::vector<graph::TopologyDelta> script =
       make_churn_script(base, events, seed + 1);

@@ -24,6 +24,7 @@
 #include "unison/alg_au.hpp"
 #include "unison/baselines.hpp"
 #include "util/rng.hpp"
+#include "support/field_routing.hpp"
 #include "support/reference_engine.hpp"
 
 namespace ssau {
@@ -240,7 +241,8 @@ TEST(FastPathDifferential, ShardedKernelMatchesLegacyOracle) {
     }
   }
   // D = 16 (|Q| = 198): the 256-bit set kernel at 4 threads, with the
-  // signal field forced on (patched from the shard logs) and forced off.
+  // signal field forced on and forced off. A synchronous engine never
+  // senses, so the routing rule builds no field in either mode.
   const unison::AlgAu au16(16);
   const core::Configuration c16 =
       unison::au_adversarial_configuration("random", au16, g, rng);
@@ -248,13 +250,13 @@ TEST(FastPathDifferential, ShardedKernelMatchesLegacyOracle) {
        {core::SignalFieldMode::kOn, core::SignalFieldMode::kOff}) {
     auto sharded_sched = sched::make_scheduler("synchronous", g);
     auto legacy_sched = sched::make_scheduler("synchronous", g);
-    core::Engine sharded(
-        g, au16, *sharded_sched, c16, 127,
-        core::EngineOptions{.thread_count = 4, .signal_field = field});
+    const core::EngineOptions opts{.thread_count = 4, .signal_field = field};
+    core::Engine sharded(g, au16, *sharded_sched, c16, 127, opts);
     oracle::ReferenceEngine legacy(g, au16, *legacy_sched, c16, 127);
     ASSERT_EQ(sharded.shard_count(), 4u);
     ASSERT_EQ(sharded.signal_field_active(),
-              field == core::SignalFieldMode::kOn);
+              oracle::field_routed(g, au16, *sharded_sched, opts));
+    ASSERT_FALSE(sharded.signal_field_active());
     for (int s = 0; s < 120; ++s) {
       sharded.step();
       legacy.step();
@@ -314,8 +316,9 @@ TEST(FastPathDifferential, SparseKernelMatchesLegacyOracle) {
     }
   }
   // D = 16 (|Q| = 198): the 256-bit set kernel at 4 threads, with the
-  // signal field forced on and forced off. With the field on, steps below
-  // the threshold sense through the field's presence words instead.
+  // signal field forced on and forced off. A sparse-eligible engine's steps
+  // below the threshold run the serial step but never sense through a
+  // field: the routing rule builds none where the shard kernels run.
   const unison::AlgAu au16(16);
   const core::Configuration c16 =
       unison::au_adversarial_configuration("random", au16, g, rng);
@@ -324,15 +327,15 @@ TEST(FastPathDifferential, SparseKernelMatchesLegacyOracle) {
     for (const char* sched_name : {"laggard", "random-subset", "wave"}) {
       auto sparse_sched = sched::make_scheduler(sched_name, g);
       auto legacy_sched = sched::make_scheduler(sched_name, g);
-      core::Engine sparse(
-          g, au16, *sparse_sched, c16, 137,
-          core::EngineOptions{.thread_count = 4,
-                              .sparse_activation_threshold = 8,
-                              .signal_field = field});
+      const core::EngineOptions opts{.thread_count = 4,
+                                     .sparse_activation_threshold = 8,
+                                     .signal_field = field};
+      core::Engine sparse(g, au16, *sparse_sched, c16, 137, opts);
       oracle::ReferenceEngine legacy(g, au16, *legacy_sched, c16, 137);
       ASSERT_EQ(sparse.shard_count(), 4u) << sched_name;
       ASSERT_EQ(sparse.signal_field_active(),
-                field == core::SignalFieldMode::kOn);
+                oracle::field_routed(g, au16, *sparse_sched, opts));
+      ASSERT_FALSE(sparse.signal_field_active()) << sched_name;
       for (int s = 0; s < 150; ++s) {
         sparse.step();
         legacy.step();

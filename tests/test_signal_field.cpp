@@ -1,16 +1,19 @@
 // The signal-field layer (core/signal_field.hpp): unit-level equivalence of
-// delta maintenance to a fresh rebuild, engine routing policy, and the
-// differential suite pinning the field-sensed engine bit-identical to the
+// delta maintenance to a fresh rebuild, the engine's one routing rule, and
+// the differential suite pinning the field-forced engine bit-identical to the
 // reference interpreter for AU + MIS + LE across ALL eight schedulers
 // (including burst and permutation, which have no golden-trace coverage) at
 // thread counts {1, 2, 4, 8} — configurations, rounds, activation counts,
-// and listener streams.
+// listener streams, and an engine state hash equal to a serial field-less
+// twin's.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/command_log.hpp"
 #include "core/engine.hpp"
 #include "core/signal_field.hpp"
 #include "graph/generators.hpp"
@@ -20,7 +23,9 @@
 #include "sync/simple_sync_algs.hpp"
 #include "sync/synchronizer.hpp"
 #include "unison/alg_au.hpp"
+#include "unison/baselines.hpp"
 #include "util/rng.hpp"
+#include "support/field_routing.hpp"
 #include "support/reference_engine.hpp"
 
 namespace ssau {
@@ -220,89 +225,103 @@ TEST(SignalField, RebuildRecoversFromArbitraryOverwrite) {
 
 // --- engine routing policy ---------------------------------------------------
 
-TEST(SignalFieldRouting, AutoEnablesOnlyTheSerialDaemonRegime) {
+TEST(SignalFieldRouting, OneRuleForEveryKernelDaemonAndMode) {
+  // The routing rule as one table: five automaton kernels x all eight
+  // daemons x a graph below the kAuto degree floor and one at average degree
+  // ~10 x serial and 4-thread (sparse threshold 2) engines x the three
+  // modes. signal_field_active() must equal the rule at construction, and
+  // still equal it after 2 x 8,192 rotating-single steps: no step revisits
+  // the decision.
   util::Rng rng(61);
-  // Dense enough that avg_degree clears kSignalFieldMinAvgDegree (the
-  // heavy-sense floor — AlgMis is randomized, so its rescan path is far
-  // more than an OR-loop).
-  const graph::Graph g = graph::random_connected(40, 0.3, rng);
-  ASSERT_GE(g.avg_degree(), core::kSignalFieldMinAvgDegree);
-  const mis::AlgMis alg({.diameter_bound = 3});
-  const core::Configuration c0 =
-      core::random_configuration(alg, g.num_nodes(), rng);
+  const graph::Graph below_floor = graph::random_connected(40, 0.02, rng);
+  const graph::Graph degree_10 = graph::random_connected(40, 0.21, rng);
+  ASSERT_LT(below_floor.avg_degree(), core::kSignalFieldMinAvgDegree);
+  ASSERT_GT(degree_10.avg_degree(), 8.0);
+  ASSERT_LT(degree_10.avg_degree(), 12.0);
 
-  const auto active = [&](const std::string& sched_name,
-                          core::EngineOptions opts = {}) {
-    auto sched = sched::make_scheduler(sched_name, g);
-    core::Engine e(g, alg, *sched, c0, 7, opts);
+  const unison::AlgAu mask_au(2);                 // native mask kernel
+  const unison::ResetUnison table_reset(1, 6);    // dense compiled table
+  const sync::MinPropagation memo_minprop(32);    // lazy-memo compiled table
+  const unison::AlgAu set_au(5);                  // 256-bit set kernel
+  const mis::AlgMis wide_mis({.diameter_bound = 12});  // wide store
+  ASSERT_TRUE(mask_au.native_mask_kernel());
+  ASSERT_GT(set_au.state_count(), core::SignalView::kMaskBits);
+  ASSERT_LE(set_au.state_count(), 256u);
+  ASSERT_GT(wide_mis.state_count(), 256u);
+  const std::vector<std::pair<std::string, const core::Automaton*>> kernels = {
+      {"mask alg-au(2)", &mask_au},
+      {"table reset-unison", &table_reset},
+      {"memo min-prop-32", &memo_minprop},
+      {"set alg-au(5)", &set_au},
+      {"wide alg-mis", &wide_mis}};
+  const std::vector<core::EngineOptions> engines = {
+      {.thread_count = 1},
+      {.thread_count = 4, .sparse_activation_threshold = 2}};
+  const core::SignalFieldMode modes[] = {core::SignalFieldMode::kAuto,
+                                         core::SignalFieldMode::kOn,
+                                         core::SignalFieldMode::kOff};
+  constexpr int kLongRun = 2 * 8192;
+
+  for (const auto& [kernel_name, alg] : kernels) {
+    for (const graph::Graph* g : {&below_floor, &degree_10}) {
+      const core::Configuration c0 =
+          core::random_configuration(*alg, g->num_nodes(), rng);
+      for (const std::string& sched_name : all_scheduler_names()) {
+        for (core::EngineOptions opts : engines) {
+          for (const core::SignalFieldMode mode : modes) {
+            opts.signal_field = mode;
+            SCOPED_TRACE(kernel_name + " x " + sched_name + " x avg degree " +
+                         std::to_string(g->avg_degree()) + " x threads " +
+                         std::to_string(opts.thread_count) + " x mode " +
+                         std::to_string(static_cast<int>(mode)));
+            auto sched = sched::make_scheduler(sched_name, *g);
+            const bool routed = oracle::field_routed(*g, *alg, *sched, opts);
+            core::Engine e(*g, *alg, *sched, c0, 7, opts);
+            EXPECT_EQ(e.signal_field_active(), routed);
+            if (sched_name != "rotating-single") continue;
+            for (int s = 0; s < kLongRun; ++s) e.step();
+            EXPECT_EQ(e.signal_field_active(), routed);
+          }
+        }
+      }
+    }
+  }
+
+  // A few rows stated literally, so the rule above cannot drift together
+  // with the engine. Every kernel gets the field from kAuto on the serial
+  // single-node daemons at degree ~10 — the mask kernels included.
+  const auto active = [&](const core::Automaton& alg, const char* sched_name,
+                          core::EngineOptions opts) {
+    auto sched = sched::make_scheduler(sched_name, degree_10);
+    core::Engine e(degree_10, alg, *sched,
+                   core::random_configuration(alg, degree_10.num_nodes(), rng),
+                   7, opts);
     return e.signal_field_active();
   };
-
-  // Single-node daemons: the regime the field exists for.
-  EXPECT_TRUE(active("uniform-single"));
-  EXPECT_TRUE(active("rotating-single"));
-  EXPECT_TRUE(active("permutation"));
-  EXPECT_TRUE(active("burst"));
-  // Full activation and large-set daemons: rescan / sharded kernels win.
-  EXPECT_FALSE(active("synchronous"));
-  EXPECT_FALSE(active("laggard"));        // hint n-1 > n/2
-  EXPECT_FALSE(active("random-subset"));  // hint n
-  // Explicit overrides beat the heuristic.
-  EXPECT_FALSE(active("uniform-single",
-                      {.signal_field = core::SignalFieldMode::kOff}));
-  EXPECT_TRUE(
-      active("synchronous", {.signal_field = core::SignalFieldMode::kOn}));
-}
-
-TEST(SignalFieldRouting, AutoAppliesTheMaskKernelDegreeFloor) {
-  // AlgAu ships a native O(1) mask kernel, so kAuto demands the stricter
-  // kSignalFieldMaskKernelMinAvgDegree: a mid-density graph routes it to
-  // the rescan while heavy-sense AlgMis still gets the field.
-  util::Rng rng(62);
-  const graph::Graph mid = graph::random_connected(40, 0.3, rng);
-  ASSERT_GE(mid.avg_degree(), core::kSignalFieldMinAvgDegree);
-  ASSERT_LT(mid.avg_degree(), core::kSignalFieldMaskKernelMinAvgDegree);
-  const unison::AlgAu au(2);
-  {
-    auto sched = sched::make_scheduler("uniform-single", mid);
-    core::Engine e(mid, au, *sched,
-                   core::random_configuration(au, mid.num_nodes(), rng), 7);
-    EXPECT_FALSE(e.signal_field_active());
+  for (const auto& [kernel_name, alg] : kernels) {
+    SCOPED_TRACE(kernel_name);
+    for (const char* single : {"uniform-single", "rotating-single",
+                               "permutation", "burst"}) {
+      EXPECT_TRUE(active(*alg, single, {}));
+    }
+    EXPECT_FALSE(active(*alg, "synchronous", {}));
+    EXPECT_FALSE(active(*alg, "laggard", {}));        // hint n - 1 > n / 2
+    EXPECT_FALSE(active(*alg, "random-subset", {}));  // hint n
+    constexpr core::SignalFieldMode kOn = core::SignalFieldMode::kOn;
+    EXPECT_FALSE(active(*alg, "uniform-single",
+                        {.signal_field = core::SignalFieldMode::kOff}));
+    // kOn builds a field only where every step runs the serial path.
+    EXPECT_FALSE(active(*alg, "synchronous", {.signal_field = kOn}));
+    EXPECT_TRUE(active(*alg, "laggard", {.signal_field = kOn}));
+    EXPECT_FALSE(active(*alg, "laggard",
+                        {.thread_count = 4,
+                         .sparse_activation_threshold = 2,
+                         .signal_field = kOn}));
+    EXPECT_TRUE(active(*alg, "uniform-single",
+                       {.thread_count = 4,
+                        .sparse_activation_threshold = 2,
+                        .signal_field = kOn}));
   }
-  // A near-clique clears even the mask-kernel floor.
-  const graph::Graph dense = graph::damaged_clique(40, 0.05, rng);
-  ASSERT_GE(dense.avg_degree(), core::kSignalFieldMaskKernelMinAvgDegree);
-  {
-    auto sched = sched::make_scheduler("uniform-single", dense);
-    core::Engine e(dense, au, *sched,
-                   core::random_configuration(au, dense.num_nodes(), rng), 7);
-    EXPECT_TRUE(e.signal_field_active());
-  }
-}
-
-TEST(SignalFieldRouting, AutoBailsOutWhenPatchingOutweighsRescans) {
-  // A rotation daemon re-activates each node exactly once per cycle, so
-  // unison clocks advance on nearly every activation: the kAuto field on a
-  // mask-kernel automaton observes patches outweighing saved rescans and
-  // self-disables at a window boundary. Under the randomized single daemon
-  // the coupon-collector re-activation pattern keeps the transition rate
-  // low and the field stays. (Bit-identity is untouched either way — the
-  // differential suite below covers both sensing paths.)
-  util::Rng rng(97);
-  const graph::Graph g = graph::damaged_clique(48, 0.05, rng);
-  ASSERT_GE(g.avg_degree(), core::kSignalFieldMaskKernelMinAvgDegree);
-  const unison::AlgAu au(1);
-  const core::Configuration c0 = core::uniform_configuration(g.num_nodes(), 0);
-  const auto active_after = [&](const char* sched_name) {
-    auto sched = sched::make_scheduler(sched_name, g);
-    core::Engine e(g, au, *sched, c0, 101);
-    EXPECT_TRUE(e.signal_field_active()) << sched_name;
-    const auto steps = static_cast<int>(2 * core::kSignalFieldAdaptiveWindow);
-    for (int s = 0; s < steps; ++s) e.step();
-    return e.signal_field_active();
-  };
-  EXPECT_FALSE(active_after("rotating-single"));
-  EXPECT_TRUE(active_after("uniform-single"));
 }
 
 TEST(SignalFieldRouting, AutoDeclinesSparseNeighborhoods) {
@@ -325,9 +344,12 @@ TEST(SignalFieldRouting, AutoDeclinesSparseNeighborhoods) {
 /// rest activate several (the two-phase loop).
 constexpr double kSparseSubsetP = 0.03;
 
-/// Field-sensed engine (signal_field forced ON, tiny sparse threshold so the
+/// Field-forced engine (signal_field ON, tiny sparse threshold so the
 /// large-set daemons shard) vs the reference interpreter, in lockstep; then
-/// round by round, each run_rounds(1) ending on its boundary step.
+/// round by round, each run_rounds(1) ending on its boundary step. The
+/// field exists where the routing rule puts it: on serial asynchronous
+/// engines only. A serial kOff twin steps alongside: the engine state hash
+/// depends on neither routing nor thread count.
 void expect_field_matches_oracle(const graph::Graph& g,
                                  const core::Automaton& alg,
                                  const core::Configuration& initial,
@@ -335,19 +357,26 @@ void expect_field_matches_oracle(const graph::Graph& g,
                                  unsigned threads, std::uint64_t seed,
                                  int steps, double subset_p = 0.5) {
   auto field_sched = sched::make_scheduler(sched_name, g, subset_p);
+  auto plain_sched = sched::make_scheduler(sched_name, g, subset_p);
   auto legacy_sched = sched::make_scheduler(sched_name, g, subset_p);
-  core::Engine field(g, alg, *field_sched, initial, seed,
-                     core::EngineOptions{
-                         .thread_count = threads,
-                         .sparse_activation_threshold = 2,
-                         .signal_field = core::SignalFieldMode::kOn});
+  const core::EngineOptions opts{.thread_count = threads,
+                                 .sparse_activation_threshold = 2,
+                                 .signal_field = core::SignalFieldMode::kOn};
+  core::Engine field(g, alg, *field_sched, initial, seed, opts);
+  core::Engine plain(g, alg, *plain_sched, initial, seed,
+                     {.signal_field = core::SignalFieldMode::kOff});
   oracle::ReferenceEngine legacy(g, alg, *legacy_sched, initial, seed);
-  ASSERT_TRUE(field.signal_field_active());
+  ASSERT_EQ(field.signal_field_active(),
+            oracle::field_routed(g, alg, *field_sched, opts));
+  ASSERT_FALSE(plain.signal_field_active());
   for (int s = 0; s < steps; ++s) {
     field.step();
+    plain.step();
     legacy.step();
     ASSERT_EQ(field.config(), legacy.config())
         << sched_name << " threads=" << threads << " diverged at step " << s;
+    ASSERT_EQ(core::engine_state_hash(field), core::engine_state_hash(plain))
+        << sched_name << " threads=" << threads << " hash at step " << s;
     ASSERT_EQ(field.time(), legacy.time());
     ASSERT_EQ(field.rounds_completed(), legacy.rounds_completed())
         << sched_name << " threads=" << threads << " round drift at step " << s;
@@ -515,31 +544,6 @@ TEST(SignalFieldDifferential, InjectionsStayBitIdentical) {
   EXPECT_FALSE(field.signal_field_stale());
   lockstep(59);
   ASSERT_EQ(field.rounds_completed(), legacy.rounds_completed());
-}
-
-TEST(SignalFieldDifferential, FullActivationFieldStaysStaleAfterInjection) {
-  // A forced-on field under a synchronous scheduler is patched per step but
-  // never sensed, so an injection leaves it stale forever — the accessor
-  // pair (signal_field(), signal_field_stale()) is how observability
-  // readers learn its counters describe the pre-injection configuration.
-  const unison::AlgAu alg(1);
-  util::Rng rng(91);
-  const graph::Graph g = graph::wheel(8);
-  const core::Configuration c0 =
-      unison::au_adversarial_configuration("random", alg, g, rng);
-  auto sched = sched::make_scheduler("synchronous", g);
-  core::Engine e(g, alg, *sched, c0, 241,
-                 core::EngineOptions{
-                     .signal_field = core::SignalFieldMode::kOn});
-  ASSERT_TRUE(e.signal_field_active());
-  for (int s = 0; s < 5; ++s) e.step();
-  EXPECT_FALSE(e.signal_field_stale());
-  core::Configuration mid(g.num_nodes());
-  for (auto& q : mid) q = rng.below(alg.state_count());
-  e.inject_configuration(mid);
-  EXPECT_TRUE(e.signal_field_stale());
-  for (int s = 0; s < 5; ++s) e.step();
-  EXPECT_TRUE(e.signal_field_stale());  // nothing here senses -> stays stale
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "core/command_log.hpp"
 #include "core/engine.hpp"
 #include "core/faults.hpp"
+#include "core/signal_field.hpp"
 #include "core/snapshot.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
@@ -331,10 +332,13 @@ TEST(SnapshotDifferential, ChurnStraddle) {
   }
 }
 
-TEST(SnapshotDifferential, StaleFieldSurvivesSnapshot) {
-  // inject_configuration invalidates a live field; the snapshot must carry
-  // the stale marker so the restored engine rebuilds lazily exactly like
-  // the original (and a full-activation engine stays stale forever).
+TEST(SnapshotDifferential, StaleFieldRestoresAsARebuild) {
+  // inject_configuration invalidates a live field. The snapshot carries no
+  // field state: the restored engine builds whatever field its own
+  // construction routes, from the restored configuration — what the
+  // original's stale field rebuilds at its next step. The engine state hash
+  // cannot tell the two apart, and neither can the continued run. A
+  // synchronous engine never owns a field.
   for (const std::string& sched_name :
        {std::string("uniform-single"), std::string("synchronous")}) {
     SCOPED_TRACE(sched_name);
@@ -343,6 +347,7 @@ TEST(SnapshotDifferential, StaleFieldSurvivesSnapshot) {
     const unison::AlgAu alg(static_cast<int>(graph::diameter(g)));
     core::EngineOptions opts;
     opts.signal_field = core::SignalFieldMode::kOn;
+    const bool routed = sched_name == "uniform-single";
 
     util::Rng rng(9);
     auto sched = sched::make_scheduler(sched_name, g);
@@ -352,67 +357,35 @@ TEST(SnapshotDifferential, StaleFieldSurvivesSnapshot) {
     for (int t = 0; t < 50; ++t) original.step();
     original.inject_configuration(
         core::random_configuration(alg, g.num_nodes(), rng));
-    ASSERT_TRUE(original.signal_field_active());
-    ASSERT_TRUE(original.signal_field_stale());
+    ASSERT_EQ(original.signal_field_active(), routed);
+    ASSERT_EQ(original.signal_field_stale(), routed);
 
     const auto bytes = save(original);
     graph::Graph restored_graph = restore_graph(bytes);
     auto restored_sched = sched::make_scheduler(sched_name, restored_graph);
     auto restored = restore(bytes, restored_graph, alg, *restored_sched);
-    EXPECT_TRUE(restored->signal_field_active());
-    EXPECT_TRUE(restored->signal_field_stale());
+    EXPECT_EQ(restored->signal_field_active(), routed);
+    EXPECT_FALSE(restored->signal_field_stale());
     expect_engines_equal(original, *restored);
 
     for (int t = 0; t < 120; ++t) {
       original.step();
       restored->step();
     }
-    EXPECT_EQ(original.signal_field_stale(), restored->signal_field_stale());
-    expect_engines_equal(original, *restored);
-  }
-}
-
-TEST(SnapshotDifferential, AdaptiveFieldBailMatchesAcrossRestore) {
-  // A kAuto mask-kernel field self-disables once patches outweigh senses;
-  // rotating-single on a clique drives AlgAu's clocks on nearly every
-  // activation, so it bails at the first window boundary. Snapshots taken
-  // mid-window, on the last step before the bail and on the step after must
-  // all restore into engines that bail (or have bailed) exactly like the
-  // original: the window counters ride the snapshot, and a restore after
-  // the bail drops the field its own construction routing re-created.
-  const graph::Graph g = graph::complete(40);  // avg degree 39 >= 32 floor
-  const unison::AlgAu alg(1);
-  core::EngineOptions opts;  // kAuto default
-
-  util::Rng rng(13);
-  auto sched = sched::make_scheduler("rotating-single", g);
-  core::Engine original(g, alg, *sched,
-                        core::random_configuration(alg, g.num_nodes(), rng),
-                        333, opts);
-  ASSERT_TRUE(original.signal_field_active());
-
-  // Single-node steps sense one node each: the window check at the start of
-  // step `window` + 1 is the first that can bail.
-  const auto window = static_cast<int>(core::kSignalFieldAdaptiveWindow);
-  std::vector<std::vector<std::uint8_t>> snaps;
-  for (int t = 0; t < 3000; ++t) original.step();
-  snaps.push_back(save(original));  // mid-window
-  for (int t = 3000; t < window; ++t) original.step();
-  ASSERT_TRUE(original.signal_field_active());
-  snaps.push_back(save(original));  // the last step before the bail
-  original.step();
-  ASSERT_FALSE(original.signal_field_active());
-  snaps.push_back(save(original));  // the step after
-  for (int t = 0; t < 500; ++t) original.step();
-
-  for (std::size_t i = 0; i < snaps.size(); ++i) {
-    SCOPED_TRACE(i);
-    graph::Graph g2 = restore_graph(snaps[i]);
-    auto sched2 = sched::make_scheduler("rotating-single", g2);
-    auto restored = restore(snaps[i], g2, alg, *sched2);
-    EXPECT_EQ(restored->signal_field_active(), i < 2);
-    while (restored->time() < original.time()) restored->step();
-    EXPECT_FALSE(restored->signal_field_active());
+    EXPECT_FALSE(original.signal_field_stale());
+    EXPECT_FALSE(restored->signal_field_stale());
+    if (routed) {
+      // Both fields now equal a fresh build from the common configuration.
+      const core::SignalField fresh(g, alg.state_count(), original.config());
+      for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
+        for (core::StateId q = 0; q < alg.state_count(); ++q) {
+          ASSERT_EQ(original.signal_field()->count_of(v, q),
+                    fresh.count_of(v, q));
+          ASSERT_EQ(restored->signal_field()->count_of(v, q),
+                    fresh.count_of(v, q));
+        }
+      }
+    }
     expect_engines_equal(original, *restored);
   }
 }
@@ -686,6 +659,33 @@ TEST(Golden, V3WritersReproduceTheFixturesByteForByte) {
   const ReorderedRun reordered;
   EXPECT_EQ(save(*reordered.engine),
             file_bytes(golden_path("golden_engine_v3_reordered.snap")));
+}
+
+TEST(Golden, RetiredFieldBlockIsIgnored) {
+  // Section 6 closes with the retired signal-field block, the last
+  // Engine::kRetiredFieldBytes before the CRC. Older writers stored a
+  // field's presence, staleness and adaptive-routing flags and two window
+  // counters there; whatever it holds, a restore skips it and the engine
+  // steps exactly like the fixture run.
+  auto bytes = file_bytes(golden_path("golden_engine_v3.snap"));
+  const std::size_t block =
+      bytes.size() - 4 - core::Engine::kRetiredFieldBytes;
+  for (std::size_t i = 0; i < core::Engine::kRetiredFieldBytes; ++i) {
+    ASSERT_EQ(bytes.at(block + i), 0u) << "retired byte " << i;
+    bytes[block + i] = static_cast<std::uint8_t>(0xA5 + i);
+  }
+  refresh_crc(bytes);
+  TinyRun run;
+  graph::Graph g2 = restore_graph(bytes);
+  auto sched2 = sched::make_scheduler("permutation", g2);
+  auto restored = restore(bytes, g2, run.alg, *sched2);
+  EXPECT_FALSE(restored->signal_field_active());
+  expect_engines_equal(*run.engine, *restored);
+  for (int t = 0; t < 50; ++t) {
+    run.engine->step();
+    restored->step();
+  }
+  expect_engines_equal(*run.engine, *restored);
 }
 
 TEST(Golden, RetiredFastPathByteIsIgnored) {

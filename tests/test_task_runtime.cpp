@@ -153,42 +153,6 @@ TEST(ShardedSyncDifferential, AlgLeEverySchedulerEveryThreadCount) {
   }
 }
 
-TEST(ShardedSyncDifferential, SignalFieldPatchStaysBitIdentical) {
-  // Forced-on field under the synchronous kernel: the sharded engine
-  // patches it from the per-shard transition logs after each step's
-  // barrier; the field's counters must end exactly where the serial
-  // engine's patches put them.
-  const unison::AlgAu alg(2);
-  util::Rng rng(37);
-  const graph::Graph g = graph::random_bounded_diameter(40, 2, rng);
-  const core::Configuration c0 =
-      unison::au_adversarial_configuration("random", alg, g, rng);
-  auto sched_a = sched::make_scheduler("synchronous", g);
-  auto sched_b = sched::make_scheduler("synchronous", g);
-  core::EngineOptions serial_opts = threaded(1);
-  serial_opts.signal_field = core::SignalFieldMode::kOn;
-  core::EngineOptions par_opts = threaded(4);
-  par_opts.signal_field = core::SignalFieldMode::kOn;
-  core::Engine serial(g, alg, *sched_a, c0, 241, serial_opts);
-  core::Engine sharded(g, alg, *sched_b, c0, 241, par_opts);
-  for (int s = 0; s < 200; ++s) {
-    serial.step();
-    sharded.step();
-  }
-  ASSERT_EQ(sharded.config(), serial.config());
-  ASSERT_TRUE(sharded.signal_field_active());
-  const core::SignalField* fa = sharded.signal_field();
-  const core::SignalField* fb = serial.signal_field();
-  ASSERT_NE(fa, nullptr);
-  ASSERT_NE(fb, nullptr);
-  for (core::NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (core::StateId q = 0; q < alg.state_count(); ++q) {
-      ASSERT_EQ(fa->count_of(v, q), fb->count_of(v, q))
-          << "field diverged at node " << v << " state " << int(q);
-    }
-  }
-}
-
 // --- sharded synchronous kernel: torture ------------------------------------
 
 TEST(ShardedSyncTorture, InjectionsChurnAndSnapshotsBetweenSteps) {
