@@ -138,7 +138,8 @@ struct Measurement {
   std::string algorithm;
   std::string scheduler;
   std::string mode;    // "fast" | "legacy"
-  std::string kernel;  // "signal" | "view" | "mask" | "table"
+  // "signal" | "table" | "mask" | "set" | "wide-set" | "view"
+  std::string kernel;
   unsigned threads = 1;
   std::uint64_t steps = 0;
   std::uint64_t activations = 0;
@@ -187,9 +188,24 @@ Measurement run_one(const Workload& w, const graph::Graph& g,
                       core::EngineOptions{.thread_count = threads,
                                           .signal_field = field});
   time_steps(engine);
-  m.kernel = engine.compiled() != nullptr
-                 ? "table"
-                 : (w.alg->native_mask_kernel() ? "mask" : "view");
+  // The δ kernel the store routes to (see the engine header): the compiled
+  // table, the native mask, the 256-bit set of a byte store, the wide set
+  // of a native step_wide, or the sorted view.
+  const core::StateId states = w.alg->state_count();
+  if (engine.compiled() != nullptr) {
+    m.kernel = "table";
+  } else if (w.alg->native_mask_kernel()) {
+    m.kernel = "mask";
+  } else if (states > core::SignalView::kMaskBits &&
+             states <= core::StateSet::kBits) {
+    m.kernel = "set";
+  } else if (states > core::StateSet::kBits &&
+             states <= core::WideStateSet::kBits &&
+             w.alg->native_wide_kernel()) {
+    m.kernel = "wide-set";
+  } else {
+    m.kernel = "view";
+  }
   // Effective shard count, not the request: --threads=0 resolves to hardware
   // concurrency, and non-shardable cells run serial — the JSON must record
   // what actually executed (also keeps the sweep's threads==1 serial
@@ -350,7 +366,10 @@ int main(int argc, char** argv) {
   const unison::ResetUnison reset(1, 6);  // |Q| = 9: dense table kernel
   const sync::MinPropagation minprop(32);  // |Q| = 32: lazy memo table kernel
   const mis::AlgMis mis({.diameter_bound = 2});   // randomized, |Q| = 94
-  const le::AlgLe le({.diameter_bound = 2});      // randomized
+  const le::AlgLe le({.diameter_bound = 2});      // randomized, |Q| = 131
+  // Wide stores on the native wide-set kernel: |Q| = 310 and 659.
+  const mis::AlgMis mis14({.diameter_bound = 14});
+  const le::AlgLe le14({.diameter_bound = 14});
 
   const std::vector<Workload> workloads = {
       {"alg-au", &au, unison::au_adversarial_configuration("random", au, g, rng)},
@@ -361,6 +380,10 @@ int main(int argc, char** argv) {
       {"alg-mis", &mis,
        mis::mis_adversarial_configuration("random", mis, g, rng)},
       {"alg-le", &le, le_adversarial_configuration("random", le, g, rng)},
+      {"alg-mis:14", &mis14,
+       mis::mis_adversarial_configuration("random", mis14, g, rng)},
+      {"alg-le:14", &le14,
+       le_adversarial_configuration("random", le14, g, rng)},
   };
   const std::vector<std::pair<std::string, std::uint64_t>> schedulers = {
       {"synchronous", sync_steps},

@@ -20,6 +20,12 @@ StateId Automaton::step_set(StateId q, const StateSet& set,
   return step_fast(q, unpack_set(set, scratch), rng);
 }
 
+StateId Automaton::step_wide(StateId q, const WideStateSet& set,
+                             util::Rng& rng) const {
+  thread_local std::vector<StateId> scratch;
+  return step_fast(q, unpack_set(set, scratch), rng);
+}
+
 std::string Automaton::state_name(StateId q) const {
   return util::labeled("q", q);
 }

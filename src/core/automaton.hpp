@@ -70,6 +70,14 @@ class Automaton {
   [[nodiscard]] virtual StateId step_set(StateId q, const StateSet& set,
                                          util::Rng& rng) const;
 
+  /// δ from the exact wide presence set — the engine's kernel when
+  /// 256 < |Q| <= WideStateSet::kBits and native_wide_kernel() holds. The
+  /// default unpacks the words in ascending order into a scratch SignalView
+  /// and calls step_fast, as step_set's default does; AlgMis (D <= 53) and
+  /// AlgLe (D <= 22) override it with their class-set tests.
+  [[nodiscard]] virtual StateId step_wide(StateId q, const WideStateSet& set,
+                                          util::Rng& rng) const;
+
   /// True iff δ never consults the Rng. Deterministic automata with
   /// |Q| <= SignalView::kMaskBits are eligible for table compilation
   /// (CompiledAutomaton).
@@ -79,6 +87,12 @@ class Automaton {
   /// The engine skips CompiledAutomaton table compilation for such automata —
   /// wrapping a memo around an O(1) kernel only adds overhead.
   [[nodiscard]] virtual bool native_mask_kernel() const { return false; }
+
+  /// True iff step_wide is a native kernel for this |Q| (not the unpacking
+  /// default). The engine senses a wide store into a WideStateSet only for
+  /// such automata; every other wide store keeps the sorted view, since
+  /// unpacking a set back into it would only add work.
+  [[nodiscard]] virtual bool native_wide_kernel() const { return false; }
 
   /// True iff concurrent step/step_fast/step_mask calls on ONE instance are
   /// safe (no mutable per-call state; thread_local scratch is fine). The

@@ -102,8 +102,8 @@ Engine::Engine(const graph::Graph& g, const Automaton& alg,
     }
     initial = std::move(permuted);
   }
-  // Byte-per-node double buffers whenever the state space fits a byte —
-  // every shipped algorithm except the synchronizer's product spaces.
+  // Byte-per-node double buffers whenever the state space fits a byte (see
+  // ConfigStore).
   const bool narrow = automaton_.state_count() <= 256;
   store_.reset(initial, narrow);
   act32_.assign(graph_.num_nodes(), 0);
@@ -112,6 +112,9 @@ Engine::Engine(const graph::Graph& g, const Automaton& alg,
   randomized_ = !automaton_.deterministic();
   mask_kernel_ = automaton_.state_count() <= SignalView::kMaskBits;
   set_kernel_ = narrow && !mask_kernel_;
+  wide_set_kernel_ = !narrow &&
+                     automaton_.state_count() <= WideStateSet::kBits &&
+                     automaton_.native_wide_kernel();
   if (CompiledAutomaton::compilable(automaton_) &&
       !automaton_.native_mask_kernel()) {
     compiled_ = std::make_unique<CompiledAutomaton>(automaton_);
@@ -182,14 +185,15 @@ Engine::Engine(const graph::Graph& g, const Automaton& alg,
   // whose every step runs the serial asynchronous path sense, so only they
   // may own a field. kAuto adds the serial-daemon regime — activation sets
   // small next to the graph — on neighborhoods large enough that the
-  // per-sense rescan is worth replacing. |Q| routes the field's internal
-  // representation (flat saturating counters vs compact sorted multiset),
-  // not the on/off decision.
+  // per-sense rescan is worth replacing, and only where the field would
+  // keep dense counters: its sorted-multiset fallback patches slower than
+  // the set kernels rescan.
   const std::size_t hint = scheduler_.max_activation_hint();
-  const bool auto_field = graph_.num_nodes() > 1 &&
-                          hint < options_.sparse_activation_threshold &&
-                          hint * 2 <= graph_.num_nodes() &&
-                          graph_.avg_degree() >= kSignalFieldMinAvgDegree;
+  const bool auto_field =
+      graph_.num_nodes() > 1 && hint < options_.sparse_activation_threshold &&
+      hint * 2 <= graph_.num_nodes() &&
+      graph_.avg_degree() >= kSignalFieldMinAvgDegree &&
+      SignalField::dense_eligible(graph_, automaton_.state_count());
   if (!full_activation_ && !sparse_eligible_ &&
       (options_.signal_field == SignalFieldMode::kOn ||
        (options_.signal_field == SignalFieldMode::kAuto && auto_field))) {
@@ -396,6 +400,19 @@ void Engine::shard_phase1(const Shard& shard, ParticipantWorkspace& pw,
       }
       emit(i, v, next);
     }
+  } else if (sizeof(T) > 1 && wide_set_kernel_) {
+    // A byte store is never wide: sizeof(T) keeps this branch out of the
+    // byte-store instantiation, whose loops stay as compact as before.
+    for (NodeId i = shard.begin; i < shard.end; ++i) {
+      const NodeId v = node_of(i);
+      const StateId cur = cfg[v];
+      const StateId next = kernel.step_wide(
+          cur, neighborhood_wide_set(graph_, cfg, v), draw_rng(pw, v));
+      if (log_transitions && next != cur) {
+        log.push_back({v, cur, next});
+      }
+      emit(i, v, next);
+    }
   } else {
     for (NodeId i = shard.begin; i < shard.end; ++i) {
       const NodeId v = node_of(i);
@@ -531,6 +548,7 @@ void Engine::with_sense_kind(const F& f) {
     return f(SenseTag<SenseKind::kMask>{});
   }
   if (set_kernel_) return f(SenseTag<SenseKind::kSet>{});
+  if (wide_set_kernel_) return f(SenseTag<SenseKind::kWideSet>{});
   return f(SenseTag<SenseKind::kView>{});
 }
 
@@ -559,6 +577,13 @@ inline StateId Engine::activate(ParticipantWorkspace& ws,
                     K == SenseKind::kFieldSet
                         ? unpack_set(set, field_scratch_)
                         : ws.scratch.sense(graph_, cfg, v));
+    }
+    return next;
+  } else if constexpr (K == SenseKind::kWideSet) {
+    const StateId next = kernel.step_wide(
+        cur, neighborhood_wide_set(graph_, cfg, v), draw_rng(ws, v));
+    if (next != cur && listener_) {
+      emit_listener(v, cur, next, ws.scratch.sense(graph_, cfg, v));
     }
     return next;
   } else {

@@ -17,8 +17,12 @@
 //     (core/signal_view.hpp): |Q| <= 64 gathers a 64-bit presence mask for
 //     Automaton::step_mask; 64 < |Q| <= 256 (the rest of the byte-per-node
 //     stores) gathers the exact 256-bit StateSet for Automaton::step_set;
-//     wide stores (|Q| > 256) sort the neighborhood into a SignalView for
-//     Automaton::step_fast;
+//     a wide store (|Q| > 256) of at most 1,024 states whose automaton has
+//     a native step_wide (AlgMIS to D = 53, AlgLE to D = 22) gathers the
+//     exact WideStateSet, ceil(|Q| / 64) populated words, for
+//     Automaton::step_wide; every other wide store sorts the neighborhood
+//     into a SignalView for Automaton::step_fast. No path sorts or
+//     deduplicates except the last;
 //   * deterministic automata with |Q| <= 64 are compiled into a table-driven
 //     kernel (CompiledAutomaton) at engine construction;
 //   * under a full-activation scheduler (Scheduler::full_activation), the
@@ -43,12 +47,14 @@
 //     patched on every applied transition by updating only the
 //     transitioning node's neighbors, and read back per sense as a presence
 //     mask derived from the node's own counter row (|Q| <= 64), its stored
-//     presence words (|Q| <= 256), or an O(distinct) span;
+//     presence words (|Q| <= 256), or an O(distinct) span (the sorted
+//     multiset of larger or denser instances);
 //   * routing is one rule, decided at construction and never revisited: a
 //     field exists only on engines whose every step runs the serial
 //     asynchronous path (not full-activation, not sparse-eligible). There
 //     kOn always builds one, kOff never does, and kAuto builds one from the
-//     scheduler's max_activation_hint() and the graph's average degree (see
+//     scheduler's max_activation_hint(), the graph's average degree and
+//     the field's layout: only a field with dense counters (see
 //     SignalFieldMode::kAuto);
 //   * so only serial steps patch it, and configuration injections
 //     invalidate it for a lazy rebuild at the next step — the field-sensed
@@ -177,14 +183,20 @@ enum class SignalFieldMode : std::uint8_t {
   /// Build the field when n > 1, the scheduler's max_activation_hint() is
   /// below the sparse-activation threshold and at most n / 2 (daemons
   /// activating most of the graph per step transition too often for delta
-  /// maintenance to win), and the graph's average degree reaches
-  /// kSignalFieldMinAvgDegree — the same rule for every automaton kernel.
-  /// Under rotation-style daemons a unison automaton transitions on almost
-  /// every activation, and its field then reads slower than the rescan
-  /// (single runs down to about two thirds); no shipped workload runs there.
+  /// maintenance to win), the graph's average degree reaches
+  /// kSignalFieldMinAvgDegree, and SignalField::dense_eligible holds: |Q| <=
+  /// 256, no counter can saturate, and the counter table fits the field's
+  /// byte budget. The sorted-multiset field that fails that last clause
+  /// patched slower than the set kernels rescan at average degrees ~8 and
+  /// ~30, and about even at ~200, so wide stores (MIS and LE from D = 12)
+  /// rescan. Under rotation-style daemons a unison automaton transitions on
+  /// almost every activation, and its field then reads slower than the
+  /// rescan (single runs down to about two thirds); no shipped workload
+  /// runs there.
   kAuto = 0,
   /// Always build the field where it can exist (the differential-testing
-  /// and forced-benchmark mode).
+  /// and forced-benchmark mode), in whichever layout SignalField picks —
+  /// the sorted multiset included.
   kOn,
   /// Never build the field; every sense rescans the neighborhood.
   kOff,
@@ -261,14 +273,15 @@ inline constexpr NodeId kReorderAutoMinNodes = NodeId{1} << 16;
 /// kAuto enables the signal field only when the mean neighborhood is at
 /// least this large; below it the per-sense rescan is already a handful of
 /// reads and the per-transition patch would cost more than it saves. One
-/// floor for every automaton kernel: on the uniform-single daemon the
-/// mask kernels gain at least as much from the field as the set and wide
+/// floor for every kernel of a dense field: on the uniform-single daemon
+/// the mask kernels gain at least as much from the field as the set
 /// kernels at every density measured (CHANGES.md holds the table).
 inline constexpr double kSignalFieldMinAvgDegree = 4.0;
 
 /// One engine configuration buffer, stored byte-per-node when the automaton's
-/// state space fits a byte (|Q| <= 256 — every shipped algorithm except the
-/// synchronizer's product spaces) and as wide StateIds otherwise. The narrow
+/// state space fits a byte (|Q| <= 256 — AlgAU to D = 20, MIS to D = 11, LE
+/// to D = 4 and the baselines) and as wide StateIds otherwise (the
+/// synchronizer's product spaces, and MIS and LE at larger D). The narrow
 /// mode is the double buffers' share of the million-node footprint story: 2
 /// bytes per node across both buffers instead of 16. Hot kernels read/write
 /// the raw arrays (templated on the element type); the wide `view()` is
@@ -688,6 +701,7 @@ class Engine {
     kTable,      // rescanned mask -> compiled dense table (no listener)
     kMask,       // rescanned mask -> step_mask (no listener)
     kSet,        // rescanned set -> step_set
+    kWideSet,    // rescanned wide set -> step_wide
     kView,       // rescanned sorted view -> step_fast
   };
   template <SenseKind K>
@@ -871,6 +885,8 @@ class Engine {
   bool full_activation_ = false;   // scheduler guarantees A_t = V
   bool mask_kernel_ = false;       // |Q| <= 64: step_mask drives the hot loop
   bool set_kernel_ = false;        // 64 < |Q| <= 256: step_set, byte store
+  // 256 < |Q| <= 1024 with a native step_wide: wide store, no sort.
+  bool wide_set_kernel_ = false;
   // Dense compiled kernel hoisted out of the virtual dispatch: when the
   // compiled automaton carries an eager table, phase-1 loops apply δ as
   // table_[(q << dense_shift_) | mask] directly (nullptr otherwise). The

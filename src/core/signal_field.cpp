@@ -13,20 +13,36 @@
 
 namespace ssau::core {
 
+namespace {
+
+/// Counters per node in a dense table: the node-major rows (|Q| <= 64) are
+/// padded to a multiple of 8, the state-major columns are not.
+std::size_t counters_per_node(StateId state_count) {
+  return state_count <= SignalView::kMaskBits
+             ? (state_count + 7U) & ~std::size_t{7}
+             : static_cast<std::size_t>(state_count);
+}
+
+}  // namespace
+
+bool SignalField::dense_eligible(const graph::Graph& g, StateId state_count) {
+  // Dense only when the counter table stays small — in |Q| AND in total
+  // bytes (n is the other factor) — and no counter can ever reach the
+  // 16-bit saturation bound.
+  return state_count <= kDenseStateLimit &&
+         g.max_degree() + 1 < static_cast<std::size_t>(kSaturated) &&
+         counters_per_node(state_count) * g.num_nodes() *
+                 sizeof(std::uint16_t) <=
+             kDenseMaxCounterBytes;
+}
+
 SignalField::SignalField(const graph::Graph& g, StateId state_count,
                          const Configuration& initial)
     : graph_(g), n_(g.num_nodes()), state_count_(state_count) {
   assert(state_count_ >= 1);
-  // Dense only when the counter table stays small — in |Q| AND in total
-  // bytes (n is the other factor) — and no counter can ever reach the
-  // 16-bit saturation bound (a counter is bounded by deg + 1).
   const bool node_major = state_count_ <= SignalView::kMaskBits;
-  const std::size_t per_node =
-      node_major ? (state_count_ + 7U) & ~std::size_t{7} : state_count_;
-  const bool dense =
-      state_count_ <= kDenseStateLimit &&
-      g.max_degree() + 1 < static_cast<std::size_t>(kSaturated) &&
-      per_node * n_ * sizeof(std::uint16_t) <= kDenseMaxCounterBytes;
+  const std::size_t per_node = counters_per_node(state_count_);
+  const bool dense = dense_eligible(g, state_count_);
   if (dense && node_major) {
     layout_ = Layout::kNodeMajor;
     stride_ = static_cast<StateId>(per_node);

@@ -27,11 +27,15 @@
 //     maintained on every patch (deriving them at sense time would take up
 //     to 32 vector compares per sense). The q-major layout keeps a patch's
 //     two counter rows inside two n-sized stripes.
-//   * sparse — |Q| > 256 (synchronizer product spaces), or tables over the
-//     byte budget, or degrees that could saturate a counter: a compact
-//     per-node sorted multiset (parallel keys/counts vectors), so memory
-//     stays O(sum_v distinct(v)) instead of O(n * |Q|). A sense wraps the
-//     keys span directly — still no per-sense sort.
+//   * sparse — |Q| > 256 (the wide stores: synchronizer product spaces,
+//     MIS and LE at larger D), or tables over the byte budget, or degrees
+//     that could saturate a counter: a compact per-node sorted multiset
+//     (parallel keys/counts vectors), so memory stays O(sum_v distinct(v))
+//     instead of O(n * |Q|). A sense wraps the keys span directly — still
+//     no per-sense sort. Its patch is a binary search and a vector insert
+//     or erase per inclusive neighbor, which reads slower than the wide-set
+//     rescan, so the engine builds it only under SignalFieldMode::kOn
+//     (dense_eligible is kAuto's clause).
 //
 // The field is engine infrastructure: core::Engine owns one only when every
 // step runs its serial per-activation path and EngineOptions::signal_field
@@ -69,6 +73,14 @@ class SignalField {
   /// reach the bound to the sparse representation — saturation is a
   /// defensive backstop, never hit on a dense-eligible graph.
   static constexpr std::uint16_t kSaturated = 0xFFFF;
+
+  /// True iff a field over `g` with `state_count` states keeps a dense
+  /// counter table: |Q| <= kDenseStateLimit, no counter can reach
+  /// kSaturated (a counter is bounded by deg + 1), and the table, padding
+  /// included, fits kDenseMaxCounterBytes. The one predicate behind the
+  /// constructor's layout choice and the engine's kAuto routing.
+  [[nodiscard]] static bool dense_eligible(const graph::Graph& g,
+                                           StateId state_count);
 
   /// Builds the field for `g` over a state space of size `state_count` and
   /// initializes it from `initial` (one O(n + m) pass). The graph must

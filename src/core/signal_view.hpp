@@ -2,7 +2,7 @@
 //
 // SignalView is the engine hot path's replacement for Signal: a non-owning
 // span over a caller-managed sorted scratch buffer, optionally paired with a
-// 64-bit presence bitmask. The engine senses on one of three paths, picked
+// 64-bit presence bitmask. The engine senses on one of four paths, picked
 // by |Q| (which also picks the configuration store):
 //
 //   * 64-bit mask — |Q| <= 64: AlgAU's Z_{2k} clocks for D <= 4 and all the
@@ -10,10 +10,16 @@
 //   * exact 256-bit set (StateSet) — the rest of the byte-per-node stores,
 //     64 < |Q| <= 256: the neighborhood is OR-gathered into four words, no
 //     sort (the engine's step_set kernel; AlgAU's native guard tests cover
-//     D <= 20 here). SignalScratch builds every byte-store view from this
-//     set, unpacking the words in ascending order;
-//   * sorted span — wide stores only (|Q| > 256, the synchronizer's
-//     O(D·|Q|^2) product spaces): sort + dedup into the scratch.
+//     D <= 20 here, MIS's and LE's class-set tests D <= 11 and D <= 4).
+//     SignalScratch builds every byte-store view from this set, unpacking
+//     the words in ascending order;
+//   * exact wide set (WideStateSet) — wide stores of at most 1,024 states
+//     whose automaton has a native step_wide (AlgMIS for D <= 53, AlgLE for
+//     D <= 22): the same OR-gather into ceil(|Q| / 64) words, no sort, no
+//     dedup (the engine's step_wide kernel);
+//   * sorted span — every other wide store (|Q| > 256: the synchronizer's
+//     product spaces, MIS and LE past 1,024 states): sort + dedup into the
+//     scratch.
 //
 // Semantics are identical to Signal (the sorted set of distinct StateIds in
 // N+(v)); the view merely avoids owning the storage, so the engine can build
@@ -80,6 +86,34 @@ template <typename T>
 [[nodiscard, gnu::always_inline]] inline StateSet neighborhood_set(
     const graph::Graph& g, const T* c, NodeId v) {
   StateSet set;
+  set.insert(c[v]);
+  simd::accumulate_set(g.neighbors(v), c, set.words);
+  return set;
+}
+
+/// Exact presence set over the states [0, 1024) for wide stores: bit q & 63
+/// of word q >> 6, StateSet's layout over sixteen words. The signal
+/// encoding of Automaton::step_wide. An automaton with |Q| states populates
+/// only its first ceil(|Q| / 64) words, so a native kernel reads those and
+/// no more; the rest stay zero.
+struct WideStateSet {
+  static constexpr StateId kBits = 1024;
+  static constexpr std::size_t kWords = kBits / 64;
+
+  std::array<std::uint64_t, kWords> words{};
+
+  void insert(StateId q) { words[q >> 6] |= std::uint64_t{1} << (q & 63); }
+};
+
+/// The exact wide presence set of node v's inclusive neighborhood under the
+/// raw wide configuration buffer `c` — the one definition of wide-set
+/// sensing shared by the engine's serial and sharded step_wide kernels.
+/// Caller guarantees every state is < WideStateSet::kBits. Forced inline
+/// for the same reason as neighborhood_set.
+template <typename T>
+[[nodiscard, gnu::always_inline]] inline WideStateSet neighborhood_wide_set(
+    const graph::Graph& g, const T* c, NodeId v) {
+  WideStateSet set;
   set.insert(c[v]);
   simd::accumulate_set(g.neighbors(v), c, set.words);
   return set;
@@ -155,17 +189,31 @@ class SignalView {
   bool has_mask_ = false;
 };
 
-/// Decodes `set` into `out` (cleared first) in ascending order and wraps it
-/// — the one StateSet -> SignalView decoding that SignalScratch, the default
-/// Automaton::step_set, the engine's listener emission and SignalField
-/// share. The view carries the 64-bit mask iff only word 0 is populated.
-inline SignalView unpack_set(const StateSet& set, std::vector<StateId>& out) {
+/// Decodes the presence words `words` into `out` (cleared first) in
+/// ascending order and wraps it — the one set -> SignalView decoding that
+/// SignalScratch, the default Automaton::step_set and step_wide, the
+/// engine's listener emission and SignalField share. The view carries the
+/// 64-bit mask iff only word 0 is populated.
+template <std::size_t W>
+inline SignalView unpack_words(const std::array<std::uint64_t, W>& words,
+                               std::vector<StateId>& out) {
   out.clear();
-  for (std::size_t w = 0; w < StateSet::kWords; ++w) {
-    unpack_mask(set.words[w], out, static_cast<StateId>(w * 64));
+  std::uint64_t high = 0;
+  for (std::size_t w = 0; w < W; ++w) {
+    unpack_mask(words[w], out, static_cast<StateId>(w * 64));
+    if (w != 0) high |= words[w];
   }
-  const bool small = (set.words[1] | set.words[2] | set.words[3]) == 0;
-  return {out, small ? set.words[0] : 0, small};
+  const bool small = high == 0;
+  return {out, small ? words[0] : 0, small};
+}
+
+inline SignalView unpack_set(const StateSet& set, std::vector<StateId>& out) {
+  return unpack_words(set.words, out);
+}
+
+inline SignalView unpack_set(const WideStateSet& set,
+                             std::vector<StateId>& out) {
+  return unpack_words(set.words, out);
 }
 
 /// Reusable scratch for building SignalViews — one instance per engine; zero

@@ -5,9 +5,10 @@
 // presence set — a 64-bit mask when |Q| <= 64 (neighborhood_mask, the
 // signal field's rebuild), the exact 256-bit set of every byte-per-node
 // store otherwise (core::StateSet via accumulate_set, feeding step_set and
-// SignalScratch::sense). After graph::reorder packs neighborhoods into
-// nearby ids these gathers hit warm cache lines; this header squeezes what
-// remains:
+// SignalScratch::sense), and the 1,024-bit set of the wide stores that feed
+// step_wide (core::WideStateSet, the same accumulate_set). After
+// graph::reorder packs neighborhoods into nearby ids these gathers hit warm
+// cache lines; this header squeezes what remains:
 //
 //   * software prefetch a fixed distance ahead of the gather index stream
 //     (the adjacency span is sequential, so nb[i + d] is known long before
@@ -138,13 +139,14 @@ inline __m256i or_presence_bits(__m256i acc, __m256i states) {
 }
 #endif  // __AVX2__
 
-/// OR the presence bits of c[u] for every u in `neighbors` into a 256-bit
-/// set held as four 64-bit words — core::StateSet's layout, bit q & 63 of
-/// word q >> 6. Caller guarantees every gathered state is < 256, which a
-/// byte-per-node store holds by construction.
-template <typename T>
+/// OR the presence bits of c[u] for every u in `neighbors` into a set held
+/// as W 64-bit words — core::StateSet's layout (W = 4) and
+/// core::WideStateSet's (W = 16), bit q & 63 of word q >> 6. Caller
+/// guarantees every gathered state is < 64 * W, which a byte-per-node store
+/// holds by construction for W = 4.
+template <typename T, std::size_t W>
 inline void accumulate_set(std::span<const graph::NodeId> neighbors,
-                           const T* c, std::array<std::uint64_t, 4>& words) {
+                           const T* c, std::array<std::uint64_t, W>& words) {
   const graph::NodeId* nb = neighbors.data();
   const std::size_t deg = neighbors.size();
   for (std::size_t i = 0; i < deg; ++i) {

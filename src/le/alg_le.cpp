@@ -29,6 +29,33 @@ AlgLe::AlgLe(AlgLeParams params)
   verify_base_ = compute_base_ + e * kComputeBits;
   sigma_base_ = verify_base_ + e * 2 * (k + 1);
   count_ = sigma_base_ + static_cast<core::StateId>(restart_.chain_length());
+  if (count_ <= core::WideStateSet::kBits) build_classes();
+}
+
+void AlgLe::build_classes() {
+  const auto e = static_cast<std::size_t>(epoch_length());
+  round_class_ = kSlot + static_cast<std::size_t>(params_.id_alphabet);
+  classes_ = core::StateClasses(round_class_ + 2 * e, count_);
+  for (core::StateId q = 0; q < count_; ++q) {
+    const LeState s = decode(q);
+    const auto r = static_cast<std::size_t>(s.r);
+    switch (s.mode) {
+      case LeState::Mode::kRestart:
+        classes_.insert(kSigma, q);
+        break;
+      case LeState::Mode::kCompute:
+        classes_.insert(round_class_ + r, q);
+        if (s.flag_acc) classes_.insert(kFlagAcc, q);
+        if (s.coin_acc) classes_.insert(kCoinAcc, q);
+        break;
+      case LeState::Mode::kVerify:
+        classes_.insert(round_class_ + e + r, q);
+        if (s.slot != 0) {
+          classes_.insert(kSlot + static_cast<std::size_t>(s.slot - 1), q);
+        }
+        break;
+    }
+  }
 }
 
 core::StateId AlgLe::encode(const LeState& s) const {
@@ -238,6 +265,147 @@ core::StateId AlgLe::step_fast(core::StateId q, const core::SignalView& sig,
   // configuration.
   if (next.slot == 0) {
     return encode({.mode = LeState::Mode::kRestart, .sigma = 0});
+  }
+  next.r = 0;
+  return encode(next);
+}
+
+core::StateId AlgLe::step_set(core::StateId q, const core::StateSet& set,
+                              util::Rng& rng) const {
+  if (classes_.empty() || classes_.words() > core::StateSet::kWords) {
+    return Automaton::step_set(q, set, rng);
+  }
+  return set_step(q, set.words, rng);
+}
+
+core::StateId AlgLe::step_wide(core::StateId q, const core::WideStateSet& set,
+                               util::Rng& rng) const {
+  if (classes_.empty()) return Automaton::step_wide(q, set, rng);
+  return set_step(q, set.words, rng);
+}
+
+// step_fast's δ with each digest read off a class set: the same decisions in
+// the same order, and the same rng draws at the same points.
+template <std::size_t W>
+core::StateId AlgLe::set_step(core::StateId q,
+                              const std::array<std::uint64_t, W>& sensed,
+                              util::Rng& rng) const {
+  const LeState self = decode(q);
+
+  // --- Restart rules take priority: the lowest sensed σ state carries the
+  // smallest σ index, and St(v) = {σ(2D)} iff only σ states are sensed and
+  // the smallest of them is the exit.
+  const core::StateId sigma = classes_.first_common(sensed, kSigma);
+  if (sigma != core::StateClasses::kNone) {
+    const int min_sigma = static_cast<int>(sigma - sigma_base_);
+    const bool senses_non_sigma = !classes_.within(sensed, kSigma);
+    const std::optional<int> own_sigma =
+        self.mode == LeState::Mode::kRestart ? std::optional<int>(self.sigma)
+                                             : std::nullopt;
+    const restart::RestartDecision rd = restart_.decide(
+        own_sigma, min_sigma, senses_non_sigma,
+        !senses_non_sigma && min_sigma == restart_.exit_index());
+    switch (rd.kind) {
+      case restart::RestartDecision::Kind::kEnter:
+        return sigma_base_;
+      case restart::RestartDecision::Kind::kStep:
+        return sigma_base_ + static_cast<core::StateId>(rd.index);
+      case restart::RestartDecision::Kind::kExit:
+        return initial_state();
+      case restart::RestartDecision::Kind::kNone:
+        break;
+    }
+  }
+
+  // --- Local consistency: every sensed state in our (stage, round) class.
+  // From here on every sensed state lies in that class's words.
+  const std::size_t round_class =
+      round_class_ + static_cast<std::size_t>(self.r) +
+      (self.mode == LeState::Mode::kVerify
+           ? static_cast<std::size_t>(epoch_length())
+           : 0);
+  if (!classes_.within(sensed, round_class)) return sigma_base_;
+  const core::WordSpan block = classes_.span(round_class);
+
+  const int last_round = epoch_length() - 1;  // r = D, the epoch-end round
+
+  if (self.mode == LeState::Mode::kCompute) {
+    if (self.r == 0) {
+      // Toss round: RandCount flag decay and Elect coin toss; seed the
+      // OR-flood accumulators.
+      LeState next = self;
+      next.flag = self.flag && !rng.bernoulli(params_.p0);
+      next.coin = self.candidate && rng.coin();
+      next.flag_acc = next.flag;
+      next.coin_acc = self.candidate && next.coin;
+      next.r = 1;
+      return encode(next);
+    }
+    // Flood rounds: OR in the neighbors' accumulators (q is sensed too).
+    const bool flag_acc = classes_.meets(sensed, kFlagAcc, block);
+    const bool coin_acc = classes_.meets(sensed, kCoinAcc, block);
+    if (self.r < last_round) {
+      LeState next = self;
+      next.flag_acc = flag_acc;
+      next.coin_acc = coin_acc;
+      next.r = self.r + 1;
+      return encode(next);
+    }
+    // Epoch end: apply Elect's elimination, then RandCount's halt check.
+    const bool candidate = self.candidate && !(!self.coin && coin_acc);
+    if (!flag_acc) {
+      // Computation stage halts; survivors mark themselves leaders.
+      LeState next;
+      next.mode = LeState::Mode::kVerify;
+      next.r = 0;
+      next.leader = candidate;
+      next.slot = 0;
+      return encode(next);
+    }
+    LeState next;
+    next.mode = LeState::Mode::kCompute;
+    next.r = 0;
+    next.flag = self.flag;
+    next.flag_acc = false;
+    next.candidate = candidate;
+    next.coin = false;
+    next.coin_acc = false;
+    return encode(next);
+  }
+
+  // --- Verify stage (DetectLE) ----------------------------------------------
+  if (self.r == 0) {
+    LeState next = self;
+    next.slot = self.leader
+                    ? 1 + static_cast<int>(rng.below(
+                              static_cast<std::uint64_t>(params_.id_alphabet)))
+                    : 0;
+    next.r = 1;
+    return encode(next);
+  }
+  // The identifiers present in the neighborhood (own slot included): two
+  // distinct ones restart, else the smallest fills an empty slot.
+  int first_id = 0;
+  for (int id = 1; id <= params_.id_alphabet; ++id) {
+    if (!classes_.meets(sensed, kSlot + static_cast<std::size_t>(id - 1),
+                        block)) {
+      continue;
+    }
+    if (first_id != 0) {
+      return sigma_base_;
+    }
+    first_id = id;
+  }
+  LeState next = self;
+  if (next.slot == 0) next.slot = first_id;
+  if (self.r < last_round) {
+    next.r = self.r + 1;
+    return encode(next);
+  }
+  // Epoch end: a node that heard no identifier detects a leaderless
+  // configuration.
+  if (next.slot == 0) {
+    return sigma_base_;
   }
   next.r = 0;
   return encode(next);

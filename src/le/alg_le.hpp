@@ -28,6 +28,7 @@
 
 #include "core/automaton.hpp"
 #include "core/engine.hpp"
+#include "core/state_classes.hpp"
 #include "restart/restart.hpp"
 
 namespace ssau::le {
@@ -84,11 +85,40 @@ class AlgLe final : public core::Automaton {
   [[nodiscard]] core::StateId step_fast(core::StateId q,
                                         const core::SignalView& sig,
                                         util::Rng& rng) const override;
+  /// Native 256-bit δ: step_fast's δ, draw for draw, with every digest of
+  /// the signal read off precomputed class sets instead of decoding each
+  /// sensed state. The engine's kernel when |Q| = 44D + 43 <= 256 (with
+  /// the default k_id = 4), i.e. D <= 4.
+  [[nodiscard]] core::StateId step_set(core::StateId q,
+                                       const core::StateSet& set,
+                                       util::Rng& rng) const override;
+  /// The same δ over the wide set: the engine's kernel for 5 <= D <= 22
+  /// (|Q| <= 1,024); larger D keeps step_fast.
+  [[nodiscard]] core::StateId step_wide(core::StateId q,
+                                        const core::WideStateSet& set,
+                                        util::Rng& rng) const override;
+  [[nodiscard]] bool native_wide_kernel() const override {
+    return !classes_.empty();
+  }
   [[nodiscard]] std::string state_name(core::StateId q) const override;
-  /// Stateless δ (decode/encode on the stack): safe to shard.
+  /// Stateless δ (decode/encode on the stack, read-only class sets): safe
+  /// to shard.
   [[nodiscard]] bool parallel_safe() const override { return true; }
 
  private:
+  /// Fixed classes of classes_. kSlot + (s - 1) holds the Verify states
+  /// whose identifier slot is s; round_class_ + c the (stage, round)
+  /// consistency class c (Compute round r at c = r, Verify round r at
+  /// c = E + r).
+  enum Class : std::size_t { kSigma, kFlagAcc, kCoinAcc, kSlot };
+  void build_classes();
+  /// The one class-set δ behind step_set and step_wide, over the sensed
+  /// set's W words.
+  template <std::size_t W>
+  [[nodiscard]] core::StateId set_step(
+      core::StateId q, const std::array<std::uint64_t, W>& sensed,
+      util::Rng& rng) const;
+
   AlgLeParams params_;
   restart::RestartRules restart_;
   // Block offsets within the dense StateId space.
@@ -96,6 +126,9 @@ class AlgLe final : public core::Automaton {
   core::StateId verify_base_ = 0;
   core::StateId sigma_base_ = 0;
   core::StateId count_ = 0;
+  // Built when |Q| <= WideStateSet::kBits, empty otherwise.
+  core::StateClasses classes_;
+  std::size_t round_class_ = 0;  // first consistency class
 };
 
 /// Legitimacy: no Restart states, every node in Verify with the same epoch

@@ -1,12 +1,20 @@
 #include "mis/alg_mis.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "core/row_walk.hpp"
 #include "util/strings.hpp"
 
 namespace ssau::mis {
+
+namespace {
+// Undecided states per step value (flag, candidate, coin, collect). encode
+// numbers the undecided block step-major, so the lowest undecided state of
+// any set carries the set's smallest step.
+constexpr core::StateId kUndecidedPerStep = 16;
+}  // namespace
 
 AlgMis::AlgMis(AlgMisParams params)
     : params_(params), restart_(params.diameter_bound) {
@@ -21,10 +29,41 @@ AlgMis::AlgMis(AlgMisParams params)
   }
   const auto steps = static_cast<core::StateId>(params_.diameter_bound + 3);
   undecided_base_ = 0;
-  in_base_ = undecided_base_ + steps * 16;  // flag, candidate, coin, collect
+  in_base_ = undecided_base_ + steps * kUndecidedPerStep;
   out_base_ = in_base_ + static_cast<core::StateId>(params_.id_alphabet);
   sigma_base_ = out_base_ + 1;
   count_ = sigma_base_ + static_cast<core::StateId>(restart_.chain_length());
+  if (count_ <= core::WideStateSet::kBits) build_classes();
+}
+
+void AlgMis::build_classes() {
+  const int steps = params_.diameter_bound + 3;
+  classes_ = core::StateClasses(kDiscrepancy + static_cast<std::size_t>(steps),
+                                count_);
+  for (core::StateId q = 0; q < count_; ++q) {
+    const MisState s = decode(q);
+    switch (s.mode) {
+      case MisState::Mode::kRestart:
+        classes_.insert(kSigma, q);
+        break;
+      case MisState::Mode::kIn:
+        classes_.insert(kIn, q);
+        break;
+      case MisState::Mode::kOut:
+        break;
+      case MisState::Mode::kUndecided:
+        classes_.insert(kUndecided, q);
+        if (s.candidate && s.coin && s.trial_collect) {
+          classes_.insert(kWinning, q);
+        }
+        for (int step = 0; step < steps; ++step) {
+          if (std::abs(s.step - step) > 1) {
+            classes_.insert(kDiscrepancy + static_cast<std::size_t>(step), q);
+          }
+        }
+        break;
+    }
+  }
 }
 
 core::StateId AlgMis::encode(const MisState& s) const {
@@ -224,6 +263,124 @@ core::StateId AlgMis::step_fast(core::StateId q, const core::SignalView& sig,
               {.mode = MisState::Mode::kIn,
                .id = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(
                          params_.id_alphabet)))});
+        }
+        return encode(next);
+      }
+      // stepmin = D+2: the phase ends; start the next one.
+      next.step = 0;
+      next.flag = true;
+      next.candidate = true;
+      next.coin = false;
+      next.trial_collect = false;
+      return encode(next);
+    }
+
+    case MisState::Mode::kRestart:
+      break;  // handled by the restart rules above
+  }
+  return q;
+}
+
+core::StateId AlgMis::step_set(core::StateId q, const core::StateSet& set,
+                               util::Rng& rng) const {
+  if (classes_.empty() || classes_.words() > core::StateSet::kWords) {
+    return Automaton::step_set(q, set, rng);
+  }
+  return set_step(q, set.words, rng);
+}
+
+core::StateId AlgMis::step_wide(core::StateId q, const core::WideStateSet& set,
+                                util::Rng& rng) const {
+  if (classes_.empty()) return Automaton::step_wide(q, set, rng);
+  return set_step(q, set.words, rng);
+}
+
+// step_fast's δ with each digest read off a class set: the same decisions in
+// the same order, and the same rng draws at the same points.
+template <std::size_t W>
+core::StateId AlgMis::set_step(core::StateId q,
+                               const std::array<std::uint64_t, W>& sensed,
+                               util::Rng& rng) const {
+  const MisState self = decode(q);
+  const int max_step = params_.diameter_bound + 2;  // D+2
+  const auto k = static_cast<std::uint64_t>(params_.id_alphabet);
+
+  // --- Restart rules take priority: the lowest sensed σ state carries the
+  // smallest σ index, and St(v) = {σ(2D)} iff only σ states are sensed and
+  // the smallest of them is the exit.
+  const core::StateId sigma = classes_.first_common(sensed, kSigma);
+  if (sigma != core::StateClasses::kNone) {
+    const int min_sigma = static_cast<int>(sigma - sigma_base_);
+    const bool senses_non_sigma = !classes_.within(sensed, kSigma);
+    const std::optional<int> own_sigma =
+        self.mode == MisState::Mode::kRestart ? std::optional<int>(self.sigma)
+                                              : std::nullopt;
+    const restart::RestartDecision rd = restart_.decide(
+        own_sigma, min_sigma, senses_non_sigma,
+        !senses_non_sigma && min_sigma == restart_.exit_index());
+    switch (rd.kind) {
+      case restart::RestartDecision::Kind::kEnter:
+        return sigma_base_;
+      case restart::RestartDecision::Kind::kStep:
+        return sigma_base_ + static_cast<core::StateId>(rd.index);
+      case restart::RestartDecision::Kind::kExit:
+        return initial_state();
+      case restart::RestartDecision::Kind::kNone:
+        break;
+    }
+  }
+
+  switch (self.mode) {
+    case MisState::Mode::kIn:
+      // DetectMIS: q itself is sensed, so a second IN state is another id.
+      if (classes_.count_common(sensed, kIn) > 1) return sigma_base_;
+      return in_base_ + rng.below(k);
+
+    case MisState::Mode::kOut:
+      // DetectMIS: an OUT node must sense some IN identifier.
+      return classes_.meets(sensed, kIn) ? q : sigma_base_;
+
+    case MisState::Mode::kUndecided: {
+      // RandPhase validity check.
+      if (classes_.meets(sensed,
+                         kDiscrepancy + static_cast<std::size_t>(self.step))) {
+        return sigma_base_;
+      }
+      // A neighbor joined IN: join OUT.
+      if (classes_.meets(sensed, kIn)) return out_base_;
+
+      MisState next = self;
+
+      // Compete trial (runs while step <= D).
+      if (self.step <= params_.diameter_bound) {
+        if (!self.trial_collect) {
+          next.coin = self.candidate && rng.coin();
+          next.trial_collect = true;
+        } else {
+          if (self.candidate && !self.coin &&
+              classes_.meets(sensed, kWinning)) {
+            next.candidate = false;
+          }
+          next.coin = false;
+          next.trial_collect = false;
+        }
+      }
+
+      // RandPhase: random prefix, then the deterministic step wave.
+      if (self.flag) {
+        if (rng.bernoulli(params_.p0)) next.flag = false;
+        next.step = 0;
+        return encode(next);
+      }
+      // q is undecided and sensed, so some undecided state is.
+      const int step_min = static_cast<int>(
+          (classes_.first_common(sensed, kUndecided) - undecided_base_) /
+          kUndecidedPerStep);
+      if (step_min < max_step) {
+        next.step = step_min + 1;
+        if (next.step == params_.diameter_bound + 1 && next.candidate) {
+          // Survived every trial: join IN.
+          return in_base_ + rng.below(k);
         }
         return encode(next);
       }

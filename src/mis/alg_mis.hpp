@@ -26,6 +26,7 @@
 
 #include "core/automaton.hpp"
 #include "core/engine.hpp"
+#include "core/state_classes.hpp"
 #include "restart/restart.hpp"
 
 namespace ssau::mis {
@@ -77,11 +78,38 @@ class AlgMis final : public core::Automaton {
   [[nodiscard]] core::StateId step_fast(core::StateId q,
                                         const core::SignalView& sig,
                                         util::Rng& rng) const override;
+  /// Native 256-bit δ: step_fast's δ, draw for draw, with every digest of
+  /// the signal read off precomputed class sets instead of decoding each
+  /// sensed state. The engine's kernel when |Q| = 18D + 58 <= 256, i.e.
+  /// D <= 11.
+  [[nodiscard]] core::StateId step_set(core::StateId q,
+                                       const core::StateSet& set,
+                                       util::Rng& rng) const override;
+  /// The same δ over the wide set: the engine's kernel for 12 <= D <= 53
+  /// (|Q| <= 1,024); larger D keeps step_fast.
+  [[nodiscard]] core::StateId step_wide(core::StateId q,
+                                        const core::WideStateSet& set,
+                                        util::Rng& rng) const override;
+  [[nodiscard]] bool native_wide_kernel() const override {
+    return !classes_.empty();
+  }
   [[nodiscard]] std::string state_name(core::StateId q) const override;
-  /// Stateless δ (decode/encode on the stack): safe to shard.
+  /// Stateless δ (decode/encode on the stack, read-only class sets): safe
+  /// to shard.
   [[nodiscard]] bool parallel_safe() const override { return true; }
 
  private:
+  /// Fixed classes of classes_; kDiscrepancy + s holds the undecided states
+  /// whose step differs from s by more than one.
+  enum Class : std::size_t { kSigma, kIn, kUndecided, kWinning, kDiscrepancy };
+  void build_classes();
+  /// The one class-set δ behind step_set and step_wide, over the sensed
+  /// set's W words.
+  template <std::size_t W>
+  [[nodiscard]] core::StateId set_step(
+      core::StateId q, const std::array<std::uint64_t, W>& sensed,
+      util::Rng& rng) const;
+
   AlgMisParams params_;
   restart::RestartRules restart_;
   core::StateId undecided_base_ = 0;
@@ -89,6 +117,8 @@ class AlgMis final : public core::Automaton {
   core::StateId out_base_ = 0;
   core::StateId sigma_base_ = 0;
   core::StateId count_ = 0;
+  // Built when |Q| <= WideStateSet::kBits, empty otherwise.
+  core::StateClasses classes_;
 };
 
 /// Legitimacy: every node decided, the IN set independent, and every OUT node

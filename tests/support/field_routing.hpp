@@ -6,9 +6,13 @@
 // not sparse-eligible (more than one thread, n > 1, a parallel-safe
 // automaton, and a max_activation_hint() at or above the sparse threshold).
 // There kOn always builds one and kOff never does; kAuto builds one when
-// n > 1, the hint is below the sparse threshold and at most n / 2, and the
-// average degree reaches core::kSignalFieldMinAvgDegree, whatever the
-// automaton's kernel.
+// n > 1, the hint is below the sparse threshold and at most n / 2, the
+// average degree reaches core::kSignalFieldMinAvgDegree, and the field
+// would keep dense counters: |Q| <= 256, a maximum degree whose counters
+// (at most deg + 1) stay below the 16-bit saturation bound, and a counter
+// table (|Q| rounded up to 8 counters per node when |Q| <= 64) within the
+// dense byte budget. Wide stores (|Q| > 256) therefore never get a kAuto
+// field, whatever the daemon.
 //
 // Header-only test code; tests include it as "support/field_routing.hpp".
 #pragma once
@@ -38,9 +42,16 @@ inline bool field_routed(const graph::Graph& g, const core::Automaton& alg,
       return true;
     case core::SignalFieldMode::kOff:
       return false;
-    case core::SignalFieldMode::kAuto:
+    case core::SignalFieldMode::kAuto: {
+      const std::size_t states = alg.state_count();
+      const std::size_t counters = states <= 64 ? (states + 7) / 8 * 8 : states;
+      const bool dense =
+          states <= 256 && g.max_degree() + 1 < 0xFFFF &&
+          counters * n * 2 <= core::SignalField::kDenseMaxCounterBytes;
       return n > 1 && hint < opts.sparse_activation_threshold &&
-             2 * hint <= n && g.avg_degree() >= core::kSignalFieldMinAvgDegree;
+             2 * hint <= n &&
+             g.avg_degree() >= core::kSignalFieldMinAvgDegree && dense;
+    }
   }
   return false;
 }

@@ -100,14 +100,16 @@ void expect_churn_matches_oracle(const graph::Graph& base,
                                  const core::Configuration& initial,
                                  const std::string& sched_name,
                                  unsigned threads, std::uint64_t seed,
-                                 int steps_per_segment, int events) {
+                                 int steps_per_segment, int events,
+                                 core::SignalFieldMode field =
+                                     core::SignalFieldMode::kOn) {
   graph::Graph fast_g = base;
   graph::Graph legacy_g = base;
   auto fast_sched = sched::make_scheduler(sched_name, fast_g);
   auto legacy_sched = sched::make_scheduler(sched_name, legacy_g);
   const core::EngineOptions opts{.thread_count = threads,
                                  .sparse_activation_threshold = 2,
-                                 .signal_field = core::SignalFieldMode::kOn};
+                                 .signal_field = field};
   core::Engine fast(fast_g, alg, *fast_sched, initial, seed, opts);
   oracle::ReferenceEngine legacy(legacy_g, alg, *legacy_sched, initial, seed);
   ASSERT_EQ(fast.signal_field_active(),
@@ -182,6 +184,35 @@ TEST(ChurnDifferential, AlgLeAllSchedulersAllThreadCounts) {
     for (const unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
       expect_churn_matches_oracle(g, alg, c0, sched_name, threads, 331,
                                   /*steps_per_segment=*/120, /*events=*/5);
+    }
+  }
+}
+
+TEST(ChurnDifferential, AlgMisAndLeWideStores) {
+  // MIS and LE at D = 14 (|Q| = 310 and 659) keep their configurations in
+  // the wide store: with the field off, every step senses the wide set
+  // (serially, or in the shard kernels at 4 threads), and with it on the
+  // serial steps read the sorted multiset; churn must leave both on the
+  // oracle's trajectory.
+  util::Rng rng(319);
+  const graph::Graph g = graph::damaged_clique(18, 0.25, rng);
+  const mis::AlgMis mis({.diameter_bound = 14});
+  const le::AlgLe le({.diameter_bound = 14});
+  const std::vector<std::pair<const core::Automaton*, core::Configuration>>
+      workloads = {
+          {&mis, mis::mis_adversarial_configuration("random", mis, g, rng)},
+          {&le, le::le_adversarial_configuration("random", le, g, rng)},
+      };
+  for (const auto& [alg, c0] : workloads) {
+    for (const core::SignalFieldMode field :
+         {core::SignalFieldMode::kOn, core::SignalFieldMode::kOff}) {
+      for (const std::string& sched_name : all_scheduler_names()) {
+        for (const unsigned threads : {1u, 4u}) {
+          expect_churn_matches_oracle(g, *alg, c0, sched_name, threads, 337,
+                                      /*steps_per_segment=*/80, /*events=*/4,
+                                      field);
+        }
+      }
     }
   }
 }

@@ -143,6 +143,44 @@ TEST(FastPathDifferential, AlgLeEveryScheduler) {
   }
 }
 
+TEST(FastPathDifferential, AlgMisAndLeWideStores) {
+  // D = 12 and 14: MIS |Q| = 274 and 310, LE 571 and 659 — wide stores that
+  // sense into the wide set for the native step_wide. At the 1,024 boundary,
+  // MIS D = 53 (1,012 states) and LE D = 22 (1,011) take the wide set, MIS
+  // D = 54 (1,030) and LE D = 23 (1,055) the sorted view. kAuto builds no
+  // field on a wide store, so every asynchronous daemon runs the rescan.
+  util::Rng rng(41);
+  const graph::Graph g = graph::random_bounded_diameter(14, 2, rng);
+  for (const int d : {12, 14, 53, 54}) {
+    const mis::AlgMis alg({.diameter_bound = d});
+    ASSERT_EQ(alg.native_wide_kernel(),
+              alg.state_count() <= core::WideStateSet::kBits);
+    for (const char* kind : {"random", "adjacent-in", "orphan-out"}) {
+      const core::Configuration c0 =
+          mis::mis_adversarial_configuration(kind, alg, g, rng);
+      for (const std::string& sched_name : all_scheduler_names()) {
+        expect_identical_trajectories(g, alg, c0, sched_name, 151, 200);
+      }
+      expect_identical_trajectories(g, alg, c0, "random-subset", 151, 200,
+                                    kSparseSubsetP);
+    }
+  }
+  for (const int d : {12, 14, 22, 23}) {
+    const le::AlgLe alg({.diameter_bound = d});
+    ASSERT_EQ(alg.native_wide_kernel(),
+              alg.state_count() <= core::WideStateSet::kBits);
+    for (const char* kind : {"random", "two-leaders", "zero-leaders"}) {
+      const core::Configuration c0 =
+          le::le_adversarial_configuration(kind, alg, g, rng);
+      for (const std::string& sched_name : all_scheduler_names()) {
+        expect_identical_trajectories(g, alg, c0, sched_name, 157, 200);
+      }
+      expect_identical_trajectories(g, alg, c0, "random-subset", 157, 200,
+                                    kSparseSubsetP);
+    }
+  }
+}
+
 TEST(FastPathDifferential, SmallDeterministicAutomataCompileToTables) {
   // ResetUnison (dense table) and the Blinker synchronizer product (sparse
   // view; |Q*| > 64) both ride the fast path.
@@ -164,10 +202,11 @@ TEST(FastPathDifferential, SmallDeterministicAutomataCompileToTables) {
 TEST(FastPathDifferential, ListenerSeesIdenticalTransitions) {
   // Attaching a listener switches the fast engine off the mask-only loop
   // (rotating-single) or onto the logged-and-replayed synchronous kernel
-  // (synchronous, serial engine: one [0, n) shard); the set kernel (D = 16)
-  // emits from its own sense, rescanned or read from a forced-on field. The
-  // observed transition streams must match the reference interpreter's
-  // exactly.
+  // (synchronous, serial engine: one [0, n) shard); the set kernel (AlgAu
+  // at D = 16) and the wide-set kernel (AlgMis and AlgLe at D = 14, |Q| =
+  // 310 and 659) emit from their own sense, rescanned or read from a
+  // forced-on field. The observed transition streams must match the
+  // reference interpreter's exactly.
   util::Rng rng(29);
   const graph::Graph g = graph::cycle(8);
   struct Event {
@@ -176,10 +215,22 @@ TEST(FastPathDifferential, ListenerSeesIdenticalTransitions) {
     core::Time t;
     bool operator==(const Event&) const = default;
   };
-  for (const int d : {1, 16}) {
-    const unison::AlgAu alg(d);
-    const core::Configuration c0 =
-        unison::au_adversarial_configuration("tear", alg, g, rng);
+  const unison::AlgAu au1(1);
+  const unison::AlgAu au16(16);
+  const mis::AlgMis mis14({.diameter_bound = 14});
+  const le::AlgLe le14({.diameter_bound = 14});
+  const std::vector<std::pair<const core::Automaton*, core::Configuration>>
+      workloads = {
+          {&au1, unison::au_adversarial_configuration("tear", au1, g, rng)},
+          {&au16, unison::au_adversarial_configuration("tear", au16, g, rng)},
+          {&mis14, mis::mis_adversarial_configuration("skewed-steps", mis14,
+                                                      g, rng)},
+          {&le14, le::le_adversarial_configuration("two-leaders", le14, g,
+                                                   rng)},
+      };
+  for (const auto& [alg_ptr, c0] : workloads) {
+    const core::Automaton& alg = *alg_ptr;
+    const core::StateId d = alg.state_count();  // names the leg in messages
     for (const core::SignalFieldMode field :
          {core::SignalFieldMode::kOff, core::SignalFieldMode::kOn}) {
       for (const char* sched_name : {"rotating-single", "synchronous"}) {
@@ -202,9 +253,9 @@ TEST(FastPathDifferential, ListenerSeesIdenticalTransitions) {
         oracle::ReferenceEngine legacy(g, alg, *legacy_sched, c0, 131);
         const auto [fast_events, fast_signals] = run(fast);
         const auto [legacy_events, legacy_signals] = run(legacy);
-        EXPECT_EQ(fast_events, legacy_events) << sched_name << " D=" << d;
-        EXPECT_EQ(fast_signals, legacy_signals) << sched_name << " D=" << d;
-        EXPECT_FALSE(fast_events.empty()) << sched_name << " D=" << d;
+        EXPECT_EQ(fast_events, legacy_events) << sched_name << " |Q|=" << d;
+        EXPECT_EQ(fast_signals, legacy_signals) << sched_name << " |Q|=" << d;
+        EXPECT_FALSE(fast_events.empty()) << sched_name << " |Q|=" << d;
       }
     }
   }

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "analysis/experiment.hpp"
 #include "core/engine.hpp"
@@ -172,6 +174,136 @@ TEST(Le, StabilizationRoundsScaleGentlyWithN) {
   // Mean rounds from n=4 to n=32 should grow by far less than 8x.
   EXPECT_LT(rounds.back(), rounds.front() * 6.0)
       << "LE stabilization grows too fast with n";
+}
+
+// --- native set kernels ------------------------------------------------------
+
+/// A state a neighbor of `self` plausibly holds: mostly one of self's
+/// (stage, round) class with random bits, so the flood and DetectLE rules
+/// fire; sometimes the next round or the other stage, so the consistency
+/// check does; rarely (any σ state sends δ down the restart rules) a σ
+/// state, the exit most often.
+core::StateId nearby_state(const AlgLe& alg, const LeState& self,
+                           util::Rng& rng) {
+  const AlgLeParams& p = alg.params();
+  const int e = alg.epoch_length();
+  LeState s;
+  const auto pick = rng.below(10);
+  if (pick == 0) {
+    s.mode = LeState::Mode::kRestart;
+    s.sigma = rng.below(2) == 0
+                  ? 2 * p.diameter_bound
+                  : static_cast<int>(rng.below(
+                        static_cast<std::uint64_t>(2 * p.diameter_bound + 1)));
+    return alg.encode(s);
+  }
+  s.mode = self.mode == LeState::Mode::kRestart ? LeState::Mode::kCompute
+                                                : self.mode;
+  s.r = self.r;
+  if (pick == 1) s.r = (self.r + 1) % e;
+  if (pick == 2) {
+    s.mode = s.mode == LeState::Mode::kCompute ? LeState::Mode::kVerify
+                                               : LeState::Mode::kCompute;
+  }
+  if (s.mode == LeState::Mode::kCompute) {
+    s.flag = rng.coin();
+    s.flag_acc = rng.below(3) == 0;
+    s.candidate = rng.coin();
+    s.coin = rng.coin();
+    s.coin_acc = rng.below(3) == 0;
+  } else {
+    s.leader = rng.below(4) == 0;
+    s.slot = rng.coin() ? 0
+                        : static_cast<int>(rng.below(static_cast<std::uint64_t>(
+                              p.id_alphabet + 1)));
+  }
+  return alg.encode(s);
+}
+
+/// The states of one random sensed set around q (q included): up to five
+/// more, mostly nearby, otherwise drawn from the whole state set.
+std::vector<core::StateId> random_states_around(const AlgLe& alg,
+                                                core::StateId q,
+                                                util::Rng& rng) {
+  std::vector<core::StateId> states{q};
+  const LeState self = alg.decode(q);
+  const bool sigma_only =
+      self.mode == LeState::Mode::kRestart && rng.below(2) == 0;
+  const auto extra = rng.below(6);
+  for (std::uint64_t i = 0; i < extra; ++i) {
+    if (sigma_only) {
+      // The exit half the time, so St(v) = {σ(2D)} comes up at every D.
+      const int exit = 2 * alg.params().diameter_bound;
+      states.push_back(alg.encode(
+          {.mode = LeState::Mode::kRestart,
+           .sigma = rng.coin() ? exit
+                               : static_cast<int>(rng.below(
+                                     static_cast<std::uint64_t>(exit + 1)))}));
+    } else if (rng.below(8) == 0) {
+      states.push_back(rng.below(alg.state_count()));
+    } else {
+      states.push_back(nearby_state(alg, self, rng));
+    }
+  }
+  return states;
+}
+
+TEST(LeSetKernel, MatchesStepFastDrawForDraw) {
+  // D = 2 and 4: |Q| = 131 and 219, the StateSet kernel (and the wide one
+  // over the same states); D = 12, 14 and 22: |Q| = 571, 659 and 1,011, the
+  // wide kernel only. k_id = 7 at D = 14 puts more identifier slots in
+  // play. Every call must return step_fast's state and leave the rng
+  // exactly where step_fast leaves it. At D = 23 (|Q| = 1,055) no wide set
+  // holds the states, and the engine keeps the sorted view.
+  EXPECT_FALSE(AlgLe({.diameter_bound = 23}).native_wide_kernel());
+  const std::vector<AlgLeParams> params = {
+      {.diameter_bound = 2},
+      {.diameter_bound = 4},
+      {.diameter_bound = 12},
+      {.diameter_bound = 14, .id_alphabet = 7},
+      {.diameter_bound = 22}};
+  for (const AlgLeParams& p : params) {
+    const AlgLe alg(p);
+    const int d = p.diameter_bound;
+    const bool narrow = alg.state_count() <= core::StateSet::kBits;
+    ASSERT_TRUE(alg.native_wide_kernel()) << "D=" << d;
+    util::Rng rng(5000 + static_cast<std::uint64_t>(d));
+    std::vector<core::StateId> scratch;
+    std::set<std::pair<LeState::Mode, LeState::Mode>> seen;
+    const int trials = d > 14 ? 100 : 200;
+    for (core::StateId q = 0; q < alg.state_count(); ++q) {
+      for (int trial = 0; trial < trials; ++trial) {
+        const std::vector<core::StateId> states =
+            random_states_around(alg, q, rng);
+        core::WideStateSet wide;
+        core::StateSet set;
+        for (const core::StateId s : states) {
+          wide.insert(s);
+          if (narrow) set.insert(s);
+        }
+        const std::uint64_t seed = rng();
+        util::Rng ref_rng(seed);
+        const core::StateId want =
+            alg.step_fast(q, core::unpack_set(wide, scratch), ref_rng);
+        util::Rng wide_rng(seed);
+        ASSERT_EQ(alg.step_wide(q, wide, wide_rng), want)
+            << "D=" << d << " q=" << alg.state_name(q);
+        ASSERT_EQ(wide_rng.state(), ref_rng.state())
+            << "D=" << d << " q=" << alg.state_name(q);
+        if (narrow) {
+          util::Rng set_rng(seed);
+          ASSERT_EQ(alg.step_set(q, set, set_rng), want)
+              << "D=" << d << " q=" << alg.state_name(q);
+          ASSERT_EQ(set_rng.state(), ref_rng.state())
+              << "D=" << d << " q=" << alg.state_name(q);
+        }
+        seen.insert({alg.decode(q).mode, alg.decode(want).mode});
+      }
+    }
+    // Compute -> all three stages, Verify -> itself and restart, restart
+    // -> itself and (exit) Compute.
+    EXPECT_EQ(seen.size(), 7u) << "D=" << d;
+  }
 }
 
 }  // namespace

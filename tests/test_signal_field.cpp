@@ -288,8 +288,10 @@ TEST(SignalFieldRouting, OneRuleForEveryKernelDaemonAndMode) {
   }
 
   // A few rows stated literally, so the rule above cannot drift together
-  // with the engine. Every kernel gets the field from kAuto on the serial
-  // single-node daemons at degree ~10 — the mask kernels included.
+  // with the engine. Every byte-store kernel gets the field from kAuto on
+  // the serial single-node daemons at degree ~10 — the mask kernels
+  // included; the wide store never does, since its field would be the
+  // sorted multiset, which patches slower than the wide set rescans.
   const auto active = [&](const core::Automaton& alg, const char* sched_name,
                           core::EngineOptions opts) {
     auto sched = sched::make_scheduler(sched_name, degree_10);
@@ -300,9 +302,10 @@ TEST(SignalFieldRouting, OneRuleForEveryKernelDaemonAndMode) {
   };
   for (const auto& [kernel_name, alg] : kernels) {
     SCOPED_TRACE(kernel_name);
+    const bool wide = alg->state_count() > 256;
     for (const char* single : {"uniform-single", "rotating-single",
                                "permutation", "burst"}) {
-      EXPECT_TRUE(active(*alg, single, {}));
+      EXPECT_EQ(active(*alg, single, {}), !wide);
     }
     EXPECT_FALSE(active(*alg, "synchronous", {}));
     EXPECT_FALSE(active(*alg, "laggard", {}));        // hint n - 1 > n / 2
@@ -335,6 +338,35 @@ TEST(SignalFieldRouting, AutoDeclinesSparseNeighborhoods) {
   core::Engine e(g, alg, *sched,
                  core::random_configuration(alg, g.num_nodes(), rng), 7);
   EXPECT_FALSE(e.signal_field_active());
+}
+
+TEST(SignalFieldRouting, AutoBuildsOnlyDenseFields) {
+  // kAuto's last clause is SignalField's dense layout: a byte-store
+  // automaton whose counter table would overrun the byte budget gets no
+  // kAuto field, while kOn still builds one (the sorted multiset).
+  const unison::AlgAu alg(20);  // |Q| = 246: state-major counters
+  const auto n = static_cast<core::NodeId>(
+      core::SignalField::kDenseMaxCounterBytes /
+          (alg.state_count() * sizeof(std::uint16_t)) +
+      1);
+  util::Rng rng(65);
+  const graph::Graph g = graph::random_connected(n, 6.0 / n, rng);
+  ASSERT_GE(g.avg_degree(), core::kSignalFieldMinAvgDegree);
+  ASSERT_FALSE(core::SignalField::dense_eligible(g, alg.state_count()));
+  ASSERT_TRUE(core::SignalField::dense_eligible(g, 64));
+  const core::Configuration c0 = core::random_configuration(alg, n, rng);
+  for (const core::SignalFieldMode mode :
+       {core::SignalFieldMode::kAuto, core::SignalFieldMode::kOn}) {
+    auto sched = sched::make_scheduler("uniform-single", g);
+    const core::EngineOptions opts{.signal_field = mode};
+    core::Engine e(g, alg, *sched, c0, 7, opts);
+    EXPECT_EQ(e.signal_field_active(),
+              oracle::field_routed(g, alg, *sched, opts));
+    EXPECT_EQ(e.signal_field_active(), mode == core::SignalFieldMode::kOn);
+    if (e.signal_field_active()) {
+      EXPECT_FALSE(e.signal_field()->dense());
+    }
+  }
 }
 
 // --- differential suite ------------------------------------------------------
@@ -428,6 +460,42 @@ TEST(SignalFieldDifferential, AlgMisAllSchedulersAllThreadCounts) {
   for (const unsigned threads : {1u, 4u}) {
     expect_field_matches_oracle(g, alg, c0, "random-subset", threads, 223,
                                 200, kSparseSubsetP);
+  }
+}
+
+TEST(SignalFieldDifferential, AlgMisAndLeWideStores) {
+  // The wide stores at D = 12 and 14 (MIS |Q| = 274 and 310, LE 571 and
+  // 659) and across the 1,024-state bound of the wide set (MIS D = 53 and
+  // 54, 1,012 and 1,030 states; LE D = 22 and 23, 1,011 and 1,055): a kOn
+  // field engine, serial and at 4 threads with sparse threshold 2 (the shard
+  // kernels' wide-set branch), and its serial kOff twin (the serial
+  // wide-set kernel), against the oracle under every daemon.
+  util::Rng rng(75);
+  const graph::Graph g = graph::random_bounded_diameter(16, 2, rng);
+  const auto run_all = [&](const core::Automaton& alg,
+                           const core::Configuration& c0,
+                           std::uint64_t seed) {
+    for (const std::string& sched_name : all_scheduler_names()) {
+      for (const unsigned threads : {1u, 4u}) {
+        expect_field_matches_oracle(g, alg, c0, sched_name, threads, seed,
+                                    150);
+      }
+    }
+    for (const unsigned threads : {1u, 4u}) {
+      expect_field_matches_oracle(g, alg, c0, "random-subset", threads, seed,
+                                  150, kSparseSubsetP);
+    }
+  };
+  for (const int d : {12, 14, 53, 54}) {
+    SCOPED_TRACE("alg-mis D=" + std::to_string(d));
+    const mis::AlgMis alg({.diameter_bound = d});
+    run_all(alg, mis::mis_adversarial_configuration("random", alg, g, rng),
+            241);
+  }
+  for (const int d : {12, 14, 22, 23}) {
+    SCOPED_TRACE("alg-le D=" + std::to_string(d));
+    const le::AlgLe alg({.diameter_bound = d});
+    run_all(alg, le::le_adversarial_configuration("random", alg, g, rng), 251);
   }
 }
 

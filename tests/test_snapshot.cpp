@@ -201,6 +201,46 @@ TEST(BinaryIo, Crc32KnownVector) {
             0xCBF43926U);
 }
 
+/// The plain bytewise CRC-32 (reflected, polynomial 0xEDB88320): the
+/// reference util::crc32's slicing-by-8 loop is held to.
+std::uint32_t bytewise_crc32(std::span<const std::uint8_t> data,
+                             std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1U) ? 0xEDB88320U ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(BinaryIo, Crc32MatchesBytewiseReference) {
+  // Every length 0-64 covers each alignment of the eight-byte loop's tail;
+  // a large buffer at offsets 0-7 covers each alignment of its start. Both
+  // with and without a resume seed.
+  util::Rng rng(97);
+  std::vector<std::uint8_t> bytes(70000);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.below(256));
+  const std::span<const std::uint8_t> all(bytes);
+  for (const std::uint32_t seed : {0U, 0xCBF43926U, 0xFFFFFFFFU}) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(util::crc32(all.subspan(3, len), seed),
+                bytewise_crc32(all.subspan(3, len), seed))
+          << "len=" << len << " seed=" << seed;
+    }
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const auto tail = all.subspan(offset);
+      EXPECT_EQ(util::crc32(tail, seed), bytewise_crc32(tail, seed))
+          << "offset=" << offset << " seed=" << seed;
+    }
+  }
+  // Resuming over a split equals one pass over the whole.
+  const auto head = all.subspan(0, 12345);
+  const auto rest = all.subspan(12345);
+  EXPECT_EQ(util::crc32(rest, util::crc32(head)), util::crc32(all));
+}
+
 // --- the headline restore differential --------------------------------------
 
 class SnapshotDifferential : public ::testing::Test {};
